@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .text import TOKENIZER_VERSION, tokenize
+from .text import TOKENIZER_VERSION, count_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -102,30 +102,77 @@ class BenchmarkSample:
 
     @classmethod
     def from_dict(cls, data: dict) -> BenchmarkSample:
+        """Build a sample from a decoded JSON record.
+
+        Raises DatasetError when a field is missing or has the wrong JSON
+        type; value checks (known domain, span ranges) are validate_sample's.
+        """
+        if not isinstance(data, dict):
+            raise DatasetError(f"record is a JSON {_json_type(data)}, expected an object")
         unknown = set(data.keys()) - _SAMPLE_FIELDS
         if unknown:
             logger.warning("ignoring unknown sample fields: %s", sorted(unknown))
+        raw_spans = data.get("gold_spans") or []
+        if not isinstance(raw_spans, list):
+            raise DatasetError(f"gold_spans is a JSON {_json_type(raw_spans)}, expected an array")
         spans = []
-        for raw in data.get("gold_spans") or []:
+        for i, raw in enumerate(raw_spans):
+            if not isinstance(raw, dict):
+                raise DatasetError(f"gold_spans[{i}] is a JSON {_json_type(raw)}, expected an object")
             extra = set(raw.keys()) - _SPAN_FIELDS
             if extra:
                 logger.warning("ignoring unknown span fields: %s", sorted(extra))
             spans.append(
                 HallucinationSpan(
-                    start=raw["start"],
-                    end=raw["end"],
-                    dimension=raw.get("dimension", Dimension.OTHER.value),
+                    start=_field(raw, "start", int, f"gold_spans[{i}]."),
+                    end=_field(raw, "end", int, f"gold_spans[{i}]."),
+                    dimension=_field(
+                        raw, "dimension", str, f"gold_spans[{i}].", Dimension.OTHER.value
+                    ),
                 )
             )
         return cls(
-            id=data["id"],
-            image=data.get("image", ""),
-            domain=data["domain"],
-            caption=data["caption"],
+            id=_field(data, "id", str),
+            image=_field(data, "image", str, default=""),
+            domain=_field(data, "domain", str),
+            caption=_field(data, "caption", str),
             gold_spans=spans,
-            variant=data.get("variant", "real"),
-            clean_caption=data.get("clean_caption"),
+            variant=_field(data, "variant", str, default="real"),
+            clean_caption=_field(data, "clean_caption", str, default=None),
         )
+
+
+_MISSING = object()
+
+
+# the Python types json.loads produces, by their JSON names
+_JSON_TYPES = {
+    dict: "object", list: "array", str: "string", int: "number", float: "number",
+    bool: "boolean", type(None): "null",
+}
+
+
+def _json_type(value: object) -> str:
+    return _JSON_TYPES.get(type(value), type(value).__name__)
+
+
+def _field(data: dict, key: str, kind: type, where: str = "", default: object = _MISSING):
+    """data[key] checked to be a `kind` (bool is not an int here).
+
+    An absent key gives `default`, and so does null when the default is
+    None; with no default an absent key raises DatasetError.
+    """
+    value = data.get(key, _MISSING)
+    if value is _MISSING or (value is None and default is None):
+        if default is _MISSING:
+            raise DatasetError(f"missing field {where}{key!r}")
+        return default
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise DatasetError(
+            f"{where}{key} is a JSON {_json_type(value)}, expected a "
+            + ("integer" if kind is int else "string")
+        )
+    return value
 
 
 @dataclass(frozen=True)
@@ -164,7 +211,7 @@ def validate_sample(sample: BenchmarkSample) -> ValidationReport:
     if sample.variant not in ("real", "synthetic"):
         add("variant", f"unknown variant {sample.variant!r}")
 
-    n = len(tokenize(sample.caption))
+    n = count_tokens(sample.caption)
     prev_end = None
     prev_idx = None
     for i, span in enumerate(sample.gold_spans):
@@ -189,48 +236,61 @@ def validate_sample(sample: BenchmarkSample) -> ValidationReport:
 
 
 def load_dataset(path: str | Path) -> list[BenchmarkSample]:
-    """Load and validate a dataset file; returns samples in file order."""
+    """Load and validate a dataset file; returns samples in file order.
+
+    Every defect in the file's contents raises DatasetError naming the file
+    and, where one is to blame, the line.
+    """
     path = Path(path)
+    try:
+        with open(path, encoding="utf-8") as f:
+            return _read_samples(f, path)
+    except UnicodeDecodeError as exc:
+        raise DatasetError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_samples(f, path: Path) -> list[BenchmarkSample]:
     samples: list[BenchmarkSample] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        header_line = f.readline()
-        if not header_line.strip():
-            raise DatasetError(f"{path}: empty file, expected a header line")
+    header_line = f.readline()
+    if not header_line.strip():
+        raise DatasetError(f"{path}: empty file, expected a header line")
+    try:
+        header = json.loads(header_line)
+    except ValueError as exc:
+        raise DatasetError(f"{path}:1: unparseable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DatasetError(f"{path}:1: header is a JSON {_json_type(header)}, expected an object")
+    if header.get("format") != FORMAT_NAME:
+        raise DatasetError(f"{path}:1: unknown format {header.get('format')!r}")
+    if header.get("version") != FORMAT_VERSION:
+        raise DatasetError(f"{path}:1: unsupported format version {header.get('version')!r}")
+    if header.get("tokenizer") != TOKENIZER_VERSION:
+        raise DatasetError(
+            f"{path}:1: tokenizer {header.get('tokenizer')!r} does not match "
+            f"{TOKENIZER_VERSION!r}; gold spans are not portable across tokenizers"
+        )
+    for lineno, line in enumerate(f, 2):
+        line = line.strip()
+        if not line:
+            continue
         try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"{path}:1: unparseable header: {exc}") from exc
-        if header.get("format") != FORMAT_NAME:
-            raise DatasetError(f"{path}:1: unknown format {header.get('format')!r}")
-        if header.get("version") != FORMAT_VERSION:
-            raise DatasetError(f"{path}:1: unsupported format version {header.get('version')!r}")
-        if header.get("tokenizer") != TOKENIZER_VERSION:
+            record = json.loads(line)
+        except ValueError as exc:
+            raise DatasetError(f"{path}:{lineno}: unparseable record: {exc}") from exc
+        try:
+            sample = BenchmarkSample.from_dict(record)
+        except DatasetError as exc:
+            raise DatasetError(f"{path}:{lineno}: {exc}") from exc
+        if sample.id in seen_ids:
+            raise DatasetError(f"{path}:{lineno}: duplicate sample id {sample.id!r}")
+        seen_ids.add(sample.id)
+        report = validate_sample(sample)
+        if not report.ok:
             raise DatasetError(
-                f"{path}:1: tokenizer {header.get('tokenizer')!r} does not match "
-                f"{TOKENIZER_VERSION!r}; gold spans are not portable across tokenizers"
+                f"{path}:{lineno}: invalid sample: " + "; ".join(str(i) for i in report.issues)
             )
-        for lineno, line in enumerate(f, 2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{path}:{lineno}: unparseable record: {exc}") from exc
-            try:
-                sample = BenchmarkSample.from_dict(record)
-            except KeyError as exc:
-                raise DatasetError(f"{path}:{lineno}: missing field {exc}") from exc
-            if sample.id in seen_ids:
-                raise DatasetError(f"{path}:{lineno}: duplicate sample id {sample.id!r}")
-            seen_ids.add(sample.id)
-            report = validate_sample(sample)
-            if not report.ok:
-                raise DatasetError(
-                    f"{path}:{lineno}: invalid sample: " + "; ".join(str(i) for i in report.issues)
-                )
-            samples.append(sample)
+        samples.append(sample)
     return samples
 
 
@@ -267,7 +327,7 @@ class DatasetStats:
 def _stats_for(samples: list[BenchmarkSample]) -> DomainStats:
     if not samples:
         return DomainStats()
-    lengths = [len(tokenize(s.caption)) for s in samples]
+    lengths = [count_tokens(s.caption) for s in samples]
     locations = sum(len(s.gold_spans) for s in samples)
     with_hallu = sum(1 for s in samples if s.gold_spans)
     return DomainStats(

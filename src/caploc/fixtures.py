@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 
 from .corpus import BenchmarkSample, HallucinationSpan
-from .text import tokenize
+from .text import count_tokens
 
 SAMPLES_PER_DOMAIN = 200
 
@@ -107,7 +107,7 @@ def build_fixture(seed: int = 20240918) -> list[BenchmarkSample]:
         with_hallu = round(HALLU_RATES[domain] * SAMPLES_PER_DOMAIN)
         for i in range(SAMPLES_PER_DOMAIN):
             caption = _caption(rng, domain)
-            n_tokens = len(tokenize(caption).tokens)
+            n_tokens = count_tokens(caption)
             gold = _spans(rng, domain, n_tokens) if i < with_hallu else []
             samples.append(
                 BenchmarkSample(

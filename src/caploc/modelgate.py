@@ -155,24 +155,34 @@ class ScriptRule:
 
 
 class ScriptedBackend:
-    """Deterministic in-process backend: first matching rule answers."""
+    """Deterministic in-process backend: first matching rule answers.
+
+    Safe to share between threads: recording a request and matching and
+    consuming a listed response happen under one lock, so concurrent
+    requests never take the same response. Responders run outside it.
+    """
 
     id = "scripted"
 
     def __init__(self, rules: list[ScriptRule]):
         self.rules = list(rules)
         self.requests: list[ModelRequest] = []
+        self._lock = threading.Lock()
 
     def send(self, req: ModelRequest) -> str:
-        self.requests.append(req)
-        for rule in self.rules:
-            if rule.matches(req):
-                if rule.responder is not None:
-                    return rule.responder(req)
-                return rule.responses.pop(0)
-        raise ScriptExhaustedError(
-            f"scripted backend has no response for a {req.purpose!r} request"
-        )
+        with self._lock:
+            self.requests.append(req)
+            for rule in self.rules:
+                if rule.matches(req):
+                    if rule.responder is None:
+                        return rule.responses.pop(0)
+                    responder = rule.responder
+                    break
+            else:
+                raise ScriptExhaustedError(
+                    f"scripted backend has no response for a {req.purpose!r} request"
+                )
+        return responder(req)
 
 
 class HttpBackend:

@@ -9,6 +9,7 @@ a status instead.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 
@@ -147,13 +148,20 @@ def parse_tags(t: TaggedText | str) -> ParsedOutput:
 def marked_token_indices(
     tc: TokenizedCaption, ranges: tuple[tuple[int, int], ...]
 ) -> set[int]:
-    # a token partially covered by a range counts as marked
+    """Indices of the tokens of tc that overlap any byte range [r_start, r_end).
+
+    A token partially covered by a range counts as marked. Tokens are sorted
+    and disjoint, so the tokens overlapping one range are those ending after
+    r_start and starting before r_end: a contiguous run found by bisection.
+    Ranges may be unsorted, overlapping or empty.
+    """
     marked: set[int] = set()
-    for tok in tc.tokens:
-        for r_start, r_end in ranges:
-            if tok.byte_start < r_end and r_start < tok.byte_end:
-                marked.add(tok.index)
-                break
+    if not ranges:
+        return marked
+    ends = [t.byte_end for t in tc.tokens]
+    starts = [t.byte_start for t in tc.tokens]
+    for r_start, r_end in ranges:
+        marked.update(range(bisect_right(ends, r_start), bisect_left(starts, r_end)))
     return marked
 
 
@@ -165,13 +173,21 @@ def align_to_reference(
     """Map marked byte ranges onto reference token indices.
 
     A faithful output (token sequence identical to the reference) maps
-    positionally. Otherwise the output tokens are aligned to the reference by
-    the same diff engine used for gold annotation; marks on tokens the
-    alignment cannot place are dropped. Coverage is the fraction of output
-    tokens the alignment placed; an empty output against a non-empty
-    reference counts as zero coverage.
+    positionally. An output that is byte-identical to the reference source
+    is such an output and maps onto ref's own tokens without being
+    tokenized again. Otherwise the output tokens are aligned to the
+    reference by the same diff engine used for gold annotation; marks on
+    tokens the alignment cannot place are dropped. Coverage is the fraction
+    of output tokens the alignment placed; an empty output against a
+    non-empty reference counts as zero coverage.
     """
     ranges = tuple(marked_ranges)
+    if stripped == ref.source:
+        return Prediction(
+            indices=frozenset(marked_token_indices(ref, ranges)),
+            faithful=True,
+            alignment_coverage=1.0,
+        )
     out_tc = tokenize(stripped)
     if token_equal_sequence(out_tc, ref):
         return Prediction(

@@ -5,17 +5,22 @@ trailing punctuation characters (Unicode categories P*) are detached as
 separate single-character tokens. Internal punctuation (hyphens, apostrophes,
 version dots) stays attached. Gold annotations are stored as indices into this
 token sequence, so any rule change here must bump TOKENIZER_VERSION.
+
+count_tokens() and tokenize() share one span rule, _char_spans. count_tokens()
+only counts the spans, for callers such as validation that need the length
+alone; tokenize() builds a Token for each. Token is a NamedTuple: a long
+caption has hundreds of tokens, and tuples are much cheaper to build than
+frozen dataclass instances.
 """
 
 from __future__ import annotations
 
-import re
 import unicodedata
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 TOKENIZER_VERSION = "dvb-tok/1"
 
-_CHUNK_RE = re.compile(r"\S+")
 _TERMINATORS = (".", "!", "?")
 
 
@@ -34,8 +39,7 @@ def _utf8_len(ch: str) -> int:
     return 4
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """One token with byte offsets into the UTF-8 encoding of the source.
 
     char_start/char_end are the corresponding code-point offsets, kept so the
@@ -91,6 +95,42 @@ class SentenceIndex:
         raise IndexError(f"token index {token_index} not covered by any sentence")
 
 
+def _char_spans(text: str) -> list[tuple[int, int]]:
+    """Code-point [start, end) of every token of text, in order."""
+    spans: list[tuple[int, int]] = []
+    append = spans.append
+    find = text.find
+    end = 0
+    # str.split() splits on exactly the str.isspace() characters; only
+    # whitespace lies between the previous chunk and this one, so find()
+    # from the previous end lands on this chunk's own position
+    for chunk in text.split():
+        start = find(chunk, end)
+        end = start + len(chunk)
+        # no isalnum() character is punctuation, so a chunk with alphanumeric
+        # ends has nothing to detach and needs no unicodedata lookup
+        if chunk[0].isalnum() and chunk[-1].isalnum():
+            append((start, end))
+            continue
+        i, j = 0, len(chunk)
+        while i < j and _is_punct(chunk[i]):
+            append((start + i, start + i + 1))
+            i += 1
+        k = j
+        while k > i and _is_punct(chunk[k - 1]):
+            k -= 1
+        if k > i:
+            append((start + i, start + k))
+        for t in range(start + k, end):
+            append((t, t + 1))
+    return spans
+
+
+def count_tokens(text: str) -> int:
+    """len(tokenize(text)), without building the tokens."""
+    return len(_char_spans(text))
+
+
 def tokenize(text: str) -> TokenizedCaption:
     """Split text into word-level tokens with exact byte offsets.
 
@@ -98,26 +138,11 @@ def tokenize(text: str) -> TokenizedCaption:
     characters become their own tokens. Concatenating token texts with the
     original inter-token bytes reconstructs the source exactly.
     """
-    spans: list[tuple[int, int]] = []
-    for m in _CHUNK_RE.finditer(text):
-        start = m.start()
-        chunk = m.group()
-        i, j = 0, len(chunk)
-        while i < j and _is_punct(chunk[i]):
-            spans.append((start + i, start + i + 1))
-            i += 1
-        k = j
-        while k > i and _is_punct(chunk[k - 1]):
-            k -= 1
-        if k > i:
-            spans.append((start + i, start + k))
-        for t in range(k, j):
-            spans.append((start + t, start + t + 1))
-
+    spans = _char_spans(text)
+    new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
     if text.isascii():
         tokens = tuple(
-            Token(text[cs:ce], cs, ce, idx, cs, ce)
-            for idx, (cs, ce) in enumerate(spans)
+            [new(Token, (text[cs:ce], cs, ce, idx, cs, ce)) for idx, (cs, ce) in enumerate(spans)]
         )
     else:
         byte_at = [0] * (len(text) + 1)
@@ -126,8 +151,10 @@ def tokenize(text: str) -> TokenizedCaption:
             acc += _utf8_len(ch)
             byte_at[pos + 1] = acc
         tokens = tuple(
-            Token(text[cs:ce], byte_at[cs], byte_at[ce], idx, cs, ce)
-            for idx, (cs, ce) in enumerate(spans)
+            [
+                new(Token, (text[cs:ce], byte_at[cs], byte_at[ce], idx, cs, ce))
+                for idx, (cs, ce) in enumerate(spans)
+            ]
         )
     return TokenizedCaption(source=text, tokens=tokens)
 

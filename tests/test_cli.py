@@ -57,6 +57,22 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "record",
+        [
+            '["s1", "nature", "a red car"]',
+            '{"id": "s1", "domain": "nature", "caption": "a red car", "gold_spans": [{"start": "0", "end": 1}]}',
+            '{"id": "s1", "domain": "nature", "caption": null}',
+            '{"id": "s1", "domain": "nature", "caption": "a red car", "gold_spans": [3]}',
+        ],
+        ids=["list_record", "string_bound", "null_caption", "non_object_span"],
+    )
+    def test_malformed_record_exits_1(self, tmp_path, capsys, record):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"format": "dvb-jsonl", "version": 1, "tokenizer": "dvb-tok/1"}\n' + record + "\n")
+        assert main(["validate", str(path)]) == 1
+        assert f"error: {path}:2: " in capsys.readouterr().err
+
     def test_missing_file_exits_1(self, tmp_path):
         assert main(["validate", str(tmp_path / "nope.jsonl")]) == 1
 

@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from caploc.corpus import (
     BenchmarkSample,
@@ -208,3 +209,86 @@ def test_batch_errors():
         batch_acceptance([("a", "maybe")], 0.97)
     with pytest.raises(ValueError):
         batch_acceptance([("a", "correct")], 0.0)
+
+
+HEADER = '{"format":"dvb-jsonl","version":1,"tokenizer":"dvb-tok/1"}\n'
+
+# records of the wrong JSON shape; each used to escape load_dataset as an
+# AttributeError or TypeError instead of a DatasetError
+MALFORMED_RECORDS = {
+    "list_record": ["s1", "nature", "a red car"],
+    "string_bound": {**make_sample().to_dict(), "gold_spans": [{"start": "0", "end": 1}]},
+    "null_caption": {**make_sample().to_dict(), "caption": None},
+    "non_object_span": {**make_sample().to_dict(), "gold_spans": [3]},
+    "bool_bound": {**make_sample().to_dict(), "gold_spans": [{"start": False, "end": True}]},
+    "spans_not_a_list": {**make_sample().to_dict(), "gold_spans": 3},
+    "numeric_id": {**make_sample().to_dict(), "id": 7},
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RECORDS))
+def test_load_rejects_malformed_record(tmp_path, case):
+    path = tmp_path / "d.jsonl"
+    path.write_text(HEADER + json.dumps(MALFORMED_RECORDS[case]) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"d\.jsonl:2: .*expected"):
+        load_dataset(path)
+
+
+def test_load_rejects_non_object_header(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_text("[1, 2]\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=":1:"):
+        load_dataset(path)
+
+
+def test_load_rejects_non_utf8(tmp_path):
+    path = tmp_path / "d.jsonl"
+    path.write_bytes(HEADER.encode() + b'{"id": "\xff"}\n')
+    with pytest.raises(DatasetError, match="UTF-8"):
+        load_dataset(path)
+
+
+def test_load_accepts_null_clean_caption(tmp_path):
+    path = tmp_path / "d.jsonl"
+    record = {**make_sample().to_dict(), "clean_caption": None}
+    path.write_text(HEADER + json.dumps(record) + "\n", encoding="utf-8")
+    assert load_dataset(path)[0].clean_caption is None
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_valid = make_sample().to_dict()
+records = st.one_of(
+    json_values,
+    # a valid record with some fields replaced by, or missing, arbitrary values
+    st.dictionaries(st.sampled_from(sorted(_valid)), json_values, max_size=4).flatmap(
+        lambda changes: st.sets(st.sampled_from(sorted(_valid)), max_size=2).map(
+            lambda dropped: {
+                k: v for k, v in {**_valid, **changes}.items() if k not in dropped
+            }
+        )
+    ),
+    # a valid record whose spans are arbitrary
+    st.lists(
+        st.dictionaries(st.sampled_from(["start", "end", "dimension"]), json_values, max_size=3)
+        | json_values,
+        max_size=3,
+    ).map(lambda spans: {**_valid, "gold_spans": spans}),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(records, min_size=1, max_size=3))
+def test_load_raises_only_dataset_error(tmp_path_factory, recs):
+    path = tmp_path_factory.mktemp("fuzz") / "d.jsonl"
+    path.write_text(HEADER + "".join(json.dumps(r) + "\n" for r in recs), encoding="utf-8")
+    try:
+        samples = load_dataset(path)
+    except DatasetError:
+        return
+    for sample in samples:
+        assert validate_sample(sample).ok

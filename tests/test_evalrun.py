@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+from caploc import diffannot, text
 from caploc.corpus import BenchmarkSample, HallucinationSpan, save_dataset
 from caploc.inject import InjectionConfig
 from caploc.metrics import aggregate
@@ -15,6 +18,7 @@ from caploc.modelgate import (
     ScriptedBackend,
     ScriptRule,
 )
+from caploc.tagproto import serialize_tags
 from caploc.evalrun import (
     EvalConfig,
     build_prompt,
@@ -222,6 +226,48 @@ class TestTranscripts:
         path.write_text('{"id": "a"}\n')
         with pytest.raises(ValueError, match="t.jsonl:1"):
             read_transcripts(path)
+
+
+def count_calls(monkeypatch, fn) -> Counter:
+    """Count calls of fn per binding, over every loaded caploc module."""
+    calls: Counter = Counter()
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name != "caploc" and not mod_name.startswith("caploc."):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is fn:
+
+                def counted(*args, _key=f"{mod_name}.{attr}", **kwargs):
+                    calls[_key] += 1
+                    return fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestTokenizeOnce:
+    def test_echoed_captions_tokenized_once_each(self, tmp_path, monkeypatch):
+        """A tagged echo of the caption is scored with one tokenize call per
+        sample, made through caploc.evalrun.tokenize, and no diff."""
+        samples = sample_set()
+        dataset = write_dataset(tmp_path, samples)
+        transcripts = tmp_path / "transcripts.jsonl"
+        write_transcripts(
+            transcripts,
+            [
+                (s.id, serialize_tags(text.tokenize(s.caption), s.gold_spans).raw)
+                for s in samples
+            ],
+        )
+        cfg = EvalConfig(dataset=dataset, model="echo", out_dir=tmp_path / "out")
+        tokenize_calls = count_calls(monkeypatch, text.tokenize)
+        diff_calls = count_calls(monkeypatch, diffannot.diff_tokens)
+        report = score_transcripts(cfg, transcripts)
+        assert report.card.faithfulness_violation_rate == 0.0
+        assert report.card.token.f1 == 1.0
+        assert sum(tokenize_calls.values()) == len(samples)
+        assert tokenize_calls["caploc.evalrun.tokenize"] == len(samples)
+        assert sum(diff_calls.values()) == 0
 
 
 class TestScoreEqualsEvaluate:

@@ -1,4 +1,6 @@
+import sys
 import threading
+import time
 
 import pytest
 
@@ -213,3 +215,48 @@ def test_retry_delay_capped():
 
 def test_purpose_enum_values():
     assert {p.value for p in Purpose} == {"inject", "detect", "evaluate", "caption"}
+
+
+class SlowList(list):
+    """A response list whose emptiness check yields to other threads, which
+    widens the window between a rule's check and its pop."""
+
+    def __len__(self):
+        n = super().__len__()
+        time.sleep(0.001)
+        return n
+
+
+def test_scripted_backend_shared_between_threads():
+    """Threads racing for listed responses each take a different one; once
+    the list is empty every further request raises ScriptExhaustedError."""
+    n_responses, n_threads, per_thread = 20, 4, 10
+    backend = ScriptedBackend(
+        [ScriptRule(purpose="detect", responses=SlowList(str(i) for i in range(n_responses)))]
+    )
+    got: list[str] = []
+    exhausted: list[int] = []
+    barrier = threading.Barrier(n_threads)
+
+    def worker():
+        barrier.wait()
+        for _ in range(per_thread):
+            try:
+                got.append(backend.send(make_req()))
+            except ScriptExhaustedError:
+                exhausted.append(1)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert sorted(got, key=int) == [str(i) for i in range(n_responses)]
+    assert len(exhausted) == n_threads * per_thread - n_responses
+    assert len(backend.requests) == n_threads * per_thread
