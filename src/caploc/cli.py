@@ -17,6 +17,8 @@ from pathlib import Path
 from .corpus import (
     BenchmarkSample,
     DatasetError,
+    _field,
+    _json_type,
     dataset_stats,
     load_dataset,
     save_dataset,
@@ -32,12 +34,10 @@ from .evalrun import (
     load_image,
     render_report_table,
     render_sweep_table,
-    rows_to_scores,
     score_transcripts,
     sweep_rounds,
 )
 from .inject import InjectionConfig, InjectionError, run_adversarial
-from .metrics import aggregate
 from .modelgate import (
     BackendError,
     HttpBackend,
@@ -71,11 +71,23 @@ _INJECT_KEYS = {
 }
 
 
+def _read_json(path: str | Path):
+    """The decoded JSON content of a file; a decoding error names the file."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _effective(args: argparse.Namespace, keys: dict) -> dict:
     """Merge flag values over config-file values over defaults."""
     file_values: dict = {}
     if getattr(args, "config", None):
-        file_values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        file_values = _read_json(args.config)
+        if not isinstance(file_values, dict):
+            raise ValueError(
+                f"{args.config}: config is a JSON {_json_type(file_values)}, expected an object"
+            )
         unknown = set(file_values) - set(keys)
         if unknown:
             logger.warning("config keys not used by this subcommand: %s", sorted(unknown))
@@ -91,16 +103,7 @@ def _effective(args: argparse.Namespace, keys: dict) -> dict:
 
 def _build_gate(eff: dict) -> ModelGate | None:
     if eff.get("script"):
-        raw = json.loads(Path(eff["script"]).read_text(encoding="utf-8"))
-        rules = [
-            ScriptRule(
-                purpose=entry["purpose"],
-                contains=entry.get("contains"),
-                responses=list(entry.get("responses", [])),
-            )
-            for entry in raw
-        ]
-        backend = ScriptedBackend(rules)
+        backend = ScriptedBackend(_script_rules(eff["script"]))
     elif eff.get("base_url"):
         backend = HttpBackend(
             eff["base_url"], api_key_env=eff.get("api_key_env") or "CAPLOC_API_KEY"
@@ -109,6 +112,30 @@ def _build_gate(eff: dict) -> ModelGate | None:
         return None
     cache = ResponseCache(eff["cache"]) if eff.get("cache") else None
     return ModelGate(backend, cache=cache)
+
+
+def _script_rules(path: str) -> list[ScriptRule]:
+    raw = _read_json(path)
+    if not isinstance(raw, list):
+        raise ValueError(f"{path}: script is a JSON {_json_type(raw)}, expected an array of rules")
+    rules = []
+    for i, entry in enumerate(raw):
+        try:
+            if not isinstance(entry, dict):
+                raise DatasetError(f"is a JSON {_json_type(entry)}, expected an object")
+            responses = entry.get("responses", [])
+            if not (isinstance(responses, list) and all(isinstance(r, str) for r in responses)):
+                raise DatasetError("responses is not an array of strings")
+            rules.append(
+                ScriptRule(
+                    purpose=_field(entry, "purpose", str),
+                    contains=_field(entry, "contains", str, default=None),
+                    responses=list(responses),
+                )
+            )
+        except DatasetError as exc:
+            raise ValueError(f"{path}: rule {i}: {exc}") from exc
+    return rules
 
 
 def _int_list(value) -> list[int]:
@@ -142,8 +169,8 @@ def _injection_config(eff: dict) -> InjectionConfig:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     samples = load_dataset(args.dataset)
-    stats = dataset_stats(samples)
-    print(f"OK: {len(samples)} samples across {len(stats.per_domain)} domains")
+    domains = {s.domain for s in samples}
+    print(f"OK: {len(samples)} samples across {len(domains)} domains")
     return 0
 
 
@@ -167,6 +194,28 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
+def _annotated_sample(record) -> BenchmarkSample:
+    """Diff one {id, caption, corrected, ...} pair into an annotated sample."""
+    if not isinstance(record, dict):
+        raise DatasetError(f"record is a JSON {_json_type(record)}, expected an object")
+    sample_id = _field(record, "id", str)
+    caption = _field(record, "caption", str)
+    script = diff_tokens(tokenize(caption), tokenize(_field(record, "corrected", str)))
+    spans = extract_gold_spans(script)
+    labels = record.get("labels")
+    if labels:
+        if not isinstance(labels, list):
+            raise DatasetError(f"labels is a JSON {_json_type(labels)}, expected an array")
+        spans = label_spans(spans, labels)
+    return BenchmarkSample(
+        id=sample_id,
+        image=_field(record, "image", str, default=""),
+        domain=_field(record, "domain", str, default="nature"),
+        caption=caption,
+        gold_spans=spans,
+    )
+
+
 def cmd_annotate(args: argparse.Namespace) -> int:
     samples: list[BenchmarkSample] = []
     issues = []
@@ -176,24 +225,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
             if not line:
                 continue
             try:
-                record = json.loads(line)
-                sample_id = record["id"]
-                caption = record["caption"]
-                corrected = record["corrected"]
-            except (json.JSONDecodeError, KeyError) as exc:
+                sample = _annotated_sample(json.loads(line))
+            except ValueError as exc:
                 print(f"error: {args.pairs}:{lineno}: {exc}", file=sys.stderr)
                 return 1
-            script = diff_tokens(tokenize(caption), tokenize(corrected))
-            spans = extract_gold_spans(script)
-            if record.get("labels"):
-                spans = label_spans(spans, record["labels"])
-            sample = BenchmarkSample(
-                id=sample_id,
-                image=record.get("image", ""),
-                domain=record.get("domain", "nature"),
-                caption=caption,
-                gold_spans=spans,
-            )
             issues.extend(validate_sample(sample).issues)
             samples.append(sample)
     if issues:
@@ -303,28 +338,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    real = [json.loads(Path(p).read_text(encoding="utf-8")) for p in _str_list(args.real)]
-    synthetic = [
-        json.loads(Path(p).read_text(encoding="utf-8")) for p in _str_list(args.synthetic)
-    ]
+    real = [_read_json(p) for p in _str_list(args.real)]
+    synthetic = [_read_json(p) for p in _str_list(args.synthetic)]
     rho = correlate_settings(real, synthetic)
     print(json.dumps(rho, indent=2))
     return 0
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    data = json.loads(Path(args.report).read_text(encoding="utf-8"))
-    card = aggregate(rows_to_scores(data["samples"]))
-    report = EvalReport(
-        model=data["model"],
-        dataset_sha256=data["dataset_sha256"],
-        coverage=data["coverage"],
-        card=card,
-        samples=data["samples"],
-        skipped=data.get("skipped", []),
-        tool_versions=data.get("tool_versions", {}),
-        generated_at=data.get("generated_at", ""),
-    )
+    data = _read_json(args.report)
+    try:
+        report = EvalReport.from_dict(data)
+    except ValueError as exc:
+        raise ValueError(f"{args.report}: {exc}") from exc
     print(render_report_table(report), end="")
     return 0
 

@@ -324,17 +324,15 @@ class DatasetStats:
         }
 
 
-def _stats_for(samples: list[BenchmarkSample]) -> DomainStats:
-    if not samples:
+def _stats_for(group: list[tuple[BenchmarkSample, int]]) -> DomainStats:
+    """Stats of (sample, caption token count) pairs."""
+    if not group:
         return DomainStats()
-    lengths = [count_tokens(s.caption) for s in samples]
-    locations = sum(len(s.gold_spans) for s in samples)
-    with_hallu = sum(1 for s in samples if s.gold_spans)
     return DomainStats(
-        samples=len(samples),
-        mean_caption_len=round(sum(lengths) / len(samples), 1),
-        hallu_locations=locations,
-        hallu_rate=with_hallu / len(samples),
+        samples=len(group),
+        mean_caption_len=round(sum(n for _, n in group) / len(group), 1),
+        hallu_locations=sum(len(s.gold_spans) for s, _ in group),
+        hallu_rate=sum(1 for s, _ in group if s.gold_spans) / len(group),
     )
 
 
@@ -343,54 +341,13 @@ def dataset_stats(samples: list[BenchmarkSample]) -> DatasetStats:
 
     The hallucination rate is the fraction of samples with at least one gold
     span; with no samples, rates are reported as absent rather than 0/0.
+    Each caption is counted once, for its domain row and the total alike.
     """
-    by_domain: dict[str, list[BenchmarkSample]] = {}
-    for s in samples:
-        by_domain.setdefault(s.domain, []).append(s)
+    measured = [(s, count_tokens(s.caption)) for s in samples]
+    by_domain: dict[str, list[tuple[BenchmarkSample, int]]] = {}
+    for pair in measured:
+        by_domain.setdefault(pair[0].domain, []).append(pair)
     return DatasetStats(
         per_domain={d: _stats_for(group) for d, group in sorted(by_domain.items())},
-        total=_stats_for(list(samples)),
-    )
-
-
-@dataclass
-class BatchDecision:
-    accepted: bool
-    correct: int
-    total: int
-    rate: float
-    threshold: float
-    defects: list[str] = field(default_factory=list)
-
-
-def batch_acceptance(
-    batch: list[tuple[str, str]], threshold: float = 0.97
-) -> BatchDecision:
-    """Accept a review batch iff the fraction of correct verdicts meets threshold.
-
-    batch is a list of (sample id, verdict) with verdict "correct" or
-    "incorrect"; the defect list enumerates the incorrect ids so a rejected
-    batch can be returned for revision.
-    """
-    if not batch:
-        raise ValueError("batch_acceptance: empty batch")
-    if not 0.0 < threshold <= 1.0:
-        raise ValueError(f"batch_acceptance: threshold {threshold} outside (0, 1]")
-    defects = []
-    correct = 0
-    for sample_id, verdict in batch:
-        if verdict == "correct":
-            correct += 1
-        elif verdict == "incorrect":
-            defects.append(sample_id)
-        else:
-            raise ValueError(f"batch_acceptance: unknown verdict {verdict!r} for {sample_id!r}")
-    rate = correct / len(batch)
-    return BatchDecision(
-        accepted=rate >= threshold,
-        correct=correct,
-        total=len(batch),
-        rate=rate,
-        threshold=threshold,
-        defects=defects,
+        total=_stats_for(measured),
     )

@@ -95,6 +95,48 @@ class EvalReport:
             "generated_at": self.generated_at,
         }
 
+    @classmethod
+    def from_dict(cls, data: dict) -> EvalReport:
+        """Rebuild a report from its to_dict() form, re-aggregating the card
+        from the per-sample rows.
+
+        Raises ValueError when a key is missing or holds the wrong type.
+        """
+        try:
+            scores = [
+                SampleScore(
+                    sample_id=row["id"],
+                    domain=row["domain"],
+                    token=TokenCounts(**row["token"]),
+                    sentence=TokenCounts(**row["sentence"]),
+                    dimensions={
+                        d: RecallCounts(v["hit"], v["total"])
+                        for d, v in row["dimensions"].items()
+                    },
+                    faithful=row["faithful"],
+                )
+                for row in data["samples"]
+            ]
+            report = cls(
+                model=data["model"],
+                dataset_sha256=data["dataset_sha256"],
+                coverage=data["coverage"],
+                card=aggregate(scores),
+                samples=data["samples"],
+                skipped=data.get("skipped", []),
+                tool_versions=data.get("tool_versions", {}),
+                generated_at=data.get("generated_at", ""),
+            )
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValueError(f"malformed report: {type(exc).__name__}: {exc}") from exc
+        if not (
+            isinstance(report.model, str)
+            and isinstance(report.dataset_sha256, str)
+            and _is_number(report.coverage)
+        ):
+            raise ValueError("malformed report: model, dataset_sha256 or coverage has the wrong type")
+        return report
+
 
 def load_image(path: str | Path) -> ImageAttachment | None:
     path = Path(path)
@@ -130,6 +172,60 @@ def build_prompt(sample: BenchmarkSample, cfg: EvalConfig) -> ModelRequest:
     )
 
 
+def score_sample(sample: BenchmarkSample, raw: str, strict: bool) -> tuple[SampleScore, dict]:
+    """Score one raw model output against the sample's gold spans: parse the
+    tags, align the marks to the caption's tokens and count. This is the
+    single per-output scoring path.
+
+    Returns the score and its report row. With strict, an unfaithful output
+    scores as an empty prediction.
+    """
+    # the caption's one tokenize call comes first: perfbench's per-sample
+    # clock (workloads.sample_clock) starts each sample there
+    tc = tokenize(sample.caption)
+    si = split_sentences(tc)
+    parsed = parse_tags(raw)
+    pred = align_to_reference(parsed.stripped, parsed.marked_ranges, tc)
+    indices = set(pred.indices)
+    if strict and not pred.faithful:
+        indices = set()
+    gold = set()
+    for span in sample.gold_spans:
+        gold.update(range(span.start, span.end))
+    tok = token_counts(gold, indices)
+    sen = sentence_metrics(gold, indices, si).counts
+    dims = dimension_counts(sample.gold_spans, indices)
+    score = SampleScore(
+        sample_id=sample.id,
+        domain=sample.domain,
+        token=tok,
+        sentence=sen,
+        dimensions=dims,
+        faithful=pred.faithful,
+    )
+    row = {
+        "id": sample.id,
+        "domain": sample.domain,
+        "token": {
+            "intersection": tok.intersection,
+            "predicted": tok.predicted,
+            "gold": tok.gold,
+        },
+        "sentence": {
+            "intersection": sen.intersection,
+            "predicted": sen.predicted,
+            "gold": sen.gold,
+        },
+        "dimensions": {
+            d: {"hit": rc.hit, "total": rc.total} for d, rc in sorted(dims.items())
+        },
+        "faithful": pred.faithful,
+        "alignment_coverage": pred.alignment_coverage,
+        "parse_status": parsed.status.value,
+    }
+    return score, row
+
+
 def score_outputs(
     samples: list[BenchmarkSample], outputs: dict[str, str], cfg: EvalConfig
 ) -> tuple[ScoreCard, list[dict], list[str]]:
@@ -148,73 +244,12 @@ def score_outputs(
         if output is None:
             skipped.append(sample.id)
             continue
-        tc = tokenize(sample.caption)
-        si = split_sentences(tc)
-        parsed = parse_tags(output)
-        pred = align_to_reference(parsed.stripped, parsed.marked_ranges, tc)
-        indices = set(pred.indices)
-        if cfg.strict and not pred.faithful:
-            indices = set()
-        gold = set()
-        for span in sample.gold_spans:
-            gold.update(range(span.start, span.end))
-        tok = token_counts(gold, indices)
-        sen = sentence_metrics(gold, indices, si).counts
-        dims = dimension_counts(sample.gold_spans, indices)
-        score = SampleScore(
-            sample_id=sample.id,
-            domain=sample.domain,
-            token=tok,
-            sentence=sen,
-            dimensions=dims,
-            faithful=pred.faithful,
-        )
+        score, row = score_sample(sample, output, cfg.strict)
         scores.append(score)
-        rows.append(
-            {
-                "id": sample.id,
-                "domain": sample.domain,
-                "token": {
-                    "intersection": tok.intersection,
-                    "predicted": tok.predicted,
-                    "gold": tok.gold,
-                },
-                "sentence": {
-                    "intersection": sen.intersection,
-                    "predicted": sen.predicted,
-                    "gold": sen.gold,
-                },
-                "dimensions": {
-                    d: {"hit": rc.hit, "total": rc.total} for d, rc in sorted(dims.items())
-                },
-                "faithful": pred.faithful,
-                "alignment_coverage": pred.alignment_coverage,
-                "parse_status": parsed.status.value,
-            }
-        )
+        rows.append(row)
     if not scores:
         raise ValueError("score_outputs: no samples could be scored")
     return aggregate(scores), rows, skipped
-
-
-def rows_to_scores(rows: list[dict]) -> list[SampleScore]:
-    """Rebuild SampleScore objects from persisted report rows."""
-    out = []
-    for row in rows:
-        out.append(
-            SampleScore(
-                sample_id=row["id"],
-                domain=row["domain"],
-                token=TokenCounts(**row["token"]),
-                sentence=TokenCounts(**row["sentence"]),
-                dimensions={
-                    d: RecallCounts(v["hit"], v["total"])
-                    for d, v in row["dimensions"].items()
-                },
-                faithful=row["faithful"],
-            )
-        )
-    return out
 
 
 def write_transcripts(path: str | Path, rows: list[tuple[str, str]]) -> None:
@@ -309,8 +344,8 @@ def correlate_settings(
 ) -> dict[str, float | None]:
     """Spearman rank agreement between real and synthetic token scores,
     models matched by id. Constant score vectors yield an absent value."""
-    real_by_model = {r["model"]: r for r in real_reports}
-    syn_by_model = {r["model"]: r for r in synthetic_reports}
+    real_by_model = _token_scores_by_model("real", real_reports)
+    syn_by_model = _token_scores_by_model("synthetic", synthetic_reports)
     if set(real_by_model) != set(syn_by_model):
         raise ValueError(
             f"correlate_settings: model sets differ: {sorted(real_by_model)} vs {sorted(syn_by_model)}"
@@ -320,9 +355,33 @@ def correlate_settings(
     models = sorted(real_by_model)
     out: dict[str, float | None] = {}
     for metric in ("p", "r", "f1"):
-        real_scores = [real_by_model[m]["overall"]["token"][metric] for m in models]
-        syn_scores = [syn_by_model[m]["overall"]["token"][metric] for m in models]
+        real_scores = [real_by_model[m][metric] for m in models]
+        syn_scores = [syn_by_model[m][metric] for m in models]
         out[metric] = spearman(real_scores, syn_scores)
+    return out
+
+
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _token_scores_by_model(kind: str, reports: list[dict]) -> dict[str, dict]:
+    """model -> overall token scores; a report that lacks them raises a
+    ValueError naming it by its position in the list."""
+    out = {}
+    for i, report in enumerate(reports, 1):
+        try:
+            model, token = report["model"], report["overall"]["token"]
+            scores = {m: token[m] for m in ("p", "r", "f1")}
+        except (KeyError, TypeError) as exc:
+            raise ValueError(
+                f"correlate_settings: {kind} report {i}: {type(exc).__name__}: {exc}"
+            ) from exc
+        if not isinstance(model, str) or not all(_is_number(v) for v in scores.values()):
+            raise ValueError(
+                f"correlate_settings: {kind} report {i}: model or token scores have the wrong type"
+            )
+        out[model] = scores
     return out
 
 

@@ -191,13 +191,14 @@ def _split_labels(response: str) -> tuple[str, list[str]]:
 
 
 def _parse_injector_response(
-    response: str, clean: TokenizedCaption, cfg: InjectionConfig, strict: bool
-) -> tuple[list[InjectedSpan], list[str]]:
+    response: str, clean: TokenizedCaption, cfg: InjectionConfig
+) -> tuple[list[InjectedSpan], list[str], bool]:
     """Turn a tagged injector reply into clean-anchored spans.
 
-    In strict mode any edit outside the tagged regions is a problem and
-    yields no spans; in fallback mode only spans whose neighborhood aligns
-    cleanly with the clean caption are accepted.
+    Returns the spans whose neighborhood aligns cleanly with the clean
+    caption, the problems found (edits outside the tagged regions, tagged
+    spans that do not align), and whether the reply tagged anything at all.
+    A reply with no problems is a faithful one.
     """
     tagged_part, labels = _split_labels(response)
     parsed = parse_tags(tagged_part)
@@ -220,9 +221,6 @@ def _parse_injector_response(
             untagged = [g for g in range(op.g_start, op.g_end) if g not in marked]
             if untagged:
                 problems.append(f"untagged output tokens {untagged} differ from the clean caption")
-
-    if strict and problems:
-        return [], problems
 
     # maximal runs of marked output tokens
     runs: list[tuple[int, int]] = []
@@ -277,7 +275,7 @@ def _parse_injector_response(
             logger.warning("unknown span label %r, using %r", label, Dimension.OTHER.value)
             label = Dimension.OTHER.value
         labeled.append(dc_replace(s, dimension=label))
-    return labeled, problems
+    return labeled, problems, bool(parsed.marked_ranges)
 
 
 def _injector_prompt(state: InjectionState, cfg: InjectionConfig) -> str:
@@ -292,7 +290,7 @@ def _injector_prompt(state: InjectionState, cfg: InjectionConfig) -> str:
 
 
 def inject_round(
-    clean_or_state: str | TokenizedCaption | InjectionState,
+    clean_or_state: str | InjectionState,
     cfg: InjectionConfig,
     gate: ModelGate,
     image: ImageAttachment | None = None,
@@ -307,7 +305,7 @@ def inject_round(
     if isinstance(clean_or_state, InjectionState):
         state = clean_or_state
     else:
-        tc = clean_or_state if isinstance(clean_or_state, TokenizedCaption) else tokenize(clean_or_state)
+        tc = tokenize(clean_or_state)
         if not tc.tokens:
             raise InjectionError("inject_round: empty caption")
         state = InjectionState(clean=tc)
@@ -324,7 +322,7 @@ def inject_round(
     state.audit.append(
         {"phase": "inject", "round": state.round, "prompt": prompt, "response": response.text}
     )
-    spans, problems = _parse_injector_response(response.text, state.clean, cfg, strict=True)
+    spans, problems, _ = _parse_injector_response(response.text, state.clean, cfg)
     if problems:
         retry_prompt = (
             prompt + "\n\nREMINDER: copy the caption exactly, word for word, outside the tags."
@@ -339,19 +337,11 @@ def inject_round(
                 "response": retry_response.text,
             }
         )
-        spans, problems = _parse_injector_response(
-            retry_response.text, state.clean, cfg, strict=True
-        )
-        if problems:
-            spans, problems = _parse_injector_response(
-                retry_response.text, state.clean, cfg, strict=False
+        spans, problems, tagged = _parse_injector_response(retry_response.text, state.clean, cfg)
+        if problems and tagged and not spans:
+            raise InjectionError(
+                "injector produced no usable tagged spans after retry: " + "; ".join(problems)
             )
-            had_marks = bool(parse_tags(_split_labels(retry_response.text)[0]).marked_ranges)
-            if not spans and had_marks:
-                raise InjectionError(
-                    "injector produced no usable tagged spans after retry: "
-                    + "; ".join(problems)
-                )
     state.spans = sorted(spans, key=lambda s: (s.clean_start, s.clean_end))
     return state
 

@@ -125,14 +125,6 @@ def dimension_counts(
     return out
 
 
-def dimension_recall(
-    gold_spans: list[HallucinationSpan], pred: set[int]
-) -> dict[str, float]:
-    return {
-        dim: rc.hit / rc.total for dim, rc in dimension_counts(gold_spans, pred).items()
-    }
-
-
 @dataclass(frozen=True)
 class SampleScore:
     """Everything scoring needs to remember about one sample."""

@@ -27,7 +27,6 @@ class Purpose(str, Enum):
     INJECT = "inject"
     DETECT = "detect"
     EVALUATE = "evaluate"
-    CAPTION = "caption"
 
 
 @dataclass(frozen=True)

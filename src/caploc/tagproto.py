@@ -46,15 +46,6 @@ class ParsedOutput:
 
 
 @dataclass(frozen=True)
-class ModelOutput:
-    """Verbatim model response kept for audit, with its parse status."""
-
-    sample_id: str
-    raw: str
-    status: ParseStatus
-
-
-@dataclass(frozen=True)
 class Prediction:
     """Predicted hallucinated token indices against a reference caption."""
 
@@ -214,10 +205,3 @@ def align_to_reference(
     return Prediction(
         indices=frozenset(indices), faithful=False, alignment_coverage=coverage
     )
-
-
-def parse_prediction(sample_id: str, raw: str, ref: TokenizedCaption) -> tuple[ModelOutput, Prediction]:
-    """Full pipeline for one model response: parse tags, then align."""
-    parsed = parse_tags(raw)
-    output = ModelOutput(sample_id=sample_id, raw=raw, status=parsed.status)
-    return output, align_to_reference(parsed.stripped, parsed.marked_ranges, ref)

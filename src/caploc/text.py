@@ -87,13 +87,6 @@ class SentenceIndex:
     def __len__(self) -> int:
         return len(self.sentences)
 
-    def sentence_of(self, token_index: int) -> int:
-        """Return the index of the sentence containing token_index."""
-        for j, s in enumerate(self.sentences):
-            if s.token_start <= token_index < s.token_end:
-                return j
-        raise IndexError(f"token index {token_index} not covered by any sentence")
-
 
 def _char_spans(text: str) -> list[tuple[int, int]]:
     """Code-point [start, end) of every token of text, in order."""
@@ -159,12 +152,8 @@ def tokenize(text: str) -> TokenizedCaption:
     return TokenizedCaption(source=text, tokens=tokens)
 
 
-def _is_boundary_after(tc: TokenizedCaption, token_index: int) -> bool:
-    tok = tc.tokens[token_index]
-    if not tok.text.endswith(_TERMINATORS):
-        return False
-    pos = tok.char_end
-    src = tc.source
+def _is_boundary_after(src: str, pos: int) -> bool:
+    """Whether a terminator that ends at code point pos ends a sentence."""
     n = len(src)
     saw_space = False
     while pos < n and src[pos].isspace():
@@ -186,12 +175,13 @@ def split_sentences(tc: TokenizedCaption) -> SentenceIndex:
         return SentenceIndex()
     sentences: list[Sentence] = []
     start = 0
-    for i in range(len(tc.tokens)):
-        if _is_boundary_after(tc, i):
+    src = tc.source
+    for i, tok in enumerate(tc.tokens):
+        if tok.text.endswith(_TERMINATORS) and _is_boundary_after(src, tok.char_end):
             sentences.append(
                 Sentence(
                     byte_start=tc.tokens[start].byte_start,
-                    byte_end=tc.tokens[i].byte_end,
+                    byte_end=tok.byte_end,
                     token_start=start,
                     token_end=i + 1,
                 )

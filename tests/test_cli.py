@@ -6,8 +6,10 @@ import json
 
 import pytest
 
+from caploc import text
 from caploc.cli import main
 from caploc.corpus import BenchmarkSample, HallucinationSpan, load_dataset, save_dataset
+from caploc.fixtures import build_fixture
 
 TAG = "<HALLUCINATION>"
 END = "</HALLUCINATION>"
@@ -108,6 +110,24 @@ class TestStats:
         data = json.loads(capsys.readouterr().out)
         assert data["per_domain"]["nature"]["samples"] == 1
         assert data["total"]["samples"] == 2
+
+
+class TestTokenCountPasses:
+    """validate counts each caption's tokens once (in load_dataset); stats
+    once more, for its domain row and the total together."""
+
+    @pytest.mark.parametrize(
+        "argv, passes_per_sample",
+        [(["validate"], 1), (["stats"], 2), (["stats", "--json"], 2)],
+    )
+    def test_one_span_pass_per_caption(self, tmp_path, capsys, monkeypatch, argv, passes_per_sample):
+        samples = build_fixture()
+        dataset = write_dataset(tmp_path, samples)
+        calls = []
+        char_spans = text._char_spans
+        monkeypatch.setattr(text, "_char_spans", lambda s: calls.append(s) or char_spans(s))
+        assert main([*argv, str(dataset)]) == 0
+        assert len(calls) == passes_per_sample * len(samples)
 
 
 class TestAnnotate:
@@ -383,6 +403,63 @@ class TestSweepAndReport:
         assert report_stdout == evaluate_stdout
 
 
+# (file name, content, argv with {file}/{dataset}/{tmp} placeholders, where)
+MALFORMED_INPUT_FILES = {
+    "annotate_list_record": (
+        "pairs.jsonl",
+        '["p1", "a red car.", "a blue car."]',
+        ["annotate", "--pairs", "{file}", "--out", "{tmp}/o.jsonl"],
+        ":1: record is a JSON array",
+    ),
+    "annotate_null_caption": (
+        "pairs.jsonl",
+        '{"id": "p1", "caption": "a red car.", "corrected": "a red car."}\n'
+        '{"id": "p2", "caption": null, "corrected": "a"}',
+        ["annotate", "--pairs", "{file}", "--out", "{tmp}/o.jsonl"],
+        ":2: caption is a JSON null",
+    ),
+    "annotate_number_corrected": (
+        "pairs.jsonl",
+        '{"id": "p1", "caption": "a red car.", "corrected": 5}',
+        ["annotate", "--pairs", "{file}", "--out", "{tmp}/o.jsonl"],
+        ":1: corrected is a JSON number",
+    ),
+    "config_not_an_object": (
+        "config.json",
+        "[1, 2]",
+        ["score", "--dataset", "{dataset}", "--transcripts", "t.jsonl", "--config", "{file}"],
+        ": config is a JSON array",
+    ),
+    "script_rule_not_an_object": (
+        "script.json",
+        '[{"purpose": "evaluate"}, 3]',
+        ["evaluate", "--dataset", "{dataset}", "--model", "m", "--script", "{file}"],
+        ": rule 1: is a JSON number",
+    ),
+    "report_row_without_domain": (
+        "report.json",
+        '{"samples": [{"id": "a"}]}',
+        ["report", "{file}"],
+        ": malformed report: KeyError",
+    ),
+    "report_not_an_object": ("report.json", "[1]", ["report", "{file}"], ": malformed report"),
+    "report_rows_not_a_list": (
+        "report.json", '{"samples": 3}', ["report", "{file}"], ": malformed report: TypeError"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUT_FILES))
+def test_malformed_input_file_exits_1(tmp_path, capsys, case):
+    name, content, argv, where = MALFORMED_INPUT_FILES[case]
+    path = tmp_path / name
+    path.write_text(content, encoding="utf-8")
+    dataset = write_dataset(tmp_path, base_samples())
+    argv = [a.format(file=path, dataset=dataset, tmp=tmp_path) for a in argv]
+    assert main(argv) == 1
+    assert f"error: {path}{where}" in capsys.readouterr().err
+
+
 class TestCorrelate:
     def write_report(self, tmp_path, name, model, p, r, f1):
         path = tmp_path / name
@@ -412,3 +489,15 @@ class TestCorrelate:
             ["correlate", "--real", f"{r1},{r2}", "--synthetic", f"{s1},{s2}"]
         )
         assert code == 1
+
+    def test_report_without_overall_exits_1(self, tmp_path, capsys):
+        r1 = self.write_report(tmp_path, "r1.json", "a", 0.1, 0.2, 0.1)
+        r2 = self.write_report(tmp_path, "r2.json", "b", 0.8, 0.9, 0.7)
+        s1 = self.write_report(tmp_path, "s1.json", "a", 0.2, 0.9, 0.3)
+        s2 = tmp_path / "s2.json"
+        s2.write_text(json.dumps({"model": "b"}))
+        code = main(
+            ["correlate", "--real", f"{r1},{r2}", "--synthetic", f"{s1},{s2}"]
+        )
+        assert code == 1
+        assert "synthetic report 2: KeyError: 'overall'" in capsys.readouterr().err

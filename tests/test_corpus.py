@@ -9,7 +9,6 @@ from caploc.corpus import (
     Dimension,
     Domain,
     HallucinationSpan,
-    batch_acceptance,
     dataset_stats,
     load_dataset,
     save_dataset,
@@ -178,37 +177,6 @@ def test_stats_permutation_invariant():
     b = dataset_stats(list(reversed(samples)))
     assert a == b
     assert a.per_domain["gui"].samples == 2
-
-
-def test_batch_accept_at_threshold():
-    batch = [(f"s{i}", "correct") for i in range(97)]
-    batch += [(f"b{i}", "incorrect") for i in range(3)]
-    decision = batch_acceptance(batch, 0.97)
-    assert decision.accepted
-    assert decision.defects == ["b0", "b1", "b2"]
-
-
-def test_batch_reject_below_threshold():
-    batch = [(f"s{i}", "correct") for i in range(96)]
-    batch += [(f"b{i}", "incorrect") for i in range(4)]
-    decision = batch_acceptance(batch, 0.97)
-    assert not decision.accepted
-    assert len(decision.defects) == 4
-
-
-def test_batch_all_correct():
-    decision = batch_acceptance([("a", "correct")], 1.0)
-    assert decision.accepted
-    assert decision.defects == []
-
-
-def test_batch_errors():
-    with pytest.raises(ValueError):
-        batch_acceptance([], 0.97)
-    with pytest.raises(ValueError):
-        batch_acceptance([("a", "maybe")], 0.97)
-    with pytest.raises(ValueError):
-        batch_acceptance([("a", "correct")], 0.0)
 
 
 HEADER = '{"format":"dvb-jsonl","version":1,"tokenizer":"dvb-tok/1"}\n'

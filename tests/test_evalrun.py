@@ -11,7 +11,6 @@ import pytest
 from caploc import diffannot, text
 from caploc.corpus import BenchmarkSample, HallucinationSpan, save_dataset
 from caploc.inject import InjectionConfig
-from caploc.metrics import aggregate
 from caploc.modelgate import (
     ModelGate,
     ResponseCache,
@@ -21,6 +20,7 @@ from caploc.modelgate import (
 from caploc.tagproto import serialize_tags
 from caploc.evalrun import (
     EvalConfig,
+    EvalReport,
     build_prompt,
     correlate_settings,
     emit_report,
@@ -28,7 +28,7 @@ from caploc.evalrun import (
     read_transcripts,
     render_report_table,
     render_sweep_table,
-    rows_to_scores,
+    score_sample,
     score_transcripts,
     sweep_rounds,
     write_transcripts,
@@ -147,8 +147,15 @@ class TestEvaluateDataset:
 
     def test_rows_reaggregate_to_card(self, tmp_path):
         report, _ = self.run(tmp_path)
-        rebuilt = aggregate(rows_to_scores(report.samples))
-        assert rebuilt.to_dict() == report.card.to_dict()
+        rebuilt = EvalReport.from_dict(report.to_dict())
+        assert rebuilt.card.to_dict() == report.card.to_dict()
+        assert rebuilt.to_dict() == report.to_dict()
+
+    def test_from_dict_rejects_wrong_field_type(self, tmp_path):
+        data = self.run(tmp_path)[0].to_dict()
+        data["coverage"] = [1.0]
+        with pytest.raises(ValueError, match="wrong type"):
+            EvalReport.from_dict(data)
 
     def test_width_does_not_change_result(self, tmp_path):
         serial, _ = self.run(tmp_path)
@@ -182,6 +189,17 @@ class TestEvaluateDataset:
         gate, _ = make_gate([])
         with pytest.raises(ValueError):
             evaluate_dataset(cfg, gate)
+
+
+class TestScoreSample:
+    def test_parse_align_count_one_output(self):
+        sample = sample_set()[0]
+        score, row = score_sample(sample, f"a {TAG}red{END} car parked near the gate.", False)
+        assert row["id"] == score.sample_id == "s1"
+        assert row["parse_status"] == "ok"
+        assert row["faithful"] and score.faithful
+        assert row["token"] == {"intersection": 1, "predicted": 1, "gold": 1}
+        assert row["dimensions"] == {"color": {"hit": 1, "total": 1}}
 
 
 class TestStrictMode:
@@ -326,6 +344,18 @@ class TestCorrelateSettings:
             correlate_settings(
                 [self.report("a", 1, 1, 1), self.report("b", 1, 1, 1)],
                 [self.report("a", 1, 1, 1), self.report("c", 1, 1, 1)],
+            )
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"model": "b"}, {"model": "b", "overall": {"token": {"p": "1", "r": 1, "f1": 1}}}, [1]],
+        ids=["no_overall", "string_score", "not_an_object"],
+    )
+    def test_malformed_report_raises_value_error(self, bad):
+        with pytest.raises(ValueError, match="synthetic report 2"):
+            correlate_settings(
+                [self.report("a", 1, 1, 1), self.report("b", 1, 1, 1)],
+                [self.report("a", 1, 1, 1), bad],
             )
 
     def test_too_few_models(self):

@@ -11,7 +11,6 @@ from caploc.metrics import (
     TokenCounts,
     aggregate,
     dimension_counts,
-    dimension_recall,
     sentence_metrics,
     spearman,
     token_counts,
@@ -127,23 +126,23 @@ def test_sentence_token_consistency_property():
 
 def test_dimension_full_recall():
     spans = [HallucinationSpan(1, 2, "color")]
-    assert dimension_recall(spans, {1}) == {"color": 1.0}
+    assert dimension_counts(spans, {1}) == {"color": RecallCounts(1, 1)}
 
 
 def test_dimension_partial():
     spans = [HallucinationSpan(1, 3, "color")]
-    assert dimension_recall(spans, {1}) == {"color": 0.5}
+    assert dimension_counts(spans, {1}) == {"color": RecallCounts(1, 2)}
 
 
 def test_dimension_empty():
-    assert dimension_recall([], {1, 2}) == {}
+    assert dimension_counts([], {1, 2}) == {}
 
 
 def test_dimension_no_support_absent():
     spans = [HallucinationSpan(1, 2, "color")]
-    rec = dimension_recall(spans, set())
-    assert rec == {"color": 0.0}
-    assert "number" not in rec
+    counts = dimension_counts(spans, set())
+    assert counts == {"color": RecallCounts(0, 1)}
+    assert "number" not in counts
 
 
 def test_dimension_decomposition_property():

@@ -214,7 +214,7 @@ def test_retry_delay_capped():
 
 
 def test_purpose_enum_values():
-    assert {p.value for p in Purpose} == {"inject", "detect", "evaluate", "caption"}
+    assert {p.value for p in Purpose} == {"inject", "detect", "evaluate"}
 
 
 class SlowList(list):

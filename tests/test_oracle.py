@@ -1,21 +1,35 @@
-"""Differential tests of the tokenizer and the tag aligner against the
-straightforward implementations they replaced, kept here as oracles.
+"""Differential tests of the tokenizer, the sentence splitter, the tag
+aligner and the injector's reply handling against the straightforward
+implementations they replaced, kept here as oracles.
 
-The oracles are the reference semantics: any speed-up of tokenize,
-marked_token_indices or align_to_reference must agree with them on every
-token field and every Prediction.
+The oracles are the reference semantics: any speed-up or simplification of
+tokenize, split_sentences, marked_token_indices, align_to_reference or
+inject_round must agree with them on every token field, every sentence,
+every Prediction, and every injection state and error.
 """
 
 from __future__ import annotations
 
+import logging
 import re
 import sys
 import unicodedata
-from dataclasses import dataclass
+from dataclasses import dataclass, replace as dc_replace
 
 from hypothesis import given, settings, strategies as st
 
-from caploc.diffannot import KEEP, diff_tokens
+from caploc.corpus import DIMENSION_VALUES, Dimension
+from caploc.diffannot import DELETE, INSERT, KEEP, REPLACE, diff_tokens
+from caploc.inject import (
+    InjectedSpan,
+    InjectionConfig,
+    InjectionError,
+    InjectionState,
+    _injector_prompt,
+    _split_labels,
+    inject_round,
+)
+from caploc.modelgate import ModelGate, ModelRequest, Purpose, ScriptedBackend, ScriptRule
 from caploc.tagproto import (
     CLOSE_TAG,
     OPEN_TAG,
@@ -24,7 +38,16 @@ from caploc.tagproto import (
     marked_token_indices,
     parse_tags,
 )
-from caploc.text import TokenizedCaption, count_tokens, tokenize
+from caploc.text import (
+    Sentence,
+    SentenceIndex,
+    TokenizedCaption,
+    count_tokens,
+    split_sentences,
+    tokenize,
+)
+
+logger = logging.getLogger(__name__)
 
 # ---------------------------------------------------------------- oracles
 
@@ -128,6 +151,191 @@ def oracle_align_to_reference(stripped, marked_ranges, ref) -> Prediction:
     return Prediction(indices=frozenset(indices), faithful=False, alignment_coverage=coverage)
 
 
+def _oracle_is_boundary_after(tc: TokenizedCaption, token_index: int) -> bool:
+    tok = tc.tokens[token_index]
+    if not tok.text.endswith((".", "!", "?")):
+        return False
+    pos = tok.char_end
+    src = tc.source
+    n = len(src)
+    saw_space = False
+    while pos < n and src[pos].isspace():
+        saw_space = True
+        pos += 1
+    if pos >= n:
+        return True
+    return saw_space and src[pos].isupper()
+
+
+def oracle_split_sentences(tc: TokenizedCaption) -> SentenceIndex:
+    if not tc.tokens:
+        return SentenceIndex()
+    sentences: list[Sentence] = []
+    start = 0
+    for i in range(len(tc.tokens)):
+        if _oracle_is_boundary_after(tc, i):
+            sentences.append(
+                Sentence(
+                    byte_start=tc.tokens[start].byte_start,
+                    byte_end=tc.tokens[i].byte_end,
+                    token_start=start,
+                    token_end=i + 1,
+                )
+            )
+            start = i + 1
+    if start < len(tc.tokens):
+        sentences.append(
+            Sentence(
+                byte_start=tc.tokens[start].byte_start,
+                byte_end=tc.tokens[-1].byte_end,
+                token_start=start,
+                token_end=len(tc.tokens),
+            )
+        )
+    return SentenceIndex(tuple(sentences))
+
+
+def oracle_parse_injector_response(
+    response: str, clean: TokenizedCaption, cfg: InjectionConfig, strict: bool
+) -> tuple[list[InjectedSpan], list[str]]:
+    tagged_part, labels = _split_labels(response)
+    parsed = parse_tags(tagged_part)
+    out_tc = tokenize(parsed.stripped)
+    marked = marked_token_indices(out_tc, parsed.marked_ranges)
+    script = diff_tokens(out_tc, clean)
+
+    problems: list[str] = []
+    op_at: list = [None] * len(out_tc)
+    insert_positions: set[int] = set()
+    for op in script.ops:
+        for g in range(op.g_start, op.g_end):
+            op_at[g] = op
+        if op.kind == INSERT:
+            insert_positions.add(op.g_start)
+            problems.append(
+                f"clean tokens [{op.c_start}, {op.c_end}) missing from the output"
+            )
+        elif op.kind in (REPLACE, DELETE):
+            untagged = [g for g in range(op.g_start, op.g_end) if g not in marked]
+            if untagged:
+                problems.append(f"untagged output tokens {untagged} differ from the clean caption")
+
+    if strict and problems:
+        return [], problems
+
+    runs: list[tuple[int, int]] = []
+    for idx in sorted(marked):
+        if runs and idx == runs[-1][1]:
+            runs[-1] = (runs[-1][0], idx + 1)
+        else:
+            runs.append((idx, idx + 1))
+
+    def c_position(g: int, end_side: bool) -> int:
+        op = op_at[g]
+        if op.kind == KEEP:
+            return op.c_start + (g - op.g_start) + (1 if end_side else 0)
+        return op.c_end if end_side else op.c_start
+
+    spans: list[InjectedSpan] = []
+    for a, b in runs:
+        ops_in_run = {id(op_at[g]): op_at[g] for g in range(a, b)}.values()
+        if all(op.kind == KEEP for op in ops_in_run):
+            logger.info("dropping tagged span [%d, %d): text is unchanged", a, b)
+            continue
+        partial = any(
+            op.kind != KEEP
+            and any(g not in marked for g in range(op.g_start, op.g_end))
+            for op in ops_in_run
+        )
+        boundary_insert = a in insert_positions or b in insert_positions
+        neighbors_kept = (a == 0 or op_at[a - 1].kind == KEEP) and (
+            b == len(out_tc) or op_at[b].kind == KEEP
+        )
+        if partial or boundary_insert or not neighbors_kept:
+            problems.append(f"span [{a}, {b}) does not align to the clean caption")
+            continue
+        spans.append(
+            InjectedSpan(
+                clean_start=c_position(a, end_side=False),
+                clean_end=c_position(b - 1, end_side=True),
+                replacement=tuple(t.text for t in out_tc.tokens[a:b]),
+            )
+        )
+
+    if len(spans) > cfg.max_spans:
+        logger.warning(
+            "injector produced %d spans; keeping the first %d", len(spans), cfg.max_spans
+        )
+        spans = spans[: cfg.max_spans]
+
+    labeled: list[InjectedSpan] = []
+    for i, s in enumerate(spans):
+        label = labels[i] if i < len(labels) else Dimension.OTHER.value
+        if label not in DIMENSION_VALUES:
+            logger.warning("unknown span label %r, using %r", label, Dimension.OTHER.value)
+            label = Dimension.OTHER.value
+        labeled.append(dc_replace(s, dimension=label))
+    return labeled, problems
+
+
+def oracle_inject_round(
+    clean_or_state: str | TokenizedCaption | InjectionState,
+    cfg: InjectionConfig,
+    gate: ModelGate,
+    image=None,
+) -> InjectionState:
+    if isinstance(clean_or_state, InjectionState):
+        state = clean_or_state
+    else:
+        tc = clean_or_state if isinstance(clean_or_state, TokenizedCaption) else tokenize(clean_or_state)
+        if not tc.tokens:
+            raise InjectionError("inject_round: empty caption")
+        state = InjectionState(clean=tc)
+
+    prompt = _injector_prompt(state, cfg)
+    request = ModelRequest(
+        model=cfg.injector_model,
+        system="",
+        user=prompt,
+        purpose=Purpose.INJECT.value,
+        image=image if cfg.include_image else None,
+    )
+    response = gate.complete(request)
+    state.audit.append(
+        {"phase": "inject", "round": state.round, "prompt": prompt, "response": response.text}
+    )
+    spans, problems = oracle_parse_injector_response(response.text, state.clean, cfg, strict=True)
+    if problems:
+        retry_prompt = (
+            prompt + "\n\nREMINDER: copy the caption exactly, word for word, outside the tags."
+        )
+        retry_request = dc_replace(request, user=retry_prompt)
+        retry_response = gate.complete(retry_request)
+        state.audit.append(
+            {
+                "phase": "inject_retry",
+                "round": state.round,
+                "prompt": retry_prompt,
+                "response": retry_response.text,
+            }
+        )
+        spans, problems = oracle_parse_injector_response(
+            retry_response.text, state.clean, cfg, strict=True
+        )
+        if problems:
+            spans, problems = oracle_parse_injector_response(
+                retry_response.text, state.clean, cfg, strict=False
+            )
+            had_marks = bool(parse_tags(_split_labels(retry_response.text)[0]).marked_ranges)
+            if not spans and had_marks:
+                raise InjectionError(
+                    "injector produced no usable tagged spans after retry: "
+                    + "; ".join(problems)
+                )
+    state.spans = sorted(spans, key=lambda s: (s.clean_start, s.clean_end))
+    return state
+
+
 # ---------------------------------------------------------------- inputs
 
 # ASCII and Unicode punctuation (P*), symbols (S*, must stay attached),
@@ -169,6 +377,55 @@ def tagged(draw, text_strategy=any_caption):
         pos = cut
     out.append(caption[pos:])
     return caption, "".join(out)
+
+
+# sentence material: terminators alone and attached, uppercase and lowercase
+# starts (ASCII and not), and Unicode whitespace, so boundaries are dense
+SENTENCE_WORDS = ["a", "b.", "C", "Éa", "ж", "Ж.", "x!", "Y?", ".", "?!", "3.5", "»", "a.)"]
+sentence_texts = st.lists(
+    st.tuples(st.sampled_from(SENTENCE_WORDS), st.sampled_from(SPACES + ["", ""])), max_size=20
+).map(lambda parts: "".join(w + s for w, s in parts))
+
+# injector replies: a small vocabulary makes the diff's ties and the
+# reply's edits collide often
+INJECT_VOCAB = ["a", "red", "car", "gate", "."]
+REPLY_EDITS = ["keep"] * 6 + [
+    "tag", "tag_swap", "tag_insert", "swap", "drop", "insert", "stray_open", "stray_close",
+    "tag_space",
+]
+
+
+@st.composite
+def injector_replies(draw, clean_words: list[str]) -> str:
+    """A reply to the injector prompt: the clean words with tagged and
+    untagged edits, stray tags and an optional label line."""
+    words = st.sampled_from(INJECT_VOCAB)
+    out: list[str] = []
+    for word in clean_words + [None]:
+        edit = draw(st.sampled_from(REPLY_EDITS))
+        if edit == "tag" and word is not None:
+            out.append(f"{OPEN_TAG}{word}{CLOSE_TAG}")
+        elif edit == "tag_swap" and word is not None:
+            out.append(f"{OPEN_TAG}{draw(words)}{CLOSE_TAG}")
+        elif edit == "tag_insert":
+            out.append(f"{OPEN_TAG}{draw(words)} {draw(words)}{CLOSE_TAG}")
+        elif edit in ("swap", "insert"):
+            out.append(draw(words))
+        elif edit == "stray_open":
+            out.append(OPEN_TAG)
+        elif edit == "stray_close":
+            out.append(CLOSE_TAG)
+        elif edit == "tag_space":
+            out.append(f"{OPEN_TAG} {CLOSE_TAG}")
+        if word is not None and edit not in ("tag", "tag_swap", "swap", "drop"):
+            out.append(word)
+    reply = " ".join(out)
+    labels = draw(st.lists(st.sampled_from(["color", "number", "vibes", "OTHER", ""]), max_size=4))
+    if draw(st.booleans()):
+        reply += "\nLABELS: " + ", ".join(labels)
+        if draw(st.booleans()):
+            reply += "\ntrailing note"
+    return reply
 
 
 def byte_ranges(limit: int):
@@ -248,6 +505,43 @@ def test_align_matches_oracle_on_edited_output(case, edit):
     want = oracle_align_to_reference(
         parsed.stripped, parsed.marked_ranges, oracle_tokenize(caption)
     )
+    assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sentence_texts, any_caption))
+def test_split_sentences_matches_oracle(text):
+    tc = tokenize(text)
+    assert split_sentences(tc) == oracle_split_sentences(tc)
+
+
+def run_injection(inject, start, cfg, replies):
+    """(spans, audit, error message) of one inject call on a scripted gate
+    that answers the first prompt and the retry with the given replies."""
+    gate = ModelGate(ScriptedBackend([ScriptRule(purpose="inject", responses=list(replies))]))
+    if isinstance(start, InjectionState):  # inject_round mutates a state it is given
+        start = InjectionState(clean=start.clean, round=start.round, feedback=list(start.feedback))
+    try:
+        state = inject(start, cfg, gate)
+    except InjectionError as exc:
+        return None, None, str(exc)
+    return state.spans, state.audit, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_inject_round_matches_oracle(data):
+    clean_words = data.draw(st.lists(st.sampled_from(INJECT_VOCAB), min_size=1, max_size=8))
+    caption = " ".join(clean_words)
+    replies = [data.draw(injector_replies(clean_words)), data.draw(injector_replies(clean_words))]
+    cfg = InjectionConfig(max_spans=data.draw(st.integers(1, 3)), include_image=False)
+    start = caption
+    if data.draw(st.booleans()):
+        start = InjectionState(
+            clean=tokenize(caption), round=1, feedback=['Round 1: the phrase "x" was caught.']
+        )
+    got = run_injection(inject_round, start, cfg, replies)
+    want = run_injection(oracle_inject_round, start, cfg, replies)
     assert got == want
 
 

@@ -8,7 +8,6 @@ from caploc.tagproto import (
     OPEN_TAG,
     ParseStatus,
     align_to_reference,
-    parse_prediction,
     parse_tags,
     serialize_tags,
 )
@@ -163,14 +162,6 @@ def test_align_indices_within_reference():
     ref = tokenize("a red car")
     pred = align_to_reference("a red car plus extra trailing words", [(19, 34)], ref)
     assert all(0 <= i < 3 for i in pred.indices)
-
-
-def test_parse_prediction_pipeline():
-    ref = tokenize("a red car")
-    output, pred = parse_prediction("s1", "a <HALLUCINATION>red</HALLUCINATION> car", ref)
-    assert output.sample_id == "s1"
-    assert output.status == ParseStatus.OK
-    assert pred.indices == {1}
 
 
 WORDS = ["a", "the", "red", "blue", "car", "bird", "tiny", "café", "two", "sign"]

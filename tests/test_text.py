@@ -1,7 +1,5 @@
 import random
 
-import pytest
-
 from caploc.text import (
     TOKENIZER_VERSION,
     split_sentences,
@@ -140,15 +138,6 @@ def test_sentence_partition_property():
         for s in si.sentences:
             covered.extend(s.token_indices)
         assert covered == list(range(len(tc)))
-
-
-def test_sentence_of():
-    tc = tokenize("It rains. She left.")
-    si = split_sentences(tc)
-    assert si.sentence_of(0) == 0
-    assert si.sentence_of(3) == 1
-    with pytest.raises(IndexError):
-        si.sentence_of(99)
 
 
 def test_equal_sequence_whitespace_insensitive():
