@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 validation or runtime failure, 2 usage error.
 Values resolve as flag > config file > built-in default; a JSON config file
-supplies the same keys the flags do.
+supplies the same keys the flags do. The defaults and value types of those
+keys are the ones EvalConfig and InjectionConfig declare.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .corpus import (
@@ -28,16 +29,16 @@ from .diffannot import diff_tokens, extract_gold_spans, label_spans
 from .evalrun import (
     EvalConfig,
     EvalReport,
+    build_synthetic,
     correlate_settings,
     emit_report,
     evaluate_dataset,
-    load_image,
     render_report_table,
     render_sweep_table,
     score_transcripts,
     sweep_rounds,
 )
-from .inject import InjectionConfig, InjectionError, run_adversarial
+from .inject import InjectionConfig, InjectionError
 from .modelgate import (
     BackendError,
     HttpBackend,
@@ -50,25 +51,30 @@ from .text import tokenize
 
 logger = logging.getLogger(__name__)
 
-_GATE_KEYS = {"script": None, "base_url": None, "api_key_env": None, "cache": None}
-_EVAL_KEYS = {
-    "model": None,
-    "strict": False,
-    "width": 1,
-    "image_root": None,
-    "require_image": False,
-    "out": "eval_out",
-}
-_INJECT_KEYS = {
-    "rounds": 2,
-    "strategy": "structured",
-    "max_spans": 3,
-    "overlap": 1,
-    "injector_model": "injector",
-    "detector_model": "detector",
-    "include_image": True,
-    "dimensions": None,
-}
+
+class _UsageError(Exception):
+    """A missing required value; main() exits with 2."""
+
+
+_KEY_OF_FIELD = {"out_dir": "out"}  # config-class fields keyed by their flag's name
+
+
+def _defaults(cls) -> dict:
+    """Config key -> default for each field of cls that has one."""
+    fs = fields(cls)
+    return {_KEY_OF_FIELD.get(f.name, f.name): f.default for f in fs if f.default is not MISSING}
+
+
+def _config(cls, eff: dict, **given):
+    """cls from the effective values of its config keys and the given
+    fields; a field with neither keeps its default."""
+    name_of = {_KEY_OF_FIELD.get(f.name, f.name): f.name for f in fields(cls)}
+    return cls(**{**{name_of[k]: v for k, v in eff.items() if k in name_of}, **given})
+
+
+_GATE_KEYS = dict.fromkeys(("script", "base_url", "api_key_env", "cache"))
+_EVAL_KEYS = {"model": None, **_defaults(EvalConfig)}
+_INJECT_KEYS = {**_defaults(InjectionConfig), "image_root": None}
 
 
 def _read_json(path: str | Path):
@@ -79,8 +85,28 @@ def _read_json(path: str | Path):
         raise ValueError(f"{path}: {exc}") from exc
 
 
-def _effective(args: argparse.Namespace, keys: dict) -> dict:
-    """Merge flag values over config-file values over defaults."""
+_EXPECTED = {type(None): "string or null", tuple: "array of strings"}
+
+
+def _fits(value, default, many: bool) -> bool:
+    """Whether a decoded JSON value may replace default: a value of its type
+    (a bool is no int), an array of strings for a tuple, a string or null
+    for None; with many, also a comma-separated string or an array of such."""
+    if many and isinstance(value, (str, list)):
+        return isinstance(value, str) or all(_fits(v, default, False) for v in value)
+    if default is None:
+        return value is None or isinstance(value, str)
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(isinstance(v, str) for v in value)
+    return type(value) is type(default)
+
+
+def _effective(args: argparse.Namespace, keys: dict, many: tuple[str, ...] = ()) -> dict:
+    """Merge flag values over config-file values over the defaults in keys.
+
+    A config-file value that does not fit its key's default (_fits; the
+    keys in many may hold lists) raises ValueError naming the file and key.
+    """
     file_values: dict = {}
     if getattr(args, "config", None):
         file_values = _read_json(args.config)
@@ -91,6 +117,13 @@ def _effective(args: argparse.Namespace, keys: dict) -> dict:
         unknown = set(file_values) - set(keys)
         if unknown:
             logger.warning("config keys not used by this subcommand: %s", sorted(unknown))
+        for key in sorted(file_values.keys() & keys.keys()):
+            value, default = file_values[key], keys[key]
+            if not _fits(value, default, key in many):
+                expected = _EXPECTED.get(type(default), type(default).__name__)
+                raise ValueError(
+                    f"{args.config}: {key} is a JSON {_json_type(value)}, expected {expected}"
+                )
     eff = {}
     for key, default in keys.items():
         flag = getattr(args, key, None)
@@ -101,7 +134,7 @@ def _effective(args: argparse.Namespace, keys: dict) -> dict:
     return eff
 
 
-def _build_gate(eff: dict) -> ModelGate | None:
+def _build_gate(eff: dict) -> ModelGate:
     if eff.get("script"):
         backend = ScriptedBackend(_script_rules(eff["script"]))
     elif eff.get("base_url"):
@@ -109,7 +142,7 @@ def _build_gate(eff: dict) -> ModelGate | None:
             eff["base_url"], api_key_env=eff.get("api_key_env") or "CAPLOC_API_KEY"
         )
     else:
-        return None
+        raise _UsageError("no backend configured (use --script or --base-url)")
     cache = ResponseCache(eff["cache"]) if eff.get("cache") else None
     return ModelGate(backend, cache=cache)
 
@@ -138,33 +171,17 @@ def _script_rules(path: str) -> list[ScriptRule]:
     return rules
 
 
-def _int_list(value) -> list[int]:
-    if isinstance(value, int):
-        return [value]
+def _list(value, kind: type = str) -> list:
+    """A list as given, a comma-separated string split, or one value."""
     if isinstance(value, list):
-        return [int(x) for x in value]
-    return [int(x) for x in str(value).split(",") if x.strip()]
+        return value
+    if isinstance(value, str):
+        return [kind(x.strip()) for x in value.split(",") if x.strip()]
+    return [value]
 
 
-def _str_list(value) -> list[str]:
-    if isinstance(value, list):
-        return [str(x) for x in value]
-    return [x.strip() for x in str(value).split(",") if x.strip()]
-
-
-def _injection_config(eff: dict) -> InjectionConfig:
-    kwargs = {
-        "rounds": int(eff["rounds"]),
-        "strategy": eff["strategy"],
-        "max_spans": int(eff["max_spans"]),
-        "overlap": int(eff["overlap"]),
-        "injector_model": eff["injector_model"],
-        "detector_model": eff["detector_model"],
-        "include_image": bool(eff["include_image"]),
-    }
-    if eff.get("dimensions"):
-        kwargs["dimensions"] = tuple(_str_list(eff["dimensions"]))
-    return InjectionConfig(**kwargs)
+def _injection_config(eff: dict, **given) -> InjectionConfig:
+    return _config(InjectionConfig, eff, dimensions=tuple(eff["dimensions"]), **given)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -241,64 +258,30 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
-    eff = _effective(args, {**_INJECT_KEYS, **_GATE_KEYS, "image_root": None})
+    eff = _effective(args, {**_INJECT_KEYS, **_GATE_KEYS})
     gate = _build_gate(eff)
-    if gate is None:
-        print("error: no backend configured (use --script or --base-url)", file=sys.stderr)
-        return 2
-    cfg = _injection_config(eff)
-    samples = load_dataset(args.dataset)
-    synthetic: list[BenchmarkSample] = []
-    failures = 0
+    clean = load_dataset(args.dataset)
     audit_dir = Path(args.audit) if args.audit else None
     if audit_dir:
         audit_dir.mkdir(parents=True, exist_ok=True)
-    for sample in samples:
-        image = None
-        if cfg.include_image and eff.get("image_root") and sample.image:
-            image = load_image(Path(eff["image_root"]) / sample.image)
-        try:
-            outcome = run_adversarial(sample, cfg, gate, image)
-        except (InjectionError, BackendError) as exc:
-            logger.warning("sample %s failed: %s", sample.id, exc)
-            failures += 1
-            continue
-        synthetic.append(outcome.sample)
-        if audit_dir:
-            (audit_dir / f"{sample.id}.json").write_text(
+    outcomes, failed = build_synthetic(clean, _injection_config(eff), gate, eff["image_root"])
+    if audit_dir:
+        for outcome in outcomes:
+            (audit_dir / f"{outcome.sample.id}.json").write_text(
                 json.dumps(outcome.state.audit, ensure_ascii=False, indent=2, default=list),
                 encoding="utf-8",
             )
-    if not synthetic:
-        print("error: no samples could be injected", file=sys.stderr)
-        return 1
-    save_dataset(synthetic, args.out)
-    print(f"wrote {len(synthetic)} synthetic samples to {args.out} ({failures} failed)")
+    save_dataset([o.sample for o in outcomes], args.out)
+    print(f"wrote {len(outcomes)} synthetic samples to {args.out} ({len(failed)} failed)")
     return 0
-
-
-def _eval_config(args: argparse.Namespace, eff: dict, model: str) -> EvalConfig:
-    return EvalConfig(
-        dataset=args.dataset,
-        model=model,
-        out_dir=eff["out"],
-        strict=bool(eff["strict"]),
-        width=int(eff["width"]),
-        image_root=eff["image_root"],
-        require_image=bool(eff["require_image"]),
-    )
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     eff = _effective(args, {**_EVAL_KEYS, **_GATE_KEYS})
     if not eff["model"]:
-        print("error: --model is required for evaluate", file=sys.stderr)
-        return 2
+        raise _UsageError("--model is required for evaluate")
     gate = _build_gate(eff)
-    if gate is None:
-        print("error: no backend configured (use --script or --base-url)", file=sys.stderr)
-        return 2
-    cfg = _eval_config(args, eff, eff["model"])
+    cfg = _config(EvalConfig, eff, dataset=args.dataset)
     report = evaluate_dataset(cfg, gate)
     emit_report(report, cfg.out_dir)
     print(render_report_table(report), end="")
@@ -306,8 +289,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    eff = _effective(args, {**_EVAL_KEYS})
-    cfg = _eval_config(args, eff, eff["model"] or "offline")
+    eff = _effective(args, _EVAL_KEYS)
+    cfg = _config(EvalConfig, eff, dataset=args.dataset, model=eff["model"] or "offline")
     report = score_transcripts(cfg, args.transcripts)
     emit_report(report, cfg.out_dir)
     print(render_report_table(report), end="")
@@ -315,31 +298,23 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    eff = _effective(args, {**_INJECT_KEYS, **_EVAL_KEYS, **_GATE_KEYS, "models": None})
+    keys = {**_INJECT_KEYS, **_EVAL_KEYS, **_GATE_KEYS, "models": None}
+    eff = _effective(args, keys, many=("rounds", "models"))
     gate = _build_gate(eff)
-    if gate is None:
-        print("error: no backend configured (use --script or --base-url)", file=sys.stderr)
-        return 2
     if not eff["models"]:
-        print("error: --models is required for sweep", file=sys.stderr)
-        return 2
-    models = _str_list(eff["models"])
-    ks = _int_list(eff["rounds"])
-    inj_cfg = _injection_config({**eff, "rounds": 0})
-    eval_cfg = _eval_config(args, eff, models[0])
+        raise _UsageError("--models is required for sweep")
+    models = _list(eff["models"])
+    ks = _list(eff["rounds"], int)
+    inj_cfg = _injection_config(eff, rounds=0)
+    eval_cfg = _config(EvalConfig, eff, dataset=args.dataset, model=models[0])
     rows = sweep_rounds(args.dataset, ks, models, inj_cfg, eval_cfg, gate)
-    out_dir = Path(eff["out"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "sweep.json").write_text(
-        json.dumps([asdict(r) for r in rows], indent=2) + "\n", encoding="utf-8"
-    )
     print(render_sweep_table(rows), end="")
     return 0
 
 
 def cmd_correlate(args: argparse.Namespace) -> int:
-    real = [_read_json(p) for p in _str_list(args.real)]
-    synthetic = [_read_json(p) for p in _str_list(args.synthetic)]
+    real = [_read_json(p) for p in _list(args.real)]
+    synthetic = [_read_json(p) for p in _list(args.synthetic)]
     rho = correlate_settings(real, synthetic)
     print(json.dumps(rho, indent=2))
     return 0
@@ -369,9 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     gatep.add_argument("--base-url", help="HTTP backend endpoint")
     gatep.add_argument("--api-key-env", help="environment variable holding the API token")
     gatep.add_argument("--cache", help="response cache directory")
+    gatep.add_argument("--image-root", help="directory relative image paths resolve against")
 
     injectp = argparse.ArgumentParser(add_help=False)
-    injectp.add_argument("--rounds", help="adversarial rounds K (sweep: comma-separated list)")
     injectp.add_argument("--strategy", choices=["naive", "structured"])
     injectp.add_argument("--max-spans", type=int)
     injectp.add_argument("--overlap", type=int)
@@ -380,13 +355,11 @@ def build_parser() -> argparse.ArgumentParser:
     injectp.add_argument(
         "--include-image", action=argparse.BooleanOptionalAction, default=None
     )
-    injectp.add_argument("--image-root", help="directory image paths resolve against")
 
     evalp = argparse.ArgumentParser(add_help=False)
     evalp.add_argument("--model")
     evalp.add_argument("--strict", action=argparse.BooleanOptionalAction, default=None)
     evalp.add_argument("--width", type=int, help="parallel requests")
-    evalp.add_argument("--image-root", help="directory image paths resolve against")
     evalp.add_argument(
         "--require-image", action=argparse.BooleanOptionalAction, default=None
     )
@@ -414,6 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         "inject", parents=[common, gatep, injectp], help="build a synthetic dataset"
     )
     p.add_argument("--dataset", required=True, help="clean-caption dataset")
+    p.add_argument("--rounds", type=int, help="adversarial rounds K")
     p.add_argument("--out", required=True)
     p.add_argument("--audit", help="directory for per-sample audit logs")
     p.set_defaults(func=cmd_inject)
@@ -428,12 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser(
-        "sweep",
-        parents=[common, gatep, injectp, evalp],
-        conflict_handler="resolve",  # --image-root appears in two parents
-        help="round-count ablation table",
+        "sweep", parents=[common, gatep, injectp, evalp], help="round-count ablation table"
     )
     p.add_argument("--dataset", required=True, help="clean-caption dataset")
+    p.add_argument("--rounds", help="comma-separated adversarial round counts K")
     p.add_argument("--models", help="comma-separated locator model ids")
     p.set_defaults(func=cmd_sweep)
 
@@ -462,6 +434,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except (DatasetError, ValueError, InjectionError, BackendError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -1,6 +1,6 @@
 """Evaluation orchestration: prompt the model under test, collect transcripts,
-score them, and emit reports; plus the round-sweep and real-vs-synthetic
-correlation harnesses.
+score them, and emit reports; build synthetic datasets; plus the round-sweep
+and real-vs-synthetic correlation harnesses.
 
 Scoring is one shared path whether outputs arrive live from a gate or from a
 transcript file, so offline re-scoring reproduces a live run exactly.
@@ -13,14 +13,16 @@ import json
 import logging
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace as dc_replace
+from dataclasses import asdict, dataclass, replace as dc_replace
 from pathlib import Path
 
 from . import __version__
-from .corpus import BenchmarkSample, load_dataset, save_dataset
+from .corpus import BenchmarkSample, DatasetError, _field, _json_type, load_dataset, save_dataset
 from .inject import (
     PROMPT_VERSION,
     InjectionConfig,
+    InjectionError,
+    InjectionOutcome,
     fill_template,
     load_template,
     run_adversarial,
@@ -138,26 +140,25 @@ class EvalReport:
         return report
 
 
-def load_image(path: str | Path) -> ImageAttachment | None:
-    path = Path(path)
-    if not path.is_file():
+def load_image(image: str, image_root: str | Path | None) -> ImageAttachment | None:
+    """The image file at path `image`, or None when that is empty or no file.
+
+    The one image-path rule of evaluation and injection: an absolute path is
+    used as it is; a relative one resolves against image_root when given,
+    else against the working directory.
+    """
+    path = Path(image)
+    if not path.is_absolute() and image_root is not None:
+        path = Path(image_root) / path
+    if not image or not path.is_file():
         return None
     media = _MEDIA_TYPES.get(path.suffix.lower(), "image/png")
     return ImageAttachment(data=path.read_bytes(), media_type=media)
 
 
-def _resolve_image(sample: BenchmarkSample, cfg: EvalConfig) -> ImageAttachment | None:
-    if not sample.image:
-        return None
-    path = Path(sample.image)
-    if not path.is_absolute() and cfg.image_root is not None:
-        path = Path(cfg.image_root) / path
-    return load_image(path)
-
-
 def build_prompt(sample: BenchmarkSample, cfg: EvalConfig) -> ModelRequest:
     """One fixed instruction (shipped asset) plus the caption and the image."""
-    image = _resolve_image(sample, cfg)
+    image = load_image(sample.image, cfg.image_root)
     if image is None and cfg.require_image:
         raise FileNotFoundError(
             f"sample {sample.id!r}: image {sample.image!r} not found and images are required"
@@ -267,8 +268,11 @@ def read_transcripts(path: str | Path) -> dict[str, str]:
                 continue
             try:
                 record = json.loads(line)
-                sample_id, output = record["id"], record["output"]
-            except (json.JSONDecodeError, KeyError) as exc:
+                if not isinstance(record, dict):
+                    raise DatasetError(f"is a JSON {_json_type(record)}, expected an object")
+                sample_id = _field(record, "id", str)
+                output = _field(record, "output", str)
+            except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad transcript line: {exc}") from exc
             if sample_id in outputs:
                 raise ValueError(f"{path}:{lineno}: duplicate transcript id {sample_id!r}")
@@ -366,9 +370,10 @@ def _is_number(value: object) -> bool:
 
 
 def _token_scores_by_model(kind: str, reports: list[dict]) -> dict[str, dict]:
-    """model -> overall token scores; a report that lacks them raises a
-    ValueError naming it by its position in the list."""
+    """model -> overall token scores; a report that lacks them, or repeats a
+    model, raises a ValueError naming it by its position in the list."""
     out = {}
+    position: dict[str, int] = {}
     for i, report in enumerate(reports, 1):
         try:
             model, token = report["model"], report["overall"]["token"]
@@ -381,8 +386,38 @@ def _token_scores_by_model(kind: str, reports: list[dict]) -> dict[str, dict]:
             raise ValueError(
                 f"correlate_settings: {kind} report {i}: model or token scores have the wrong type"
             )
+        if model in position:
+            raise ValueError(
+                f"correlate_settings: {kind} reports {position[model]} and {i} "
+                f"are both for model {model!r}"
+            )
+        position[model] = i
         out[model] = scores
     return out
+
+
+def build_synthetic(
+    clean: list[BenchmarkSample],
+    cfg: InjectionConfig,
+    gate: ModelGate,
+    image_root: str | Path | None,
+) -> tuple[list[InjectionOutcome], list[str]]:
+    """Run the adversarial loop on each clean sample, with its image when
+    cfg.include_image. Returns the outcomes in input order and the ids of
+    the samples whose injection failed, which are skipped with a warning;
+    raises InjectionError when every sample failed."""
+    outcomes: list[InjectionOutcome] = []
+    failed: list[str] = []
+    for sample in clean:
+        image = load_image(sample.image, image_root) if cfg.include_image else None
+        try:
+            outcomes.append(run_adversarial(sample, cfg, gate, image))
+        except (InjectionError, BackendError) as exc:
+            logger.warning("sample %s failed: %s", sample.id, exc)
+            failed.append(sample.id)
+    if not outcomes:
+        raise InjectionError(f"no samples could be injected ({len(failed)} failed)")
+    return outcomes, failed
 
 
 @dataclass(frozen=True)
@@ -402,17 +437,28 @@ def sweep_rounds(
     eval_cfg: EvalConfig,
     gate: ModelGate,
 ) -> list[SweepRow]:
-    """Build one synthetic dataset per K, then evaluate each listed model as a
-    locator on it through the ordinary evaluation path."""
+    """Build one synthetic dataset per K (build_synthetic, images found by
+    eval_cfg.image_root), evaluate each listed model as a locator on it
+    through the ordinary evaluation path, and write the rows to sweep.json
+    in eval_cfg.out_dir. Every K keeps only the samples injected at every
+    K, so all rows cover the same samples."""
     clean = load_dataset(clean_dataset)
     out_dir = Path(eval_cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    built = [
+        build_synthetic(clean, dc_replace(inj_cfg, rounds=k), gate, eval_cfg.image_root)[0]
+        for k in ks
+    ]
+    kept = {s.id for s in clean}.intersection(*({o.sample.id for o in b} for b in built))
+    if not kept:
+        raise InjectionError("no sample could be injected at every K")
+    if len(kept) < len(clean):
+        dropped = [s.id for s in clean if s.id not in kept]
+        logger.warning("sweep leaves out samples not injected at every K: %s", dropped)
     rows: list[SweepRow] = []
-    for k in ks:
-        cfg_k = dc_replace(inj_cfg, rounds=k)
-        synthetic = [run_adversarial(s, cfg_k, gate).sample for s in clean]
+    for k, outcomes in zip(ks, built):
         dataset_path = out_dir / f"sweep_k{k}.jsonl"
-        save_dataset(synthetic, dataset_path)
+        save_dataset([o.sample for o in outcomes if o.sample.id in kept], dataset_path)
         for model in detector_models:
             model_cfg = dc_replace(
                 eval_cfg,
@@ -430,6 +476,9 @@ def sweep_rounds(
                     f1=report.card.token.f1,
                 )
             )
+    (out_dir / "sweep.json").write_text(
+        json.dumps([asdict(r) for r in rows], indent=2) + "\n", encoding="utf-8"
+    )
     return rows
 
 
@@ -482,20 +531,14 @@ def render_report_table(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_report(
-    report: EvalReport, out_dir: str | Path, formats: set[str] = frozenset({"json", "table"})
-) -> list[Path]:
+def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
+    """Write report.json and report.txt under out_dir; return both paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    if "json" in formats:
-        path = out_dir / "report.json"
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, ensure_ascii=False, indent=2, sort_keys=True)
-            f.write("\n")
-        written.append(path)
-    if "table" in formats:
-        path = out_dir / "report.txt"
-        path.write_text(render_report_table(report), encoding="utf-8")
-        written.append(path)
-    return written
+    json_path = out_dir / "report.json"
+    with open(json_path, "w", encoding="utf-8") as f:
+        json.dump(report.to_dict(), f, ensure_ascii=False, indent=2, sort_keys=True)
+        f.write("\n")
+    table_path = out_dir / "report.txt"
+    table_path.write_text(render_report_table(report), encoding="utf-8")
+    return [json_path, table_path]

@@ -35,8 +35,8 @@ class InjectionError(RuntimeError):
     pass
 
 
-def load_template(name: str, version: str = PROMPT_VERSION) -> str:
-    path = _ASSET_DIR / f"{name}_{version}.txt"
+def load_template(name: str) -> str:
+    path = _ASSET_DIR / f"{name}_{PROMPT_VERSION}.txt"
     return path.read_text(encoding="utf-8")
 
 

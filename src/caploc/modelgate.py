@@ -189,8 +189,9 @@ class HttpBackend:
 
     Sends {model, messages, temperature, max_tokens}; message content is a
     list of {"type":"text"|"image"} parts, images base64-encoded. Expects a
-    JSON body with a top-level "text" field. The bearer token is read from
-    the environment variable named at construction.
+    JSON object body with a string "text" field; any other reply raises
+    BackendError. The bearer token is read from the environment variable
+    named at construction.
     """
 
     def __init__(
@@ -235,14 +236,22 @@ class HttpBackend:
             )
         except (requests.ConnectionError, requests.Timeout) as exc:
             raise RetryableBackendError(f"transport failure: {exc}") from exc
+        except requests.RequestException as exc:
+            raise BackendError(f"request failed: {type(exc).__name__}: {exc}") from exc
         if resp.status_code == 429 or resp.status_code >= 500:
             raise RetryableBackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         if resp.status_code >= 400:
             raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         try:
-            return resp.json()["text"]
-        except (ValueError, KeyError) as exc:
+            data = resp.json()
+        except ValueError as exc:
             raise BackendError(f"malformed backend response: {exc}") from exc
+        text = data.get("text") if isinstance(data, dict) else None
+        if not isinstance(text, str):
+            raise BackendError(
+                f'malformed backend response: no string "text" in {resp.text[:200]}'
+            )
+        return text
 
 
 @dataclass

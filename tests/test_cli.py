@@ -6,10 +6,11 @@ import json
 
 import pytest
 
-from caploc import text
+from caploc import cli, text
 from caploc.cli import main
 from caploc.corpus import BenchmarkSample, HallucinationSpan, load_dataset, save_dataset
 from caploc.fixtures import build_fixture
+from caploc.modelgate import ScriptedBackend
 
 TAG = "<HALLUCINATION>"
 END = "</HALLUCINATION>"
@@ -44,6 +45,20 @@ def write_script(tmp_path, rules, name="script.json"):
     path = tmp_path / name
     path.write_text(json.dumps(rules), encoding="utf-8")
     return path
+
+
+@pytest.fixture
+def backends(monkeypatch):
+    """The scripted backends main() builds, kept to inspect their requests."""
+    made = []
+
+    class Recording(ScriptedBackend):
+        def __init__(self, rules):
+            super().__init__(rules)
+            made.append(self)
+
+    monkeypatch.setattr(cli, "ScriptedBackend", Recording)
+    return made
 
 
 class TestValidate:
@@ -89,6 +104,11 @@ class TestUsageErrors:
 
     def test_missing_required_flag(self, capsys):
         assert main(["score", "--dataset", "d.jsonl"]) == 2
+
+    def test_score_takes_no_image_root(self, tmp_path, capsys):
+        dataset = write_dataset(tmp_path, base_samples())
+        argv = ["score", "--dataset", str(dataset), "--transcripts", "t.jsonl"]
+        assert main([*argv, "--image-root", str(tmp_path)]) == 2
 
     def test_evaluate_without_backend(self, tmp_path, capsys):
         dataset = write_dataset(tmp_path, base_samples())
@@ -337,6 +357,17 @@ class TestInject:
         log = json.loads((audit / "c1.json").read_text())
         assert any(entry["phase"] == "detect" for entry in log)
 
+    def test_unusable_audit_path_exits_before_any_model_call(self, tmp_path, capsys, backends):
+        dataset = self.clean_dataset(tmp_path)
+        script = inject_script(tmp_path)
+        audit = tmp_path / "audit"
+        audit.write_text("a file, not a directory")
+        argv = ["inject", "--dataset", str(dataset), "--out", str(tmp_path / "syn.jsonl")]
+        assert main([*argv, "--script", str(script), "--audit", str(audit)]) == 1
+        assert "error:" in capsys.readouterr().err
+        (backend,) = backends
+        assert backend.requests == []
+
 
 class TestSweepAndReport:
     def test_sweep_table_and_file(self, tmp_path, capsys):
@@ -384,6 +415,86 @@ class TestSweepAndReport:
         table = capsys.readouterr().out
         assert "locator" in table
 
+    def test_sweep_skips_a_sample_that_cannot_be_injected(self, tmp_path, capsys):
+        captions = {
+            "c1": "a red car parked near the gate.",
+            "c2": "the button is green.",
+            "c3": "values rose in march.",
+        }
+        clean = write_dataset(
+            tmp_path,
+            [
+                BenchmarkSample(id=i, image="", domain="nature", caption=c, gold_spans=[])
+                for i, c in captions.items()
+            ],
+            name="clean.jsonl",
+        )
+        injected = {
+            "c1": f"a {TAG}blue{END} car parked near the gate.",
+            # rewrites untagged text next to its tag, so it cannot be salvaged
+            "c2": f"the {TAG}red{END} switch is green.",
+            "c3": f"values {TAG}fell{END} in march.",
+        }
+        rules = [
+            {"purpose": "inject", "contains": captions[i], "responses": [reply] * 8}
+            for i, reply in injected.items()
+        ]
+        rules.append({"purpose": "detect", "responses": ["No issues found."] * 8})
+        rules += [
+            {"purpose": "evaluate", "contains": "a blue car", "responses": [injected["c1"]] * 8},
+            {"purpose": "evaluate", "contains": "values fell", "responses": [injected["c3"]] * 8},
+        ]
+        script = write_script(tmp_path, rules)
+        out = tmp_path / "sweep_out"
+        argv = ["sweep", "--dataset", str(clean), "--models", "locator", "--rounds", "0,1"]
+        assert main([*argv, "--script", str(script), "--out", str(out)]) == 0
+        for k in (0, 1):
+            assert [s.id for s in load_dataset(out / f"sweep_k{k}.jsonl")] == ["c1", "c3"]
+        rows = json.loads((out / "sweep.json").read_text())
+        assert [(r["rounds"], r["f1"]) for r in rows] == [(0, 1.0), (1, 1.0)]
+
+    def test_sweep_scores_every_k_on_the_samples_injected_at_every_k(self, tmp_path, capsys):
+        captions = {
+            "c1": "a red car parked near the gate.",
+            "c2": "the button is green.",
+            "c3": "values rose in march.",
+        }
+        clean = write_dataset(
+            tmp_path,
+            [
+                BenchmarkSample(id=i, image="", domain="nature", caption=c, gold_spans=[])
+                for i, c in captions.items()
+            ],
+            name="clean.jsonl",
+        )
+        injected = {
+            "c1": f"a {TAG}blue{END} car parked near the gate.",
+            "c2": f"the button is {TAG}red{END}.",
+            "c3": f"values {TAG}fell{END} in march.",
+        }
+        rules = [
+            {"purpose": "inject", "contains": captions[i], "responses": [reply] * 8}
+            for i, reply in injected.items()
+        ]
+        # no detector reply for c2: it is injected at K=0 and fails at K=1
+        rules += [
+            {"purpose": "detect", "contains": "a blue car", "responses": ["No issues found."] * 8},
+            {"purpose": "detect", "contains": "values fell", "responses": ["No issues found."] * 8},
+        ]
+        rules += [
+            {"purpose": "evaluate", "contains": "a blue car", "responses": [injected["c1"]] * 8},
+            {"purpose": "evaluate", "contains": "values fell", "responses": [injected["c3"]] * 8},
+            {"purpose": "evaluate", "contains": "button is red", "responses": ["wrong"] * 8},
+        ]
+        script = write_script(tmp_path, rules)
+        out = tmp_path / "sweep_out"
+        argv = ["sweep", "--dataset", str(clean), "--models", "locator", "--rounds", "0,1"]
+        assert main([*argv, "--script", str(script), "--out", str(out)]) == 0
+        for k in (0, 1):
+            assert [s.id for s in load_dataset(out / f"sweep_k{k}.jsonl")] == ["c1", "c3"]
+        rows = json.loads((out / "sweep.json").read_text())
+        assert [(r["rounds"], r["f1"]) for r in rows] == [(0, 1.0), (1, 1.0)]
+
     def test_report_rerenders_json(self, tmp_path, capsys):
         dataset = write_dataset(tmp_path, base_samples())
         script = write_script(tmp_path, eval_script_rules())
@@ -401,6 +512,53 @@ class TestSweepAndReport:
         assert main(["report", str(out / "report.json")]) == 0
         report_stdout = capsys.readouterr().out
         assert report_stdout == evaluate_stdout
+
+
+class TestImages:
+    """inject, sweep and evaluate find a sample's image by one rule: a
+    relative path resolves against --image-root when given, else against
+    the working directory."""
+
+    PNG = b"\x89PNG fake"
+
+    @pytest.mark.parametrize("with_root", [True, False], ids=["image_root", "working_dir"])
+    @pytest.mark.parametrize("command", ["inject", "sweep", "evaluate"])
+    def test_every_request_carries_the_image(
+        self, tmp_path, monkeypatch, backends, command, with_root
+    ):
+        (tmp_path / "img").mkdir()
+        (tmp_path / "img" / "c1.png").write_bytes(self.PNG)
+        caption = "a red car parked near the gate."
+        sample = BenchmarkSample(
+            id="c1", image="img/c1.png", domain="nature", caption=caption, gold_spans=[]
+        )
+        dataset = write_dataset(tmp_path, [sample])
+        rules = [
+            {"purpose": "inject", "responses": [f"a {TAG}blue{END} car parked near the gate."] * 4},
+            {"purpose": "detect", "responses": ["No issues found."] * 4},
+            {"purpose": "evaluate", "responses": [caption] * 4},
+        ]
+        script = write_script(tmp_path, rules)
+        out = tmp_path / "out"
+        argv, purposes = {
+            "inject": (["inject", "--out", str(tmp_path / "syn.jsonl")], {"inject"}),
+            "sweep": (
+                ["sweep", "--models", "locator", "--rounds", "1", "--out", str(out)],
+                {"inject", "evaluate"},
+            ),
+            "evaluate": (["evaluate", "--model", "locator", "--out", str(out)], {"evaluate"}),
+        }[command]
+        argv += ["--dataset", str(dataset), "--script", str(script)]
+        if with_root:
+            argv += ["--image-root", str(tmp_path)]
+            monkeypatch.chdir(tmp_path / "img")
+        else:
+            monkeypatch.chdir(tmp_path)
+        assert main(argv) == 0
+        (backend,) = backends
+        imaged = [r for r in backend.requests if r.purpose != "detect"]  # the detector is text-only
+        assert {r.purpose for r in imaged} == purposes
+        assert all(r.image is not None and r.image.data == self.PNG for r in imaged)
 
 
 # (file name, content, argv with {file}/{dataset}/{tmp} placeholders, where)
@@ -429,6 +587,40 @@ MALFORMED_INPUT_FILES = {
         "[1, 2]",
         ["score", "--dataset", "{dataset}", "--transcripts", "t.jsonl", "--config", "{file}"],
         ": config is a JSON array",
+    ),
+    **{
+        f"config_{key}_{name}": (
+            "config.json",
+            json.dumps({key: value}),
+            {
+                "inject": ["inject", "--dataset", "{dataset}", "--out", "{tmp}/o.jsonl"],
+                "score": ["score", "--dataset", "{dataset}", "--transcripts", "t.jsonl"],
+            }[command]
+            + ["--config", "{file}"],
+            f": {key} is a JSON {kind}, expected {expected}",
+        )
+        for command, key, name, value, kind, expected in [
+            ("inject", "rounds", "array", [1], "array", "int"),
+            ("inject", "rounds", "null", None, "null", "int"),
+            ("score", "width", "null", None, "null", "int"),
+            ("score", "strict", "string", "false", "string", "bool"),
+            ("inject", "include_image", "string", "false", "string", "bool"),
+            ("inject", "max_spans", "fraction", 2.7, "number", "int"),
+            ("inject", "dimensions", "string", "color", "string", "array of strings"),
+            ("score", "model", "number", 5, "number", "string or null"),
+        ]
+    },
+    "transcript_line_not_an_object": (
+        "t.jsonl",
+        '["s1", "a red car"]',
+        ["score", "--dataset", "{dataset}", "--transcripts", "{file}"],
+        ":1: bad transcript line: is a JSON array",
+    ),
+    "transcript_number_output": (
+        "t.jsonl",
+        '{"id": "s1", "output": "a red car parked near the gate."}\n{"id": "s2", "output": 5}',
+        ["score", "--dataset", "{dataset}", "--transcripts", "{file}"],
+        ":2: bad transcript line: output is a JSON number",
     ),
     "script_rule_not_an_object": (
         "script.json",

@@ -5,13 +5,16 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
+import requests
 
 from caploc import diffannot, text
 from caploc.corpus import BenchmarkSample, HallucinationSpan, save_dataset
 from caploc.inject import InjectionConfig
 from caploc.modelgate import (
+    HttpBackend,
     ModelGate,
     ResponseCache,
     ScriptedBackend,
@@ -227,6 +230,42 @@ class TestStrictMode:
         assert report.card.faithfulness_violation_rate == 1.0
 
 
+class FakeSession:
+    """Stands in for requests.Session: the request for s2 gets `bad` (an
+    exception to raise, or a JSON body to return), every other one
+    eval_responder's reply."""
+
+    def __init__(self, bad):
+        self.bad = bad
+
+    def post(self, url, **kwargs):
+        user = kwargs["json"]["messages"][1]["content"][0]["text"]
+        if "the button is green." not in user:
+            body = {"text": eval_responder(SimpleNamespace(user=user))}
+        elif isinstance(self.bad, Exception):
+            raise self.bad
+        else:
+            body = self.bad
+        resp = requests.Response()
+        resp.status_code = 200
+        resp._content = json.dumps(body).encode("utf-8")
+        return resp
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [requests.exceptions.ChunkedEncodingError("connection broken"), [1, 2], {"text": 5}],
+    ids=["chunked_encoding", "array_body", "number_text"],
+)
+def test_http_failure_skips_only_its_sample(tmp_path, bad):
+    dataset = write_dataset(tmp_path)
+    cfg = EvalConfig(dataset=dataset, model="locator", out_dir=tmp_path / "out")
+    gate = ModelGate(HttpBackend("http://localhost:9", session=FakeSession(bad)))
+    report = evaluate_dataset(cfg, gate)
+    assert report.skipped == ["s2"]
+    assert set(read_transcripts(tmp_path / "out" / "transcripts.jsonl")) == {"s1", "s3"}
+
+
 class TestTranscripts:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -356,6 +395,13 @@ class TestCorrelateSettings:
             correlate_settings(
                 [self.report("a", 1, 1, 1), self.report("b", 1, 1, 1)],
                 [self.report("a", 1, 1, 1), bad],
+            )
+
+    def test_duplicate_model_raises_value_error(self):
+        with pytest.raises(ValueError, match="real reports 1 and 3 are both for model 'a'"):
+            correlate_settings(
+                [self.report("a", 1, 1, 1), self.report("b", 0, 0, 0), self.report("a", 0, 1, 0)],
+                [self.report("a", 1, 1, 1), self.report("b", 0, 0, 0)],
             )
 
     def test_too_few_models(self):

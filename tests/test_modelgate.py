@@ -3,9 +3,11 @@ import threading
 import time
 
 import pytest
+import requests
 
 from caploc.modelgate import (
     BackendError,
+    HttpBackend,
     ImageAttachment,
     ModelGate,
     ModelRequest,
@@ -25,6 +27,27 @@ def make_req(**kw):
     base = dict(model="m", system="sys", user="hello", purpose="detect")
     base.update(kw)
     return ModelRequest(**base)
+
+
+@pytest.mark.parametrize(
+    "exc, retryable",
+    [
+        (requests.ConnectionError("refused"), True),
+        (requests.Timeout("slow"), True),
+        (requests.exceptions.ChunkedEncodingError("connection broken"), False),
+        (requests.TooManyRedirects("redirect loop"), False),
+    ],
+    ids=["connection", "timeout", "chunked_encoding", "redirects"],
+)
+def test_http_transport_errors_are_backend_errors(exc, retryable):
+    class Session:
+        def post(self, url, **kwargs):
+            raise exc
+
+    backend = HttpBackend("http://localhost:9", session=Session())
+    with pytest.raises(BackendError) as info:
+        backend.send(make_req())
+    assert isinstance(info.value, RetryableBackendError) == retryable
 
 
 def test_cache_key_stable():
