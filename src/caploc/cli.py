@@ -23,6 +23,7 @@ from .corpus import (
     dataset_stats,
     load_dataset,
     save_dataset,
+    text_lines,
     validate_sample,
 )
 from .diffannot import diff_tokens, extract_gold_spans, label_spans
@@ -171,13 +172,25 @@ def _script_rules(path: str) -> list[ScriptRule]:
     return rules
 
 
-def _list(value, kind: type = str) -> list:
+def _list(value) -> list:
     """A list as given, a comma-separated string split, or one value."""
     if isinstance(value, list):
         return value
     if isinstance(value, str):
-        return [kind(x.strip()) for x in value.split(",") if x.strip()]
+        return [x.strip() for x in value.split(",") if x.strip()]
     return [value]
+
+
+def _round_counts(value) -> list[int]:
+    """sweep's K values from an array of integers or a comma-separated
+    string; an item that is no integer raises ValueError naming it."""
+    ks = []
+    for item in _list(value):
+        try:
+            ks.append(int(item))
+        except ValueError:
+            raise ValueError(f"rounds: {item!r} is not an integer") from None
+    return ks
 
 
 def _injection_config(eff: dict, **given) -> InjectionConfig:
@@ -236,18 +249,17 @@ def _annotated_sample(record) -> BenchmarkSample:
 def cmd_annotate(args: argparse.Namespace) -> int:
     samples: list[BenchmarkSample] = []
     issues = []
-    with open(args.pairs, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                sample = _annotated_sample(json.loads(line))
-            except ValueError as exc:
-                print(f"error: {args.pairs}:{lineno}: {exc}", file=sys.stderr)
-                return 1
-            issues.extend(validate_sample(sample).issues)
-            samples.append(sample)
+    for lineno, line in text_lines(args.pairs):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            sample = _annotated_sample(json.loads(line))
+        except ValueError as exc:
+            print(f"error: {args.pairs}:{lineno}: {exc}", file=sys.stderr)
+            return 1
+        issues.extend(validate_sample(sample).issues)
+        samples.append(sample)
     if issues:
         for issue in issues:
             print(f"error: {issue}", file=sys.stderr)
@@ -264,6 +276,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
     audit_dir = Path(args.audit) if args.audit else None
     if audit_dir:
         audit_dir.mkdir(parents=True, exist_ok=True)
+    Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     outcomes, failed = build_synthetic(clean, _injection_config(eff), gate, eff["image_root"])
     if audit_dir:
         for outcome in outcomes:
@@ -304,7 +317,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not eff["models"]:
         raise _UsageError("--models is required for sweep")
     models = _list(eff["models"])
-    ks = _list(eff["rounds"], int)
+    ks = _round_counts(eff["rounds"])
     inj_cfg = _injection_config(eff, rounds=0)
     eval_cfg = _config(EvalConfig, eff, dataset=args.dataset, model=models[0])
     rows = sweep_rounds(args.dataset, ks, models, inj_cfg, eval_cfg, gate)

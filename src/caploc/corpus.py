@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -242,17 +243,23 @@ def load_dataset(path: str | Path) -> list[BenchmarkSample]:
     and, where one is to blame, the line.
     """
     path = Path(path)
-    try:
-        with open(path, encoding="utf-8") as f:
-            return _read_samples(f, path)
-    except UnicodeDecodeError as exc:
-        raise DatasetError(f"{path}: not UTF-8 text: {exc}") from exc
+    return _read_samples(text_lines(path), path)
 
 
-def _read_samples(f, path: Path) -> list[BenchmarkSample]:
+def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a UTF-8 text file; bytes that are not UTF-8
+    raise DatasetError naming the file."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            yield from enumerate(f, 1)
+        except UnicodeDecodeError as exc:
+            raise DatasetError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_samples(lines: Iterator[tuple[int, str]], path: Path) -> list[BenchmarkSample]:
     samples: list[BenchmarkSample] = []
     seen_ids: set[str] = set()
-    header_line = f.readline()
+    _, header_line = next(lines, (1, ""))
     if not header_line.strip():
         raise DatasetError(f"{path}: empty file, expected a header line")
     try:
@@ -270,7 +277,7 @@ def _read_samples(f, path: Path) -> list[BenchmarkSample]:
             f"{path}:1: tokenizer {header.get('tokenizer')!r} does not match "
             f"{TOKENIZER_VERSION!r}; gold spans are not portable across tokenizers"
         )
-    for lineno, line in enumerate(f, 2):
+    for lineno, line in lines:
         line = line.strip()
         if not line:
             continue

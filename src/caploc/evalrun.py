@@ -17,7 +17,15 @@ from dataclasses import asdict, dataclass, replace as dc_replace
 from pathlib import Path
 
 from . import __version__
-from .corpus import BenchmarkSample, DatasetError, _field, _json_type, load_dataset, save_dataset
+from .corpus import (
+    BenchmarkSample,
+    DatasetError,
+    _field,
+    _json_type,
+    load_dataset,
+    save_dataset,
+    text_lines,
+)
 from .inject import (
     PROMPT_VERSION,
     InjectionConfig,
@@ -261,22 +269,21 @@ def write_transcripts(path: str | Path, rows: list[tuple[str, str]]) -> None:
 
 def read_transcripts(path: str | Path) -> dict[str, str]:
     outputs: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-                if not isinstance(record, dict):
-                    raise DatasetError(f"is a JSON {_json_type(record)}, expected an object")
-                sample_id = _field(record, "id", str)
-                output = _field(record, "output", str)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: bad transcript line: {exc}") from exc
-            if sample_id in outputs:
-                raise ValueError(f"{path}:{lineno}: duplicate transcript id {sample_id!r}")
-            outputs[sample_id] = output
+    for lineno, line in text_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+            if not isinstance(record, dict):
+                raise DatasetError(f"is a JSON {_json_type(record)}, expected an object")
+            sample_id = _field(record, "id", str)
+            output = _field(record, "output", str)
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: bad transcript line: {exc}") from exc
+        if sample_id in outputs:
+            raise ValueError(f"{path}:{lineno}: duplicate transcript id {sample_id!r}")
+        outputs[sample_id] = output
     return outputs
 
 
@@ -325,11 +332,8 @@ def evaluate_dataset(cfg: EvalConfig, gate: ModelGate) -> EvalReport:
             logger.warning("sample %s failed: %s", sample.id, exc)
             return sample.id, None
 
-    if cfg.width > 1:
-        with ThreadPoolExecutor(max_workers=cfg.width) as pool:
-            fetched = list(pool.map(fetch, samples))
-    else:
-        fetched = [fetch(s) for s in samples]
+    with ThreadPoolExecutor(max_workers=cfg.width) as pool:
+        fetched = list(pool.map(fetch, samples))
 
     outputs = {sid: text for sid, text in fetched if text is not None}
     write_transcripts(out_dir / "transcripts.jsonl", [(s, t) for s, t in fetched if t is not None])
@@ -442,13 +446,11 @@ def sweep_rounds(
     through the ordinary evaluation path, and write the rows to sweep.json
     in eval_cfg.out_dir. Every K keeps only the samples injected at every
     K, so all rows cover the same samples."""
+    cfgs = [dc_replace(inj_cfg, rounds=k) for k in ks]  # a bad K raises before any model call
     clean = load_dataset(clean_dataset)
     out_dir = Path(eval_cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    built = [
-        build_synthetic(clean, dc_replace(inj_cfg, rounds=k), gate, eval_cfg.image_root)[0]
-        for k in ks
-    ]
+    built = [build_synthetic(clean, cfg, gate, eval_cfg.image_root)[0] for cfg in cfgs]
     kept = {s.id for s in clean}.intersection(*({o.sample.id for o in b} for b in built))
     if not kept:
         raise InjectionError("no sample could be injected at every K")

@@ -19,7 +19,7 @@ from pathlib import Path
 from .corpus import DIMENSION_VALUES, BenchmarkSample, Dimension, HallucinationSpan
 from .diffannot import DELETE, INSERT, KEEP, REPLACE, diff_tokens
 from .modelgate import ImageAttachment, ModelGate, ModelRequest, Purpose
-from .tagproto import TaggedText, marked_token_indices, parse_tags, serialize_tags
+from .tagproto import marked_token_indices, parse_tags
 from .text import TokenizedCaption, tokenize
 
 logger = logging.getLogger(__name__)
@@ -29,6 +29,7 @@ _ASSET_DIR = Path(__file__).parent / "assets"
 
 _LABELS_PREFIX = "LABELS:"
 _QUOTED_RE = re.compile(r'"([^"\n]+)"')
+_RETRY_REMINDER = "\n\nREMINDER: copy the caption exactly, word for word, outside the tags."
 
 
 class InjectionError(RuntimeError):
@@ -61,7 +62,7 @@ class InjectionConfig:
 
     def __post_init__(self) -> None:
         if self.rounds < 0:
-            raise ValueError("InjectionConfig: rounds must be >= 0")
+            raise ValueError(f"InjectionConfig: rounds must be >= 0, got {self.rounds}")
         if self.max_spans < 1:
             raise ValueError("InjectionConfig: max_spans must be >= 1")
         if self.strategy not in ("naive", "structured"):
@@ -100,19 +101,10 @@ class DetectedSpan:
 
 
 @dataclass
-class RoundLog:
-    round: int
-    detected: list[DetectedSpan] = field(default_factory=list)
-    reverted: list[InjectedSpan] = field(default_factory=list)
-    dropped_phrases: list[str] = field(default_factory=list)
-
-
-@dataclass
 class InjectionState:
     clean: TokenizedCaption
     round: int = 0
     spans: list[InjectedSpan] = field(default_factory=list)
-    rounds: list[RoundLog] = field(default_factory=list)
     feedback: list[str] = field(default_factory=list)
     reverted_last_round: int = 0
     audit: list[dict] = field(default_factory=list)
@@ -132,13 +124,6 @@ class InjectionState:
 
     def current_tokens(self) -> TokenizedCaption:
         return tokenize(self.current_text())
-
-    def tagged_caption(self) -> TaggedText:
-        spans = [
-            HallucinationSpan(a, b, s.dimension)
-            for (a, b), s in zip(self.span_layout(), self.spans)
-        ]
-        return serialize_tags(self.current_tokens(), spans)
 
 
 def _render(clean: TokenizedCaption, spans: list[InjectedSpan]) -> str:
@@ -311,37 +296,27 @@ def inject_round(
         state = InjectionState(clean=tc)
 
     prompt = _injector_prompt(state, cfg)
-    request = ModelRequest(
-        model=cfg.injector_model,
-        system="",
-        user=prompt,
-        purpose=Purpose.INJECT.value,
-        image=image if cfg.include_image else None,
-    )
-    response = gate.complete(request)
-    state.audit.append(
-        {"phase": "inject", "round": state.round, "prompt": prompt, "response": response.text}
-    )
-    spans, problems, _ = _parse_injector_response(response.text, state.clean, cfg)
-    if problems:
-        retry_prompt = (
-            prompt + "\n\nREMINDER: copy the caption exactly, word for word, outside the tags."
-        )
-        retry_request = dc_replace(request, user=retry_prompt)
-        retry_response = gate.complete(retry_request)
-        state.audit.append(
-            {
-                "phase": "inject_retry",
-                "round": state.round,
-                "prompt": retry_prompt,
-                "response": retry_response.text,
-            }
-        )
-        spans, problems, tagged = _parse_injector_response(retry_response.text, state.clean, cfg)
-        if problems and tagged and not spans:
-            raise InjectionError(
-                "injector produced no usable tagged spans after retry: " + "; ".join(problems)
+    attempts = (("inject", prompt), ("inject_retry", prompt + _RETRY_REMINDER))
+    for phase, user in attempts:
+        response = gate.complete(
+            ModelRequest(
+                model=cfg.injector_model,
+                system="",
+                user=user,
+                purpose=Purpose.INJECT.value,
+                image=image if cfg.include_image else None,
             )
+        )
+        state.audit.append(
+            {"phase": phase, "round": state.round, "prompt": user, "response": response.text}
+        )
+        spans, problems, tagged = _parse_injector_response(response.text, state.clean, cfg)
+        if not problems:
+            break
+    if problems and tagged and not spans:
+        raise InjectionError(
+            "injector produced no usable tagged spans after retry: " + "; ".join(problems)
+        )
     state.spans = sorted(spans, key=lambda s: (s.clean_start, s.clean_end))
     return state
 
@@ -393,7 +368,6 @@ def detect_round(
             "spans": [(d.start, d.end, d.phrase) for d in detected],
         }
     )
-    state.rounds.append(RoundLog(round=state.round, detected=detected, dropped_phrases=dropped))
     return detected
 
 
@@ -409,10 +383,10 @@ def filter_detected(
     state: InjectionState, detected: list[DetectedSpan], cfg: InjectionConfig
 ) -> InjectionState:
     """Revert every injected span that shares at least cfg.overlap tokens with
-    a detected span; record feedback about what was caught and why."""
+    a detected span, record feedback about what was caught and why, and end
+    the round. With nothing detected (or no spans) it only ends the round."""
     layout = state.span_layout()
     survivors: list[InjectedSpan] = []
-    reverted: list[InjectedSpan] = []
     for (a, b), span in zip(layout, state.spans):
         tokens = set(range(a, b))
         hit = None
@@ -423,17 +397,12 @@ def filter_detected(
         if hit is None:
             survivors.append(span)
         else:
-            reverted.append(span)
             state.feedback.append(
                 f'Round {state.round + 1}: the phrase "{" ".join(span.replacement)}" '
                 f"({span.dimension}) was caught. Reason given: {hit.rationale or hit.phrase}"
             )
+    state.reverted_last_round = len(state.spans) - len(survivors)
     state.spans = survivors
-    state.reverted_last_round = len(reverted)
-    if state.rounds and state.rounds[-1].round == state.round:
-        state.rounds[-1].reverted = reverted
-    else:
-        state.rounds.append(RoundLog(round=state.round, detected=detected, reverted=reverted))
     state.round += 1
     return state
 
@@ -458,16 +427,11 @@ def run_adversarial(
     spans, flagged, usable as a clean negative control.
     """
     state = inject_round(clean.caption, cfg, gate, image)
-    for _ in range(1, cfg.rounds + 1):
-        if state.round > 0 and state.reverted_last_round > 0:
+    for _ in range(cfg.rounds):
+        if state.reverted_last_round > 0:
             state = inject_round(state, cfg, gate, image)
-        if state.spans:
-            detect_round(state, cfg, gate)
-            state = filter_detected(state, state.rounds[-1].detected, cfg)
-        else:
-            state.rounds.append(RoundLog(round=state.round))
-            state.reverted_last_round = 0
-            state.round += 1
+        detected = detect_round(state, cfg, gate) if state.spans else []
+        state = filter_detected(state, detected, cfg)
 
     gold = [
         HallucinationSpan(a, b, s.dimension)

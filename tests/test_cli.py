@@ -368,6 +368,58 @@ class TestInject:
         (backend,) = backends
         assert backend.requests == []
 
+    def test_out_directory_is_created(self, tmp_path, capsys):
+        dataset = self.clean_dataset(tmp_path)
+        script = inject_script(tmp_path)
+        out = tmp_path / "missing" / "dir" / "syn.jsonl"
+        argv = ["inject", "--dataset", str(dataset), "--out", str(out), "--script", str(script)]
+        assert main([*argv, "--no-include-image"]) == 0
+        assert [s.id for s in load_dataset(out)] == ["c1"]
+
+    def test_out_under_a_file_exits_before_any_model_call(self, tmp_path, capsys, backends):
+        dataset = self.clean_dataset(tmp_path)
+        script = inject_script(tmp_path)
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file, not a directory")
+        out = blocker / "syn.jsonl"
+        argv = ["inject", "--dataset", str(dataset), "--out", str(out), "--script", str(script)]
+        assert main(argv) == 1
+        assert f"File exists: '{blocker}'" in capsys.readouterr().err
+        (backend,) = backends
+        assert backend.requests == []
+
+
+class TestSweepRounds:
+    """A bad K in sweep's rounds exits 1 naming rounds and the item before
+    any model call."""
+
+    @pytest.mark.parametrize(
+        "source, rounds, message",
+        [
+            ("flag", "0,x", "error: rounds: 'x' is not an integer"),
+            ("config", "0,x", "error: rounds: 'x' is not an integer"),
+            ("flag", "0,-1", "error: InjectionConfig: rounds must be >= 0, got -1"),
+            ("config", [0, -1], "error: InjectionConfig: rounds must be >= 0, got -1"),
+        ],
+        ids=["flag_not_int", "config_not_int", "flag_negative", "config_negative"],
+    )
+    def test_bad_k_exits_before_any_model_call(
+        self, tmp_path, capsys, backends, source, rounds, message
+    ):
+        clean = write_dataset(tmp_path, base_samples(), name="clean.jsonl")
+        script = inject_script(tmp_path)
+        argv = ["sweep", "--dataset", str(clean), "--models", "locator", "--script", str(script)]
+        if source == "flag":
+            argv += ["--rounds", rounds]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"rounds": rounds}), encoding="utf-8")
+            argv += ["--config", str(config)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        (backend,) = backends
+        assert backend.requests == []
+
 
 class TestSweepAndReport:
     def test_sweep_table_and_file(self, tmp_path, capsys):
@@ -561,8 +613,15 @@ class TestImages:
         assert all(r.image is not None and r.image.data == self.PNG for r in imaged)
 
 
-# (file name, content, argv with {file}/{dataset}/{tmp} placeholders, where)
+# (file name, content as text or bytes, argv with {file}/{dataset}/{tmp}
+# placeholders, where)
 MALFORMED_INPUT_FILES = {
+    "annotate_not_utf8": (
+        "pairs.jsonl",
+        b'{"id": "p1", "caption": "a red car.", "corrected": "a \xff car."}',
+        ["annotate", "--pairs", "{file}", "--out", "{tmp}/o.jsonl"],
+        ": not UTF-8 text: 'utf-8' codec can't decode byte 0xff",
+    ),
     "annotate_list_record": (
         "pairs.jsonl",
         '["p1", "a red car.", "a blue car."]',
@@ -610,6 +669,12 @@ MALFORMED_INPUT_FILES = {
             ("score", "model", "number", 5, "number", "string or null"),
         ]
     },
+    "transcript_not_utf8": (
+        "t.jsonl",
+        b'{"id": "s1", "output": "a red\xff car parked near the gate."}',
+        ["score", "--dataset", "{dataset}", "--transcripts", "{file}"],
+        ": not UTF-8 text: 'utf-8' codec can't decode byte 0xff",
+    ),
     "transcript_line_not_an_object": (
         "t.jsonl",
         '["s1", "a red car"]',
@@ -645,7 +710,7 @@ MALFORMED_INPUT_FILES = {
 def test_malformed_input_file_exits_1(tmp_path, capsys, case):
     name, content, argv, where = MALFORMED_INPUT_FILES[case]
     path = tmp_path / name
-    path.write_text(content, encoding="utf-8")
+    path.write_bytes(content if isinstance(content, bytes) else content.encode("utf-8"))
     dataset = write_dataset(tmp_path, base_samples())
     argv = [a.format(file=path, dataset=dataset, tmp=tmp_path) for a in argv]
     assert main(argv) == 1

@@ -21,7 +21,7 @@ from caploc.inject import (
     run_adversarial,
 )
 from caploc.modelgate import ModelGate, ScriptedBackend, ScriptRule
-from caploc.tagproto import marked_token_indices, parse_tags
+from caploc.tagproto import marked_token_indices, parse_tags, serialize_tags
 from caploc.text import tokenize
 
 
@@ -35,6 +35,14 @@ def inject_rule(*responses):
 
 
 CFG = InjectionConfig(rounds=2, include_image=False)
+
+
+def tagged_caption(state):
+    """The current caption with each surviving span tagged."""
+    spans = [
+        HallucinationSpan(a, b, s.dimension) for (a, b), s in zip(state.span_layout(), state.spans)
+    ]
+    return serialize_tags(state.current_tokens(), spans)
 
 TAG = "<HALLUCINATION>"
 END = "</HALLUCINATION>"
@@ -78,7 +86,7 @@ class TestInjectRound:
             InjectedSpan(clean_start=1, clean_end=2, replacement=("blue",), dimension="color")
         ]
         assert state.current_text() == "a blue car."
-        assert TAG + "blue" + END in state.tagged_caption().raw
+        assert TAG + "blue" + END in tagged_caption(state).raw
 
     def test_echo_yields_no_spans(self):
         gate, _ = make_gate([inject_rule("a red car.")])
@@ -179,7 +187,9 @@ class TestDetectRound:
         assert detected == [
             DetectedSpan(start=1, end=2, phrase="blue", rationale="unlikely color here")
         ]
-        assert state.rounds[-1].detected == detected
+        assert state.audit[-1] == {
+            "phase": "detect_grounded", "round": 0, "spans": [(1, 2, "blue")]
+        }
 
     def test_no_issues_line_detects_nothing(self):
         state = self.make_state()
@@ -192,7 +202,10 @@ class TestDetectRound:
             [ScriptRule(purpose="detect", responses=['"purple" - not plausible'])]
         )
         assert detect_round(state, CFG, gate) == []
-        assert state.rounds[-1].dropped_phrases == ["purple"]
+        assert state.audit[-2:] == [
+            {"phase": "detect_dropped", "round": 0, "phrases": ["purple"]},
+            {"phase": "detect_grounded", "round": 0, "spans": []},
+        ]
 
     def test_multi_token_phrase(self):
         state = self.make_state()
@@ -335,7 +348,7 @@ class TestRunAdversarial:
             "detect",
         ]
         assert "was caught" in backend.requests[2].user
-        assert len(outcome.state.rounds) == 2
+        assert outcome.state.round == 2
 
     def test_no_reinject_when_nothing_reverted(self):
         cfg = InjectionConfig(rounds=2, include_image=False)
@@ -431,7 +444,7 @@ class TestRenderLayoutProperties:
             state = self.random_state(rng)
             if not state.spans:
                 continue
-            tagged = state.tagged_caption()
+            tagged = tagged_caption(state)
             parsed = parse_tags(tagged.raw)
             current = state.current_tokens()
             assert parsed.stripped == current.source

@@ -1,11 +1,11 @@
 """Differential tests of the tokenizer, the sentence splitter, the tag
-aligner and the injector's reply handling against the straightforward
-implementations they replaced, kept here as oracles.
+aligner, the injector's reply handling and the adversarial loop against the
+straightforward implementations they replaced, kept here as oracles.
 
 The oracles are the reference semantics: any speed-up or simplification of
-tokenize, split_sentences, marked_token_indices, align_to_reference or
-inject_round must agree with them on every token field, every sentence,
-every Prediction, and every injection state and error.
+tokenize, split_sentences, marked_token_indices, align_to_reference,
+inject_round or run_adversarial must agree with them on every token field,
+every sentence, every Prediction, and every injection state and error.
 """
 
 from __future__ import annotations
@@ -18,16 +18,20 @@ from dataclasses import dataclass, replace as dc_replace
 
 from hypothesis import given, settings, strategies as st
 
-from caploc.corpus import DIMENSION_VALUES, Dimension
+from caploc.corpus import DIMENSION_VALUES, BenchmarkSample, Dimension, HallucinationSpan
 from caploc.diffannot import DELETE, INSERT, KEEP, REPLACE, diff_tokens
 from caploc.inject import (
     InjectedSpan,
     InjectionConfig,
     InjectionError,
+    InjectionOutcome,
     InjectionState,
     _injector_prompt,
     _split_labels,
+    detect_round,
+    filter_detected,
     inject_round,
+    run_adversarial,
 )
 from caploc.modelgate import ModelGate, ModelRequest, Purpose, ScriptedBackend, ScriptRule
 from caploc.tagproto import (
@@ -336,6 +340,37 @@ def oracle_inject_round(
     return state
 
 
+def oracle_run_adversarial(
+    clean: BenchmarkSample, cfg: InjectionConfig, gate: ModelGate
+) -> InjectionOutcome:
+    """The adversarial loop with a separate branch for rounds that have no
+    spans to detect."""
+    state = oracle_inject_round(clean.caption, cfg, gate)
+    for _ in range(1, cfg.rounds + 1):
+        if state.round > 0 and state.reverted_last_round > 0:
+            state = oracle_inject_round(state, cfg, gate)
+        if state.spans:
+            detected = detect_round(state, cfg, gate)
+            state = filter_detected(state, detected, cfg)
+        else:
+            state.reverted_last_round = 0
+            state.round += 1
+    gold = [
+        HallucinationSpan(a, b, s.dimension)
+        for (a, b), s in zip(state.span_layout(), state.spans)
+    ]
+    sample = BenchmarkSample(
+        id=clean.id,
+        image=clean.image,
+        domain=clean.domain,
+        caption=state.current_text(),
+        gold_spans=gold,
+        variant="synthetic",
+        clean_caption=state.clean.source,
+    )
+    return InjectionOutcome(sample=sample, state=state, no_survivors=not gold)
+
+
 # ---------------------------------------------------------------- inputs
 
 # ASCII and Unicode punctuation (P*), symbols (S*, must stay attached),
@@ -426,6 +461,36 @@ def injector_replies(draw, clean_words: list[str]) -> str:
         if draw(st.booleans()):
             reply += "\ntrailing note"
     return reply
+
+
+@st.composite
+def planted_replies(draw, clean_words: list[str]) -> str:
+    """A faithful reply: the clean words with one to two of them swapped,
+    tagged, for words no clean caption holds."""
+    out = list(clean_words)
+    for i in draw(st.sets(st.integers(0, len(out) - 1), min_size=1, max_size=2)):
+        out[i] = f"{OPEN_TAG}{draw(st.sampled_from(['blue', 'green']))}{CLOSE_TAG}"
+    return " ".join(out)
+
+
+# detector replies: nothing, phrases captions may hold, a word no caption
+# holds, and None for a quote of the whole caption shown, which reverts
+# every span
+DETECT_REPLIES = [
+    "No issues found.", '"red" - odd', '"a"\n"blue" -', '"zebra" - odd', None, None
+]
+
+
+def detector(replies: list):
+    """A detect responder that answers with the given replies in turn."""
+
+    def respond(req: ModelRequest) -> str:
+        reply = replies.pop(0)
+        if reply is None:
+            reply = '"' + req.user.split("Caption:\n", 1)[1].strip() + '" - all wrong'
+        return reply
+
+    return respond
 
 
 def byte_ranges(limit: int):
@@ -542,6 +607,53 @@ def test_inject_round_matches_oracle(data):
         )
     got = run_injection(inject_round, start, cfg, replies)
     want = run_injection(oracle_inject_round, start, cfg, replies)
+    assert got == want
+
+
+def run_loop(run, clean, cfg, inject_replies, detect_replies):
+    """Everything one adversarial run leaves behind, or its error message,
+    on a scripted gate with the given injector and detector replies."""
+    gate = ModelGate(
+        ScriptedBackend(
+            [
+                ScriptRule(purpose="inject", responses=list(inject_replies)),
+                ScriptRule(purpose="detect", responder=detector(list(detect_replies))),
+            ]
+        )
+    )
+    try:
+        outcome = run(clean, cfg, gate)
+    except InjectionError as exc:
+        return str(exc)
+    state = outcome.state
+    return (
+        outcome.sample.to_dict(),
+        state.audit,
+        state.round,
+        state.reverted_last_round,
+        state.feedback,
+        outcome.no_survivors,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_run_adversarial_matches_oracle(data):
+    clean_words = data.draw(st.lists(st.sampled_from(INJECT_VOCAB), min_size=1, max_size=8))
+    k = data.draw(st.integers(0, 3))
+    caption = " ".join(clean_words)
+    # at most one injection per round plus the first, each with a retry
+    inject_replies = [
+        data.draw(
+            st.one_of(st.just(caption), planted_replies(clean_words), injector_replies(clean_words))
+        )
+        for _ in range(2 * (k + 1))
+    ]
+    detect_replies = data.draw(st.lists(st.sampled_from(DETECT_REPLIES), min_size=k, max_size=k))
+    cfg = InjectionConfig(rounds=k, max_spans=data.draw(st.integers(1, 3)), include_image=False)
+    clean = BenchmarkSample(id="s", image="", domain="nature", caption=caption, gold_spans=[])
+    got = run_loop(run_adversarial, clean, cfg, inject_replies, detect_replies)
+    want = run_loop(oracle_run_adversarial, clean, cfg, inject_replies, detect_replies)
     assert got == want
 
 
