@@ -319,7 +319,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     models = _list(eff["models"])
     ks = _round_counts(eff["rounds"])
     inj_cfg = _injection_config(eff, rounds=0)
-    eval_cfg = _config(EvalConfig, eff, dataset=args.dataset, model=models[0])
+    # sweep_rounds sets each row's model
+    eval_cfg = _config(EvalConfig, eff, dataset=args.dataset, model="")
     rows = sweep_rounds(args.dataset, ks, models, inj_cfg, eval_cfg, gate)
     print(render_sweep_table(rows), end="")
     return 0

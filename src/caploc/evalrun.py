@@ -445,8 +445,16 @@ def sweep_rounds(
     eval_cfg.image_root), evaluate each listed model as a locator on it
     through the ordinary evaluation path, and write the rows to sweep.json
     in eval_cfg.out_dir. Every K keeps only the samples injected at every
-    K, so all rows cover the same samples."""
-    cfgs = [dc_replace(inj_cfg, rounds=k) for k in ks]  # a bad K raises before any model call
+    K, so all rows cover the same samples. An empty or repeated K or model
+    list raises ValueError naming rounds or models, as does a bad K, before
+    any model call."""
+    for key, values in (("rounds", ks), ("models", detector_models)):
+        if not values:
+            raise ValueError(f"{key}: the list is empty")
+        repeated = [v for i, v in enumerate(values) if v in values[:i]]
+        if repeated:
+            raise ValueError(f"{key}: {repeated[0]!r} is listed more than once")
+    cfgs = [dc_replace(inj_cfg, rounds=k) for k in ks]
     clean = load_dataset(clean_dataset)
     out_dir = Path(eval_cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

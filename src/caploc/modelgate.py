@@ -1,7 +1,8 @@
 """Uniform model access: one request/response shape for every role a model
 plays (injector, detector, model under test, captioner), with an HTTP
 backend, a deterministic scripted backend for tests, a content-addressed
-response cache, and retry with exponential backoff.
+response cache, and retry with exponential backoff or the server's
+Retry-After.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import hashlib
 import json
 import logging
 import os
+import re
 import threading
 import time
 from dataclasses import dataclass, field
@@ -65,7 +67,12 @@ class BackendError(Exception):
 
 
 class RetryableBackendError(BackendError):
-    pass
+    """A failure worth retrying; retry_after is the wait in seconds the
+    server asked for, if it named one."""
+
+    def __init__(self, message: str, retry_after: float | None = None):
+        super().__init__(message)
+        self.retry_after = retry_after
 
 
 class ScriptExhaustedError(BackendError):
@@ -239,7 +246,12 @@ class HttpBackend:
         except requests.RequestException as exc:
             raise BackendError(f"request failed: {type(exc).__name__}: {exc}") from exc
         if resp.status_code == 429 or resp.status_code >= 500:
-            raise RetryableBackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
+            retry_after = None
+            if resp.status_code in (429, 503):
+                retry_after = _retry_after_seconds(resp.headers.get("Retry-After"))
+            raise RetryableBackendError(
+                f"HTTP {resp.status_code}: {resp.text[:200]}", retry_after=retry_after
+            )
         if resp.status_code >= 400:
             raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         try:
@@ -252,6 +264,14 @@ class HttpBackend:
                 f'malformed backend response: no string "text" in {resp.text[:200]}'
             )
         return text
+
+
+def _retry_after_seconds(value: str | None) -> float | None:
+    """A Retry-After header given in seconds; None for an HTTP-date, a
+    malformed value or no header."""
+    if value is None or not re.fullmatch(r"[0-9]+(\.[0-9]+)?", value.strip()):
+        return None
+    return float(value)
 
 
 @dataclass
@@ -349,7 +369,10 @@ class ModelGate:
             except RetryableBackendError as exc:
                 last = exc
                 if attempt < self.retry.attempts:
-                    wait = self.retry.delay(attempt)
+                    if exc.retry_after is None:
+                        wait = self.retry.delay(attempt)
+                    else:
+                        wait = min(exc.retry_after, self.retry.max_delay)
                     logger.warning(
                         "retryable failure (attempt %d/%d), backing off %.1fs: %s",
                         attempt,

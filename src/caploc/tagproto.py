@@ -15,7 +15,7 @@ from enum import Enum
 
 from .corpus import HallucinationSpan
 from .diffannot import KEEP, diff_tokens
-from .text import TokenizedCaption, token_equal_sequence, tokenize
+from .text import TokenizedCaption, tokenize
 
 OPEN_TAG = "<HALLUCINATION>"
 CLOSE_TAG = "</HALLUCINATION>"
@@ -163,14 +163,14 @@ def align_to_reference(
 ) -> Prediction:
     """Map marked byte ranges onto reference token indices.
 
-    A faithful output (token sequence identical to the reference) maps
-    positionally. An output that is byte-identical to the reference source
-    is such an output and maps onto ref's own tokens without being
-    tokenized again. Otherwise the output tokens are aligned to the
-    reference by the same diff engine used for gold annotation; marks on
-    tokens the alignment cannot place are dropped. Coverage is the fraction
-    of output tokens the alignment placed; an empty output against a
-    non-empty reference counts as zero coverage.
+    An output that is byte-identical to the reference source maps onto
+    ref's own tokens without being tokenized again. Any other output is
+    tokenized and aligned to the reference by the same diff engine used for
+    gold annotation; marks on tokens the alignment cannot place are
+    dropped. The output is faithful when the alignment keeps every token on
+    both sides (its token sequence equals the reference's). Coverage is the
+    fraction of output tokens the alignment placed; an empty output against
+    a non-empty reference counts as zero coverage.
     """
     ranges = tuple(marked_ranges)
     if stripped == ref.source:
@@ -180,13 +180,6 @@ def align_to_reference(
             alignment_coverage=1.0,
         )
     out_tc = tokenize(stripped)
-    if token_equal_sequence(out_tc, ref):
-        return Prediction(
-            indices=frozenset(marked_token_indices(out_tc, ranges)),
-            faithful=True,
-            alignment_coverage=1.0,
-        )
-
     marked_out = marked_token_indices(out_tc, ranges)
     script = diff_tokens(out_tc, ref)
     indices: set[int] = set()
@@ -203,5 +196,7 @@ def align_to_reference(
     else:
         coverage = 1.0 if len(ref) == 0 else 0.0
     return Prediction(
-        indices=frozenset(indices), faithful=False, alignment_coverage=coverage
+        indices=frozenset(indices),
+        faithful=all(op.kind == KEEP for op in script.ops),
+        alignment_coverage=coverage,
     )

@@ -197,11 +197,3 @@ def split_sentences(tc: TokenizedCaption) -> SentenceIndex:
             )
         )
     return SentenceIndex(tuple(sentences))
-
-
-def token_equal_sequence(a: TokenizedCaption, b: TokenizedCaption) -> bool:
-    """True iff the two token text sequences match exactly (case-sensitive).
-
-    Inter-token whitespace differences do not matter; casing does.
-    """
-    return a.texts() == b.texts()

@@ -421,6 +421,34 @@ class TestSweepRounds:
         assert backend.requests == []
 
 
+    @pytest.mark.parametrize(
+        "flags, config, message",
+        [
+            (["--rounds", ","], None, "error: rounds: the list is empty"),
+            ([], {"rounds": []}, "error: rounds: the list is empty"),
+            (["--rounds", "1,1"], None, "error: rounds: 1 is listed more than once"),
+            (["--models", "m,m"], None, "error: models: 'm' is listed more than once"),
+            (["--models", ","], None, "error: models: the list is empty"),
+        ],
+        ids=["flag_empty", "config_empty", "repeated_k", "repeated_model", "empty_models"],
+    )
+    def test_empty_or_repeated_list_exits_before_any_model_call(
+        self, tmp_path, capsys, backends, flags, config, message
+    ):
+        clean = write_dataset(tmp_path, base_samples(), name="clean.jsonl")
+        script = inject_script(tmp_path)
+        argv = ["sweep", "--dataset", str(clean), "--models", "locator", "--script", str(script)]
+        if config is not None:
+            config_path = tmp_path / "config.json"
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            argv += ["--config", str(config_path)]
+        assert main([*argv, *flags, "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
+        (backend,) = backends
+        assert backend.requests == []
+        assert not (tmp_path / "out").exists()
+
+
 class TestSweepAndReport:
     def test_sweep_table_and_file(self, tmp_path, capsys):
         clean = write_dataset(

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -206,3 +207,28 @@ def test_determinism():
     a = script_for("one two three two one", "two one three one")
     b = script_for("one two three two one", "two one three one")
     assert a == b
+
+
+def test_long_caption_diff_fills_only_a_band():
+    """One dropped word in a 1000-token caption: the banded diff stays far
+    under the ~48 MB that two full (m+1) x (n+1) tables take, so a fallback
+    to the full table fails here. This bounds work, not wall time."""
+    rng = random.Random(23)
+    words = [rng.choice(VOCAB) + str(rng.randrange(20)) for _ in range(1000)]
+    g = tokenize(" ".join(words))
+    c = tokenize(" ".join(words[:500] + words[501:]))
+    tracemalloc.start()
+    try:
+        script = diff_tokens(g, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
+    p = next(i for i, (a, b) in enumerate(zip(g.texts(), c.texts())) if a != b)
+    assert p >= 500
+    assert op_tuples(script) == [
+        (KEEP, 0, p, 0, p),
+        (DELETE, p, p + 1, p, p),
+        (KEEP, p + 1, 1000, p, 999),
+    ]
+    assert (script.g_len, script.c_len) == (1000, 999)

@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import time
@@ -48,6 +49,63 @@ def test_http_transport_errors_are_backend_errors(exc, retryable):
     with pytest.raises(BackendError) as info:
         backend.send(make_req())
     assert isinstance(info.value, RetryableBackendError) == retryable
+
+
+class BusySession:
+    """Stands in for requests.Session: the first post gets the given status
+    and Retry-After header (None for no header), every later one a 200."""
+
+    def __init__(self, status, retry_after):
+        self.first = (status, retry_after)
+
+    def post(self, url, **kwargs):
+        resp = requests.Response()
+        resp.status_code, resp._content = 200, json.dumps({"text": "ok"}).encode()
+        if self.first is not None:
+            (resp.status_code, header), self.first = self.first, None
+            resp._content = b"busy"
+            if header is not None:
+                resp.headers["Retry-After"] = header
+        return resp
+
+
+@pytest.mark.parametrize(
+    "status, header, wait",
+    [
+        (429, "3", 3.0),
+        (503, " 0 ", 0.0),
+        (503, "1.5", 1.5),
+        (429, "120", 8.0),
+        (429, "Wed, 21 Oct 2015 07:28:00 GMT", 0.5),
+        (503, "soon", 0.5),
+        (429, "-1", 0.5),
+        (429, None, 0.5),
+        (500, "3", 0.5),
+    ],
+    ids=[
+        "429_seconds",
+        "503_zero",
+        "503_fraction",
+        "capped_at_max_delay",
+        "http_date_ignored",
+        "malformed_ignored",
+        "negative_ignored",
+        "no_header",
+        "500_not_read",
+    ],
+)
+def test_retry_after_sets_the_backoff(status, header, wait):
+    """429 and 503 replies wait the server's Retry-After seconds, capped at
+    max_delay; otherwise the policy's backoff applies."""
+    sleeps = []
+    gate = ModelGate(
+        HttpBackend("http://localhost:9", session=BusySession(status, header)),
+        retry=RetryPolicy(attempts=3, base_delay=0.5, max_delay=8.0),
+        sleep=sleeps.append,
+    )
+    response = gate.complete(make_req())
+    assert (response.text, response.attempts) == ("ok", 2)
+    assert sleeps == [wait]
 
 
 def test_cache_key_stable():

@@ -1,11 +1,13 @@
-"""Differential tests of the tokenizer, the sentence splitter, the tag
-aligner, the injector's reply handling and the adversarial loop against the
-straightforward implementations they replaced, kept here as oracles.
+"""Differential tests of the tokenizer, the sentence splitter, the token
+diff, the tag aligner, the injector's reply handling and the adversarial
+loop against the straightforward implementations they replaced, kept here
+as oracles.
 
 The oracles are the reference semantics: any speed-up or simplification of
-tokenize, split_sentences, marked_token_indices, align_to_reference,
-inject_round or run_adversarial must agree with them on every token field,
-every sentence, every Prediction, and every injection state and error.
+tokenize, split_sentences, diff_tokens, marked_token_indices,
+align_to_reference, inject_round or run_adversarial must agree with them on
+every token field, every sentence, every edit op, every Prediction, and
+every injection state and error.
 """
 
 from __future__ import annotations
@@ -19,7 +21,16 @@ from dataclasses import dataclass, replace as dc_replace
 from hypothesis import given, settings, strategies as st
 
 from caploc.corpus import DIMENSION_VALUES, BenchmarkSample, Dimension, HallucinationSpan
-from caploc.diffannot import DELETE, INSERT, KEEP, REPLACE, diff_tokens
+from caploc.diffannot import (
+    DELETE,
+    INSERT,
+    KEEP,
+    REPLACE,
+    EditOp,
+    EditScript,
+    _lcs_length,
+    diff_tokens,
+)
 from caploc.inject import (
     InjectedSpan,
     InjectionConfig,
@@ -118,6 +129,89 @@ def oracle_tokenize(text: str) -> TokenizedCaption:
     return TokenizedCaption(source=text, tokens=tokens)
 
 
+def oracle_diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> EditScript:
+    """The same objective and tie-break as diff_tokens, over two full
+    (m+1) x (n+1) tables."""
+    gt = [t.text for t in g.tokens]
+    ct = [t.text for t in c.tokens]
+    m, n = len(gt), len(ct)
+    w = m + n + 2
+    neg = -(1 << 60)
+
+    vk = [[0] * (n + 1) for _ in range(m + 1)]
+    vg = [[0] * (n + 1) for _ in range(m + 1)]
+    for j in range(n - 1, -1, -1):
+        vk[m][j] = -1
+    for i in range(m - 1, -1, -1):
+        vk[i][n] = -1
+        row_k, row_g = vk[i], vg[i]
+        below_k, below_g = vk[i + 1], vg[i + 1]
+        gi = gt[i]
+        for j in range(n - 1, -1, -1):
+            keep_val = w + below_k[j + 1] if gi == ct[j] else neg
+            a, b = below_g[j], row_g[j + 1]
+            gap_best = a if a >= b else b
+            row_g[j] = keep_val if keep_val >= gap_best else gap_best
+            gap_open = gap_best - 1
+            row_k[j] = keep_val if keep_val >= gap_open else gap_open
+
+    steps: list[str] = []
+    i = j = 0
+    entered = True
+    while i < m or j < n:
+        cur = vk[i][j] if entered else vg[i][j]
+        if i < m and j < n and gt[i] == ct[j] and cur == w + vk[i + 1][j + 1]:
+            steps.append("k")
+            i += 1
+            j += 1
+            entered = True
+            continue
+        open_cost = 1 if entered else 0
+        if i < m and cur == vg[i + 1][j] - open_cost:
+            steps.append("g")
+            i += 1
+        else:
+            steps.append("c")
+            j += 1
+        entered = False
+
+    ops: list[EditOp] = []
+    i = j = 0
+    pos = 0
+    while pos < len(steps):
+        if steps[pos] == "k":
+            ki, kj = i, j
+            while pos < len(steps) and steps[pos] == "k":
+                i += 1
+                j += 1
+                pos += 1
+            ops.append(EditOp(KEEP, ki, i, kj, j))
+        else:
+            bi, bj = i, j
+            while pos < len(steps) and steps[pos] != "k":
+                if steps[pos] == "g":
+                    i += 1
+                else:
+                    j += 1
+                pos += 1
+            if bi < i and bj < j:
+                ops.append(EditOp(REPLACE, bi, i, bj, j))
+            elif bi < i:
+                ops.append(EditOp(DELETE, bi, i, j, j))
+            else:
+                ops.append(EditOp(INSERT, i, i, bj, j))
+    return EditScript(ops=tuple(ops), g_len=m, c_len=n)
+
+
+def oracle_lcs_length(a: list[str], b: list[str]) -> int:
+    row = [0] * (len(b) + 1)
+    for x in a:
+        prev = row[:]
+        for j, y in enumerate(b):
+            row[j + 1] = prev[j] + 1 if x == y else max(prev[j + 1], row[j])
+    return row[-1]
+
+
 def oracle_marked_token_indices(tc, ranges) -> set[int]:
     marked: set[int] = set()
     for tok in tc.tokens:
@@ -138,7 +232,7 @@ def oracle_align_to_reference(stripped, marked_ranges, ref) -> Prediction:
             alignment_coverage=1.0,
         )
     marked_out = oracle_marked_token_indices(out_tc, ranges)
-    script = diff_tokens(out_tc, ref)
+    script = oracle_diff_tokens(out_tc, ref)
     indices: set[int] = set()
     aligned = 0
     for op in script.ops:
@@ -206,7 +300,7 @@ def oracle_parse_injector_response(
     parsed = parse_tags(tagged_part)
     out_tc = tokenize(parsed.stripped)
     marked = marked_token_indices(out_tc, parsed.marked_ranges)
-    script = diff_tokens(out_tc, clean)
+    script = oracle_diff_tokens(out_tc, clean)
 
     problems: list[str] = []
     op_at: list = [None] * len(out_tc)
@@ -493,6 +587,34 @@ def detector(replies: list):
     return respond
 
 
+# diff material: two- and three-word vocabularies make repeated words, ties
+# between alignments and paths along the band's edge diagonals common
+DIFF_VOCABS = [["a", "b"], ["a", "b", "c"]]
+
+
+@st.composite
+def diff_pairs(draw) -> tuple[list[str], list[str]]:
+    """(g, c) word lists: a random pair, or c a copy of g with up to three
+    drop, insert and replace edits; either one may come first."""
+    word = st.sampled_from(draw(st.sampled_from(DIFF_VOCABS)))
+    g = draw(st.lists(word, max_size=14))
+    if draw(st.booleans()):
+        c = draw(st.lists(word, max_size=14))
+    else:
+        c = list(g)
+        for _ in range(draw(st.integers(0, 3))):
+            edit = draw(st.sampled_from(["drop", "insert", "replace"]))
+            if edit == "insert":
+                c.insert(draw(st.integers(0, len(c))), draw(word))
+            elif c:
+                at = draw(st.integers(0, len(c) - 1))
+                if edit == "drop":
+                    del c[at]
+                else:
+                    c[at] = draw(word)
+    return (c, g) if draw(st.booleans()) else (g, c)
+
+
 def byte_ranges(limit: int):
     """Unsorted, overlapping, zero-width and out-of-bounds byte ranges."""
     bound = st.integers(-2, limit + 2)
@@ -509,6 +631,23 @@ def test_tokenize_matches_oracle(text):
     assert got.source == want.source
     assert token_fields(got) == token_fields(want)
     assert count_tokens(text) == len(want)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(diff_pairs())
+def test_diff_tokens_matches_oracle(pair):
+    g, c = (tokenize(" ".join(words)) for words in pair)
+    assert diff_tokens(g, c) == oracle_diff_tokens(g, c)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_lcs_length_matches_plain_dp(data):
+    # up to 70 tokens, so the bit rows cross machine-word and int-digit edges
+    word = st.sampled_from(data.draw(st.sampled_from(DIFF_VOCABS)))
+    a = data.draw(st.lists(word, max_size=70))
+    b = data.draw(st.lists(word, max_size=70))
+    assert _lcs_length(a, b) == oracle_lcs_length(a, b)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,9 +1,9 @@
 import random
 
+from caploc.tagproto import align_to_reference
 from caploc.text import (
     TOKENIZER_VERSION,
     split_sentences,
-    token_equal_sequence,
     tokenize,
 )
 
@@ -140,14 +140,18 @@ def test_sentence_partition_property():
         assert covered == list(range(len(tc)))
 
 
+def faithfulness(output, reference):
+    p = align_to_reference(output, (), tokenize(reference))
+    return p.faithful, p.alignment_coverage
+
+
 def test_equal_sequence_whitespace_insensitive():
-    assert token_equal_sequence(tokenize("a  red car"), tokenize("a red car"))
+    assert faithfulness("a  red car", "a red car") == (True, 1.0)
 
 
 def test_equal_sequence_case_sensitive():
-    assert not token_equal_sequence(tokenize("a Red car"), tokenize("a red car"))
+    assert faithfulness("a Red car", "a red car") == (False, 2 / 3)
 
 
 def test_equal_sequence_identity():
-    tc = tokenize("same text.")
-    assert token_equal_sequence(tc, tc)
+    assert faithfulness("same text.", "same text.") == (True, 1.0)
