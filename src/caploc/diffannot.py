@@ -6,16 +6,24 @@ hallucinated; runs of marked tokens merge into spans. Pure insertions (words
 the corrector added with no counterpart) anchor to the preceding token so the
 mark stays token-indexable.
 
-The diff is exact and banded: it keeps the common prefix, computes the LCS
-length of the rest with a bit-parallel recurrence (Hyyro 2004), and fills
-the dynamic program only on the diagonals an optimal alignment can reach
-(Myers 1986). With D the number of tokens not kept on either side, a diff of
-m and n tokens costs about O(m + n + (m+n)*D) instead of O(m*n).
+The diff is exact. It keeps the common prefix, and two bit-parallel passes
+(Hyyro 2004) over the rest give the LCS length of every prefix and suffix
+of either side, the values Hirschberg's (1975) divide and conquer splits
+on. From them it finds the forced keeps, token pairs that every LCS
+alignment keeps, and splits there. Each segment between forced keeps is
+diffed on its own by a dynamic program filled only on the diagonals an
+optimal alignment can reach (Myers 1986). Local edits in a long caption
+leave short segments, so such a diff costs about 2m big-int steps and
+O(m + n) Python steps. An output with little in common with its reference
+has no forced keeps; with D the number of tokens not kept on either side,
+it costs about O(m + n + (m+n)*D) instead of O(m*n).
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .corpus import Dimension, HallucinationSpan
 from .text import TokenizedCaption
@@ -50,63 +58,78 @@ class EditScript:
 
 
 _NEG = -(1 << 60)
+_RUNS = re.compile("k+|[gc]+")  # a run of keeps, or one gap block
 
 
-def _lcs_length(a: list[str], b: list[str]) -> int:
-    """Length of a longest common subsequence of a and b.
+def _prefix_lcs(a: list[str], b: list[str]) -> tuple[list[int], list[int]]:
+    """[LCS(a[:i], b) for i in 0..len(a)] and [LCS(a, b[:j]) for j in 0..len(b)].
 
     Bit-parallel row recurrence (Allison & Dix 1986; Hyyro 2004): bit j of
     v is set while b[j] is not yet matched, and each a token advances the
-    whole row in a few big-int operations, so the cost is O(len(a)) steps
-    on len(b)-bit integers.
+    whole row in a few big-int operations. After a[:i] the zero bits of v
+    count LCS(a[:i], b); after all of a, the zero bits below bit j count
+    LCS(a, b[:j]).
     """
     masks: dict[str, int] = {}
     for j, text in enumerate(b):
         masks[text] = masks.get(text, 0) | (1 << j)
-    full = (1 << len(b)) - 1
+    n = len(b)
+    full = (1 << n) - 1
     v = full
+    rows = [0]
     for text in a:
         mask = masks.get(text)
         if mask:
             u = v & mask
             v = ((v + u) | (v - u)) & full
-    return len(b) - v.bit_count()
+        rows.append(n - v.bit_count())
+    # the matched (zero) bits of v as a 0/1 string, bit 0 first
+    matched = bin((full ^ v) | (1 << n))[:2:-1]
+    return rows, [0, *accumulate(map(int, matched))]
 
 
-def diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> EditScript:
-    """Minimal token-level edit script turning g into c.
+def _lcs_profiles(
+    a: list[str], b: list[str]
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """LCS(a[:i], b), LCS(a[i:], b), LCS(a, b[:j]) and LCS(a, b[j:]) for
+    every i and j, from one forward and one reversed bit-parallel pass."""
+    rows, cols = _prefix_lcs(a, b)
+    rev_rows, rev_cols = _prefix_lcs(a[::-1], b[::-1])
+    return rows, rev_rows[::-1], cols, rev_cols[::-1]
 
-    Primary objective: a maximum number of kept tokens (an LCS alignment).
-    Among maximum alignments the one with the fewest gap blocks (maximal runs
-    of non-keep edits) wins; an alignment that grabs the wrong partner among
-    repeated words needs an extra block, so this keeps aligned runs contiguous
-    and avoids insert ops that would mark an innocent neighboring token.
-    Remaining ties resolve by a fixed forward preference (keep, then consume
-    g, then consume c), making the output deterministic.
 
-    The common prefix is kept outright: a keep is always optimal there and
-    preferred first, and every value is a suffix value, so the rest diffs
-    alone. (A common suffix cannot be trimmed that way: the forward
-    tie-break reads the suffix.) Every optimal alignment of the rest keeps
-    its LCS length L, so it takes m-L g-steps and n-L c-steps and stays on
-    the diagonals i-j in [-(n-L), m-L]; only that band is filled. Banded
-    values never exceed the true ones and equal them on every optimal path,
-    so the traceback takes the same steps as over the full table. With D
-    tokens not kept on either side, the band holds about (m+n)*D cells, so
-    the cost is about O(m + n + (m+n)*D) Python steps, plus the LCS
-    length's m big-int steps on n-bit integers.
+def _forced(before: list[int], after: list[int], total: int) -> dict[int, int]:
+    """k -> x for each token x that every LCS alignment keeps as its keep
+    number k (from 0), given the LCS lengths before and after each cut.
+
+    An LCS alignment keeps `total` tokens: at most before[x] of them ahead
+    of cut x and at most after[x] behind it. So where before[x] + after[x]
+    == total (the cut is pinned) it keeps exactly before[x] ahead. Two
+    pinned cuts one token apart whose counts differ by one force that token.
     """
-    gt = [t.text for t in g.tokens]
-    ct = [t.text for t in c.tokens]
-    w = len(gt) + len(ct) + 2  # one kept token outweighs any possible block count
-    p = 0
-    for gp, cp in zip(gt, ct):
-        if gp != cp:
-            break
-        p += 1
-    del gt[:p], ct[:p]
+    pinned = [x + y == total for x, y in zip(before, after)]
+    return {
+        k: x
+        for x, (k, k_next, pin, pin_next) in enumerate(
+            zip(before, before[1:], pinned, pinned[1:])
+        )
+        if pin and pin_next and k != k_next
+    }
+
+
+def _band_steps(gt: list[str], ct: list[str], kept: int) -> str:
+    """The steps ("k" keep, "g" consume g, "c" consume c) of the optimal
+    alignment of gt and ct under diff_tokens' objective and tie-break,
+    starting after a keep, given their LCS length.
+
+    Every optimal alignment keeps `kept` tokens, so it takes m-kept g-steps
+    and n-kept c-steps and stays on the diagonals i-j in [-(n-kept),
+    m-kept]; only that band is filled. Banded values never exceed the true
+    ones and equal them on every optimal path, so the traceback takes the
+    same steps as over the full table.
+    """
     m, n = len(gt), len(ct)
-    kept = _lcs_length(gt, ct)
+    w = m + n + 2  # one kept token outweighs any possible block count
     lo, hi = m - kept, n - kept  # the band is -hi <= i - j <= lo
     rct = ct[::-1]
 
@@ -166,33 +189,81 @@ def diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> EditScript:
             steps.append("c")
             j += 1
         entered = False
+    return "".join(steps)
+
+
+def diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> EditScript:
+    """Minimal token-level edit script turning g into c.
+
+    Primary objective: a maximum number of kept tokens (an LCS alignment).
+    Among maximum alignments the one with the fewest gap blocks (maximal runs
+    of non-keep edits) wins; an alignment that grabs the wrong partner among
+    repeated words needs an extra block, so this keeps aligned runs contiguous
+    and avoids insert ops that would mark an innocent neighboring token.
+    Remaining ties resolve by a fixed forward preference (keep, then consume
+    g, then consume c), making the output deterministic.
+
+    The common prefix is kept outright: a keep is always optimal there and
+    preferred first, and every value is a suffix value, so the rest diffs
+    alone. (A common suffix cannot be trimmed that way: the forward
+    tie-break reads the suffix.) Two bit-parallel passes over the rest give
+    the LCS length of every prefix and suffix of either side (the values
+    Hirschberg's divide and conquer splits on), and from them the forced
+    keeps: token pairs that every LCS alignment keeps. Block counts add up
+    across a keep, and every optimal path runs through a forced keep, so
+    the traceback's first-equal choices on each side of one depend only on
+    that side: the segments between forced keeps are diffed on their own
+    by the banded dynamic program (_band_steps) and joined with keeps.
+
+    Cost: 2m big-int steps on n-bit integers and O(m + n) Python steps for
+    the profiles, plus about (a+b)*d band cells for each segment of a and
+    b tokens with d of them not kept. Local edits in a long caption leave
+    small segments; an output that shares little with its reference has no
+    forced keeps and fills one band of about (m+n)*D cells, with D the
+    tokens not kept on either side.
+    """
+    gt = [t.text for t in g.tokens]
+    ct = [t.text for t in c.tokens]
+    p = 0
+    for gp, cp in zip(gt, ct):
+        if gp != cp:
+            break
+        p += 1
+    del gt[:p], ct[:p]
+    m, n = len(gt), len(ct)
+    rows_before, rows_after, cols_before, cols_after = _lcs_profiles(gt, ct)
+    g_forced = _forced(rows_before, rows_after, rows_before[m])
+    c_forced = _forced(cols_before, cols_after, rows_before[m])
+
+    # forced keeps as (g, c) pairs, in order; (m, n) closes the last segment
+    pairs = [(i, c_forced[k]) for k, i in g_forced.items() if k in c_forced]
+    parts: list[str] = []
+    done = 0  # g tokens covered by the parts so far
+    for (i0, j0), (i, j) in zip([(-1, -1), *pairs], [*pairs, (m, n)]):
+        i0, j0 = i0 + 1, j0 + 1
+        if i > i0 or j > j0:
+            parts.append("k" * (i0 - done))  # the forced keeps since the last segment
+            parts.append(_band_steps(gt[i0:i], ct[j0:j], rows_before[i] - rows_before[i0]))
+            done = i
+    parts.append("k" * (m - done))
 
     # the rest starts with a gap, so the prefix is one KEEP op of its own
     ops: list[EditOp] = [EditOp(KEEP, 0, p, 0, p)] if p else []
     i = j = p
-    pos = 0
-    while pos < len(steps):
-        if steps[pos] == "k":
-            ki, kj = i, j
-            while pos < len(steps) and steps[pos] == "k":
-                i += 1
-                j += 1
-                pos += 1
-            ops.append(EditOp(KEEP, ki, i, kj, j))
+    for run in _RUNS.findall("".join(parts)):
+        if run[0] == "k":
+            ops.append(EditOp(KEEP, i, i + len(run), j, j + len(run)))
+            i, j = i + len(run), j + len(run)
+            continue
+        dg = run.count("g")
+        dc = len(run) - dg
+        if dg and dc:
+            ops.append(EditOp(REPLACE, i, i + dg, j, j + dc))
+        elif dg:
+            ops.append(EditOp(DELETE, i, i + dg, j, j))
         else:
-            bi, bj = i, j
-            while pos < len(steps) and steps[pos] != "k":
-                if steps[pos] == "g":
-                    i += 1
-                else:
-                    j += 1
-                pos += 1
-            if bi < i and bj < j:
-                ops.append(EditOp(REPLACE, bi, i, bj, j))
-            elif bi < i:
-                ops.append(EditOp(DELETE, bi, i, j, j))
-            else:
-                ops.append(EditOp(INSERT, i, i, bj, j))
+            ops.append(EditOp(INSERT, i, i, j, j + dc))
+        i, j = i + dg, j + dc
     return EditScript(ops=tuple(ops), g_len=p + m, c_len=p + n)
 
 

@@ -11,6 +11,7 @@ clean caption by construction, and reverting a span is simply dropping it.
 
 from __future__ import annotations
 
+import functools
 import logging
 import re
 from dataclasses import dataclass, field, replace as dc_replace
@@ -36,7 +37,10 @@ class InjectionError(RuntimeError):
     pass
 
 
+@functools.cache
 def load_template(name: str) -> str:
+    """The prompt template `name`, read from the package assets once per
+    process."""
     path = _ASSET_DIR / f"{name}_{PROMPT_VERSION}.txt"
     return path.read_text(encoding="utf-8")
 
@@ -122,8 +126,19 @@ class InjectionState:
     def current_text(self) -> str:
         return _render(self.clean, self.spans)
 
-    def current_tokens(self) -> TokenizedCaption:
-        return tokenize(self.current_text())
+    def current_token_texts(self) -> list[str]:
+        """Token texts of current_text(), spliced from the clean tokens and
+        the replacements. _render sets every replacement off with whitespace,
+        so tokenizing current_text() gives the same texts."""
+        clean = [t.text for t in self.clean.tokens]
+        out: list[str] = []
+        pos = 0
+        for s in self.spans:
+            out += clean[pos : s.clean_start]
+            out += s.replacement
+            pos = s.clean_end
+        out += clean[pos:]
+        return out
 
 
 def _render(clean: TokenizedCaption, spans: list[InjectedSpan]) -> str:
@@ -328,8 +343,7 @@ def detect_round(
     ground its quoted phrases as token ranges."""
     if not state.spans:
         raise ValueError("detect_round: no injected spans to detect")
-    current = state.current_tokens()
-    prompt = fill_template(load_template("detect"), caption=current.source)
+    prompt = fill_template(load_template("detect"), caption=state.current_text())
     request = ModelRequest(
         model=cfg.detector_model,
         system="",
@@ -343,7 +357,7 @@ def detect_round(
 
     detected: list[DetectedSpan] = []
     dropped: list[str] = []
-    token_texts = [t.text for t in current.tokens]
+    token_texts = state.current_token_texts()
     for line in response.text.split("\n"):
         for match in _QUOTED_RE.finditer(line):
             phrase = match.group(1)

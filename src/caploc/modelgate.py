@@ -121,15 +121,21 @@ class ResponseCache:
         return self.directory / f"{key}.json"
 
     def get(self, key: str) -> str | None:
+        """The cached reply, or None on a miss. An entry that is not UTF-8
+        JSON holding an object with a string "text" counts as a miss, and
+        the next put() rewrites it."""
         path = self._path(key)
         try:
             with open(path, encoding="utf-8") as f:
-                return json.load(f)["text"]
+                text = json.load(f)["text"]
         except FileNotFoundError:
             return None
-        except (json.JSONDecodeError, KeyError):
-            logger.warning("dropping unreadable cache entry %s", path)
-            return None
+        except (ValueError, KeyError, TypeError):  # ValueError covers bad JSON and UTF-8
+            text = None
+        if isinstance(text, str):
+            return text
+        logger.warning("dropping unreadable cache entry %s", path)
+        return None
 
     def put(self, key: str, text: str) -> None:
         path = self._path(key)

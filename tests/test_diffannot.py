@@ -4,6 +4,7 @@ from functools import lru_cache
 
 import pytest
 
+from caploc import diffannot
 from caploc.diffannot import (
     DELETE,
     INSERT,
@@ -232,3 +233,34 @@ def test_long_caption_diff_fills_only_a_band():
         (KEEP, p + 1, 1000, p, 999),
     ]
     assert (script.g_len, script.c_len) == (1000, 999)
+
+
+def test_scattered_edits_band_only_their_segments(monkeypatch):
+    """Five one-word substitutions in a 1000-token caption: every other
+    token is a keep that all optimal alignments make, so the band DP runs
+    only on the short segments between such keeps. A diff that banded the
+    whole rest would fill about 10000 cells here."""
+    rng = random.Random(24)
+    # 500 distinct words, most of them repeated somewhere in the caption
+    words = [rng.choice(VOCAB) + str(rng.randrange(50)) for _ in range(1000)]
+    positions = sorted(rng.sample(range(1000), 5))
+    edited = list(words)
+    for p in positions:
+        edited[p] = f"zzq{p}"
+    cells = []
+    band_steps = diffannot._band_steps
+
+    def recording(gt, ct, kept):
+        cells.append((len(gt) + 1) * (len(ct) + 1))
+        return band_steps(gt, ct, kept)
+
+    monkeypatch.setattr(diffannot, "_band_steps", recording)
+    script = script_for(" ".join(edited), " ".join(words))
+    assert 1 <= len(cells) <= 5
+    assert sum(cells) < 200
+    expected, pos = [], 0
+    for p in positions:
+        expected += [(KEEP, pos, p, pos, p), (REPLACE, p, p + 1, p, p + 1)]
+        pos = p + 1
+    expected.append((KEEP, pos, 1000, pos, 1000))
+    assert op_tuples(script) == [op for op in expected if op[1] < op[2]]

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from caploc.corpus import BenchmarkSample, HallucinationSpan
 from caploc.inject import (
+    _QUOTED_RE,
     DetectedSpan,
     InjectedSpan,
     InjectionConfig,
@@ -42,7 +45,7 @@ def tagged_caption(state):
     spans = [
         HallucinationSpan(a, b, s.dimension) for (a, b), s in zip(state.span_layout(), state.spans)
     ]
-    return serialize_tags(state.current_tokens(), spans)
+    return serialize_tags(tokenize(state.current_text()), spans)
 
 TAG = "<HALLUCINATION>"
 END = "</HALLUCINATION>"
@@ -102,7 +105,9 @@ class TestInjectRound:
         assert state.spans == [
             InjectedSpan(clean_start=3, clean_end=3, replacement=("with", "flames"), dimension="scene")
         ]
-        assert list(state.current_tokens().texts()) == ["a", "red", "car", "with", "flames", "."]
+        assert list(tokenize(state.current_text()).texts()) == [
+            "a", "red", "car", "with", "flames", "."
+        ]
 
     def test_unfaithful_then_retry_succeeds(self):
         gate, backend = make_gate(
@@ -363,6 +368,37 @@ class TestRunAdversarial:
         assert [r.purpose for r in backend.requests] == ["inject", "detect", "detect"]
         assert outcome.sample.gold_spans == [HallucinationSpan(1, 2, "color")]
 
+    def test_tokenize_calls(self, monkeypatch):
+        """One tokenize for the clean caption, one per injector reply and one
+        per quoted detector phrase: the working caption is spliced, not
+        tokenized again."""
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("caploc.") and getattr(module, "tokenize", None) is tokenize:
+                monkeypatch.setattr(module, "tokenize", counting)
+        unfaithful = f"a {TAG}blue{END} truck parked near the gate.\nLABELS: color"
+        first = f"a {TAG}blue{END} car parked near the {TAG}open{END} gate.\nLABELS: color, scene"
+        second = f"a red car parked near the {TAG}open{END} gate.\nLABELS: scene"
+        detect = ['"blue" - odd\n"zebra" - not there', "No issues found."]
+        cfg = InjectionConfig(rounds=2, include_image=False)
+        gate, _ = make_gate(
+            [inject_rule(unfaithful, first, second), ScriptRule(purpose="detect", responses=detect)]
+        )
+        outcome = run_adversarial(clean_sample(), cfg, gate)
+        audit = outcome.state.audit
+        replies = [e for e in audit if e["phase"] in ("inject", "inject_retry")]
+        phrases = [
+            m for e in audit if e["phase"] == "detect" for m in _QUOTED_RE.finditer(e["response"])
+        ]
+        assert (len(replies), len(phrases)) == (3, 2)
+        assert len(calls) == 1 + len(replies) + len(phrases)
+        assert outcome.sample.gold_spans == [HallucinationSpan(6, 7, "scene")]
+
     def test_all_caught_yields_clean_negative(self):
         cfg = InjectionConfig(rounds=1, include_image=False)
         first = f"a {TAG}blue{END} car parked near the gate.\nLABELS: color"
@@ -385,6 +421,41 @@ class TestRunAdversarial:
         gate, _ = make_gate(adversarial_rules())
         outcome = run_adversarial(clean_sample(), cfg, gate)
         assert "blue" not in outcome.sample.caption
+
+
+# splice material: ASCII and Unicode punctuation (P*), symbols (S*), letters,
+# digits and ASCII and Unicode whitespace
+SPLICE_CHARS = list(".,;:!?\"'()-") + [
+    "«", "»", "—", "。", "、", "$", "+", "€", "°", "©",
+    "a", "b", "é", "ж", "漢", "1", "½", " ", " ", "\u3000", "\u00a0", "\t", "\n",
+]
+splice_texts = st.text(st.sampled_from(SPLICE_CHARS), max_size=40)
+replacements = splice_texts.map(lambda t: tokenize(t).texts()).filter(bool)
+
+
+@st.composite
+def splice_states(draw):
+    """A clean caption with sorted spans: replaced ranges of one to three
+    tokens and zero-width insertions, adjacent ones included; each
+    replacement is the tokens of some random text."""
+    state = InjectionState(clean=tokenize(draw(splice_texts)))
+    total = len(state.clean.tokens)
+    pos, inserted = 0, False
+    while True:
+        # a skip at the end of the caption ends the walk
+        move = draw(st.sampled_from(["skip", "skip", "replace", "insert"]))
+        if move == "insert" and not inserted:
+            state.spans.append(InjectedSpan(pos, pos, draw(replacements)))
+            inserted = True
+        elif move == "replace" and pos < total:
+            end = draw(st.integers(pos + 1, min(total, pos + 3)))
+            state.spans.append(InjectedSpan(pos, end, draw(replacements)))
+            pos, inserted = end, False
+        elif pos < total:
+            pos, inserted = pos + 1, False
+        else:
+            break
+    return state
 
 
 class TestRenderLayoutProperties:
@@ -424,17 +495,18 @@ class TestRenderLayoutProperties:
         out.extend(clean[pos:])
         return out
 
-    def test_render_matches_token_splice(self):
-        rng = random.Random(4712)
-        for _ in range(300):
-            state = self.random_state(rng)
-            assert list(state.current_tokens().texts()) == self.expected_texts(state)
+    @settings(max_examples=500, deadline=None)
+    @given(splice_states())
+    def test_render_matches_token_splice(self, state):
+        texts = list(tokenize(state.current_text()).texts())
+        assert texts == self.expected_texts(state)
+        assert state.current_token_texts() == texts
 
     def test_layout_ranges_hold_replacements(self):
         rng = random.Random(913)
         for _ in range(300):
             state = self.random_state(rng)
-            texts = state.current_tokens().texts()
+            texts = tokenize(state.current_text()).texts()
             for (a, b), span in zip(state.span_layout(), state.spans):
                 assert tuple(texts[a:b]) == span.replacement
 
@@ -446,7 +518,7 @@ class TestRenderLayoutProperties:
                 continue
             tagged = tagged_caption(state)
             parsed = parse_tags(tagged.raw)
-            current = state.current_tokens()
+            current = tokenize(state.current_text())
             assert parsed.stripped == current.source
             marked = marked_token_indices(current, parsed.marked_ranges)
             expected = set()

@@ -197,6 +197,25 @@ def test_cache_survives_new_gate(tmp_path):
     assert gate2.complete(make_req()).text == "persisted"
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [b"\xff\xfe not utf-8", b'["text", "stale"]', b'{"text": 5}'],
+    ids=["not_utf8", "json_list", "text_not_a_string"],
+)
+def test_unreadable_cache_entry_is_a_miss(tmp_path, caplog, entry):
+    cache = ResponseCache(tmp_path / "cache")
+    path = tmp_path / "cache" / f"{cache_key(make_req())}.json"
+    path.write_bytes(entry)
+    backend = ScriptedBackend([ScriptRule(purpose="detect", responses=["fresh"])])
+    gate = ModelGate(backend, cache=cache)
+    with caplog.at_level("WARNING", logger="caploc.modelgate"):
+        response = gate.complete(make_req())
+    assert (response.text, response.cache_hit) == ("fresh", False)
+    assert len(backend.requests) == 1
+    assert "dropping unreadable cache entry" in caplog.text
+    assert json.loads(path.read_text(encoding="utf-8")) == {"text": "fresh"}
+
+
 class FlakyBackend:
     id = "flaky"
 

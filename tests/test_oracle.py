@@ -28,7 +28,7 @@ from caploc.diffannot import (
     REPLACE,
     EditOp,
     EditScript,
-    _lcs_length,
+    _lcs_profiles,
     diff_tokens,
 )
 from caploc.inject import (
@@ -203,13 +203,30 @@ def oracle_diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> EditScript:
     return EditScript(ops=tuple(ops), g_len=m, c_len=n)
 
 
-def oracle_lcs_length(a: list[str], b: list[str]) -> int:
-    row = [0] * (len(b) + 1)
-    for x in a:
-        prev = row[:]
-        for j, y in enumerate(b):
-            row[j + 1] = prev[j] + 1 if x == y else max(prev[j + 1], row[j])
-    return row[-1]
+def oracle_lcs_profiles(a: list[str], b: list[str]) -> tuple[list[int], ...]:
+    """LCS(a[:i], b), LCS(a[i:], b), LCS(a, b[:j]) and LCS(a, b[j:]) for
+    every i and j, read off a plain prefix table and a plain suffix table."""
+    m, n = len(a), len(b)
+    pre = [[0] * (n + 1) for _ in range(m + 1)]  # LCS(a[:i], b[:j])
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            if a[i - 1] == b[j - 1]:
+                pre[i][j] = pre[i - 1][j - 1] + 1
+            else:
+                pre[i][j] = max(pre[i - 1][j], pre[i][j - 1])
+    suf = [[0] * (n + 1) for _ in range(m + 1)]  # LCS(a[i:], b[j:])
+    for i in range(m - 1, -1, -1):
+        for j in range(n - 1, -1, -1):
+            if a[i] == b[j]:
+                suf[i][j] = suf[i + 1][j + 1] + 1
+            else:
+                suf[i][j] = max(suf[i + 1][j], suf[i][j + 1])
+    return (
+        [pre[i][n] for i in range(m + 1)],
+        [suf[i][0] for i in range(m + 1)],
+        [pre[m][j] for j in range(n + 1)],
+        [suf[0][j] for j in range(n + 1)],
+    )
 
 
 def oracle_marked_token_indices(tc, ranges) -> set[int]:
@@ -588,21 +605,24 @@ def detector(replies: list):
 
 
 # diff material: two- and three-word vocabularies make repeated words, ties
-# between alignments and paths along the band's edge diagonals common
-DIFF_VOCABS = [["a", "b"], ["a", "b", "c"]]
+# between alignments and paths along the band's edge diagonals common; long
+# edited copies over twenty words leave forced keeps, so the diff splits
+DIFF_VOCABS = [["a", "b"], ["a", "b", "c"], [f"w{i}" for i in range(20)]]
 
 
 @st.composite
 def diff_pairs(draw) -> tuple[list[str], list[str]]:
-    """(g, c) word lists: a random pair, or c a copy of g with up to three
-    drop, insert and replace edits; either one may come first."""
+    """(g, c) word lists: a random pair of up to 14 words, or c a copy of a
+    g of up to 40 words with up to four drop, insert and replace edits;
+    either one may come first."""
     word = st.sampled_from(draw(st.sampled_from(DIFF_VOCABS)))
-    g = draw(st.lists(word, max_size=14))
     if draw(st.booleans()):
+        g = draw(st.lists(word, max_size=14))
         c = draw(st.lists(word, max_size=14))
     else:
+        g = draw(st.lists(word, max_size=40))
         c = list(g)
-        for _ in range(draw(st.integers(0, 3))):
+        for _ in range(draw(st.integers(0, 4))):
             edit = draw(st.sampled_from(["drop", "insert", "replace"]))
             if edit == "insert":
                 c.insert(draw(st.integers(0, len(c))), draw(word))
@@ -647,7 +667,7 @@ def test_lcs_length_matches_plain_dp(data):
     word = st.sampled_from(data.draw(st.sampled_from(DIFF_VOCABS)))
     a = data.draw(st.lists(word, max_size=70))
     b = data.draw(st.lists(word, max_size=70))
-    assert _lcs_length(a, b) == oracle_lcs_length(a, b)
+    assert _lcs_profiles(a, b) == oracle_lcs_profiles(a, b)
 
 
 @settings(max_examples=200, deadline=None)
