@@ -161,7 +161,9 @@ def _field(data: dict, key: str, kind: type, where: str = "", default: object = 
     """data[key] checked to be a `kind` (bool is not an int here).
 
     An absent key gives `default`, and so does null when the default is
-    None; with no default an absent key raises DatasetError.
+    None; with no default an absent key raises DatasetError. A string
+    holding a lone surrogate (a JSON escape such as \\ud800) raises
+    DatasetError too: it cannot be written back as UTF-8.
     """
     value = data.get(key, _MISSING)
     if value is _MISSING or (value is None and default is None):
@@ -173,6 +175,14 @@ def _field(data: dict, key: str, kind: type, where: str = "", default: object = 
             f"{where}{key} is a JSON {_json_type(value)}, expected a "
             + ("integer" if kind is int else "string")
         )
+    if kind is str and not value.isascii():
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise DatasetError(
+                f"{where}{key} holds a lone surrogate {value[exc.start]!r} at position "
+                f"{exc.start}, which is not valid text"
+            ) from None
     return value
 
 
@@ -212,18 +222,25 @@ def validate_sample(sample: BenchmarkSample) -> ValidationReport:
     if sample.variant not in ("real", "synthetic"):
         add("variant", f"unknown variant {sample.variant!r}")
 
-    n = count_tokens(sample.caption)
+    # every whitespace chunk holds at least one token, so the chunk count
+    # bounds the token count from below; the exact count is taken only for
+    # a span that does not fit within the bound
+    chunks = len(sample.caption.split())
+    n = None
     prev_end = None
     prev_idx = None
     for i, span in enumerate(sample.gold_spans):
         if span.dimension not in DIMENSION_VALUES:
             add(f"gold_spans[{i}].dimension", f"unknown dimension {span.dimension!r}")
-        if not (0 <= span.start < span.end <= n):
-            add(
-                f"gold_spans[{i}]",
-                f"token range [{span.start}, {span.end}) invalid for caption of {n} tokens",
-            )
-            continue
+        if not (0 <= span.start < span.end <= chunks):
+            if n is None:
+                n = count_tokens(sample.caption)
+            if not (0 <= span.start < span.end <= n):
+                add(
+                    f"gold_spans[{i}]",
+                    f"token range [{span.start}, {span.end}) invalid for caption of {n} tokens",
+                )
+                continue
         if prev_end is not None:
             if span.start < prev_end:
                 add(

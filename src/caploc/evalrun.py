@@ -280,9 +280,9 @@ def read_transcripts(path: str | Path) -> dict[str, str]:
             sample_id = _field(record, "id", str)
             output = _field(record, "output", str)
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: bad transcript line: {exc}") from exc
+            raise DatasetError(f"{path}:{lineno}: bad transcript line: {exc}") from exc
         if sample_id in outputs:
-            raise ValueError(f"{path}:{lineno}: duplicate transcript id {sample_id!r}")
+            raise DatasetError(f"{path}:{lineno}: duplicate transcript id {sample_id!r}")
         outputs[sample_id] = output
     return outputs
 

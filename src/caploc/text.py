@@ -6,37 +6,52 @@ separate single-character tokens. Internal punctuation (hyphens, apostrophes,
 version dots) stays attached. Gold annotations are stored as indices into this
 token sequence, so any rule change here must bump TOKENIZER_VERSION.
 
-count_tokens() and tokenize() share one span rule, _char_spans. count_tokens()
-only counts the spans, for callers such as validation that need the length
-alone; tokenize() builds a Token for each. Token is a NamedTuple: a long
-caption has hundreds of tokens, and tuples are much cheaper to build than
-frozen dataclass instances.
+The rule is one compiled pattern: a token is either a core that starts and
+ends with a character that is neither whitespace nor punctuation, or a single
+punctuation character. Splitting text on that pattern with a capturing group
+(_split) gives its tokens and the gaps between them, alternating, so running
+sums of the part lengths are the code-point offsets, and of the encoded part
+lengths the byte offsets. re has no category classes, so the pattern names
+ASCII punctuation only; when text holds other punctuation, the split runs on
+a probe of the same length in which each such character is swapped for an
+ASCII one. count_tokens() only counts the parts; tokenize() builds a Token
+for each.
+
+split_sentences() finds its candidate boundaries with one pattern over the
+source, a terminator followed by whitespace or the end, and looks at the
+next character only there.
+
+Token and Sentence are NamedTuples: a long caption has hundreds of tokens
+and dozens of sentences, and tuples are much cheaper to build than frozen
+dataclass instances.
 """
 
 from __future__ import annotations
 
+import re
 import unicodedata
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import accumulate, count, pairwise, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 TOKENIZER_VERSION = "dvb-tok/1"
 
-_TERMINATORS = (".", "!", "?")
-
-
-def _is_punct(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
-
-
-def _utf8_len(ch: str) -> int:
-    cp = ord(ch)
-    if cp < 0x80:
-        return 1
-    if cp < 0x800:
-        return 2
-    if cp < 0x10000:
-        return 3
-    return 4
+# the ASCII characters in a P* category; every other punctuation character
+# of a text is swapped for _PROBE_PUNCT before the split
+_ASCII_PUNCT = "".join(
+    c for c in map(chr, range(128)) if unicodedata.category(c).startswith("P")
+)
+_ASCII_SET = frozenset(map(chr, range(128)))
+_PROBE_PUNCT = "!"
+_P = re.escape(_ASCII_PUNCT)
+# re's \s and str.split() both split on exactly the str.isspace() characters
+_TOKEN_RE = re.compile(rf"([^\s{_P}](?:\S*[^\s{_P}])?|[{_P}])")
+# a terminator at the end of a chunk, with the next non-space character
+# (empty at the end of the text) captured
+_BOUNDARY_RE = re.compile(r"[.!?](?=\s|\Z)(?=\s*(.?))")
+_CHAR_END = attrgetter("char_end")
 
 
 class Token(NamedTuple):
@@ -66,8 +81,7 @@ class TokenizedCaption:
         return tuple(t.text for t in self.tokens)
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """A sentence as byte range plus the contiguous token index range it owns."""
 
     byte_start: int
@@ -88,40 +102,24 @@ class SentenceIndex:
         return len(self.sentences)
 
 
-def _char_spans(text: str) -> list[tuple[int, int]]:
-    """Code-point [start, end) of every token of text, in order."""
-    spans: list[tuple[int, int]] = []
-    append = spans.append
-    find = text.find
-    end = 0
-    # str.split() splits on exactly the str.isspace() characters; only
-    # whitespace lies between the previous chunk and this one, so find()
-    # from the previous end lands on this chunk's own position
-    for chunk in text.split():
-        start = find(chunk, end)
-        end = start + len(chunk)
-        # no isalnum() character is punctuation, so a chunk with alphanumeric
-        # ends has nothing to detach and needs no unicodedata lookup
-        if chunk[0].isalnum() and chunk[-1].isalnum():
-            append((start, end))
-            continue
-        i, j = 0, len(chunk)
-        while i < j and _is_punct(chunk[i]):
-            append((start + i, start + i + 1))
-            i += 1
-        k = j
-        while k > i and _is_punct(chunk[k - 1]):
-            k -= 1
-        if k > i:
-            append((start + i, start + k))
-        for t in range(start + k, end):
-            append((t, t + 1))
-    return spans
+def _split(text: str) -> tuple[str, list[str]]:
+    """(probe, parts): the probe cut into [gap, token, gap, ..., token, gap].
+
+    The probe is text itself unless text holds non-ASCII punctuation, which
+    the probe swaps for _PROBE_PUNCT. Either way the parts have text's
+    lengths, and the gaps, being whitespace, are text's own.
+    """
+    probe = text
+    if not text.isascii():
+        for c in set(text) - _ASCII_SET:
+            if unicodedata.category(c).startswith("P"):
+                probe = probe.replace(c, _PROBE_PUNCT)
+    return probe, _TOKEN_RE.split(probe)
 
 
 def count_tokens(text: str) -> int:
     """len(tokenize(text)), without building the tokens."""
-    return len(_char_spans(text))
+    return len(_split(text)[1]) // 2
 
 
 def tokenize(text: str) -> TokenizedCaption:
@@ -131,37 +129,19 @@ def tokenize(text: str) -> TokenizedCaption:
     characters become their own tokens. Concatenating token texts with the
     original inter-token bytes reconstructs the source exactly.
     """
-    spans = _char_spans(text)
-    new = tuple.__new__  # builds a Token without NamedTuple's Python-level __new__
+    probe, parts = _split(text)
+    chars = list(accumulate(map(len, parts)))
     if text.isascii():
-        tokens = tuple(
-            [new(Token, (text[cs:ce], cs, ce, idx, cs, ce)) for idx, (cs, ce) in enumerate(spans)]
-        )
+        octets = chars
     else:
-        byte_at = [0] * (len(text) + 1)
-        acc = 0
-        for pos, ch in enumerate(text):
-            acc += _utf8_len(ch)
-            byte_at[pos + 1] = acc
-        tokens = tuple(
-            [
-                new(Token, (text[cs:ce], byte_at[cs], byte_at[ce], idx, cs, ce))
-                for idx, (cs, ce) in enumerate(spans)
-            ]
-        )
-    return TokenizedCaption(source=text, tokens=tokens)
-
-
-def _is_boundary_after(src: str, pos: int) -> bool:
-    """Whether a terminator that ends at code point pos ends a sentence."""
-    n = len(src)
-    saw_space = False
-    while pos < n and src[pos].isspace():
-        saw_space = True
-        pos += 1
-    if pos >= n:
-        return True
-    return saw_space and src[pos].isupper()
+        if probe is not text:
+            parts[1::2] = map(text.__getitem__, map(slice, chars[:-1:2], chars[1::2]))
+        # surrogatepass: a lone surrogate counts 3 bytes, like any other BMP code point
+        encoded = map(str.encode, parts, repeat("utf-8"), repeat("surrogatepass"))
+        octets = list(accumulate(map(len, encoded)))
+    fields = zip(parts[1::2], octets[:-1:2], octets[1::2], count(), chars[:-1:2], chars[1::2])
+    # tuple.__new__ builds a Token without NamedTuple's Python-level __new__
+    return TokenizedCaption(source=text, tokens=tuple(map(tuple.__new__, repeat(Token), fields)))
 
 
 def split_sentences(tc: TokenizedCaption) -> SentenceIndex:
@@ -171,29 +151,20 @@ def split_sentences(tc: TokenizedCaption) -> SentenceIndex:
     source continues with whitespace and an uppercase letter, or ends there.
     Trailing material without a terminator forms a final sentence.
     """
-    if not tc.tokens:
+    tokens = tc.tokens
+    if not tokens:
         return SentenceIndex()
-    sentences: list[Sentence] = []
-    start = 0
-    src = tc.source
-    for i, tok in enumerate(tc.tokens):
-        if tok.text.endswith(_TERMINATORS) and _is_boundary_after(src, tok.char_end):
-            sentences.append(
-                Sentence(
-                    byte_start=tc.tokens[start].byte_start,
-                    byte_end=tok.byte_end,
-                    token_start=start,
-                    token_end=i + 1,
-                )
-            )
-            start = i + 1
-    if start < len(tc.tokens):
-        sentences.append(
-            Sentence(
-                byte_start=tc.tokens[start].byte_start,
-                byte_end=tc.tokens[-1].byte_end,
-                token_start=start,
-                token_end=len(tc.tokens),
-            )
+    # a terminator followed by whitespace or the end is the last character
+    # of a chunk, so it ends the token whose char_end is just past it
+    cuts = [0]
+    for m in _BOUNDARY_RE.finditer(tc.source):
+        if not m[1] or m[1].isupper():
+            cuts.append(bisect_left(tokens, m.end(), key=_CHAR_END) + 1)
+    if cuts[-1] < len(tokens):
+        cuts.append(len(tokens))
+    return SentenceIndex(
+        tuple(
+            Sentence(tokens[start].byte_start, tokens[end - 1].byte_end, start, end)
+            for start, end in pairwise(cuts)
         )
-    return SentenceIndex(tuple(sentences))
+    )

@@ -133,21 +133,52 @@ class TestStats:
 
 
 class TestTokenCountPasses:
-    """validate counts each caption's tokens once (in load_dataset); stats
-    once more, for its domain row and the total together."""
+    """validate checks span ends against each caption's whitespace chunk
+    count and counts tokens only for a span that ends past it; stats counts
+    each caption's tokens once, for its domain row and the total together."""
+
+    @staticmethod
+    def count_passes(monkeypatch) -> list:
+        calls = []
+        split = text._split
+        monkeypatch.setattr(text, "_split", lambda s: calls.append(s) or split(s))
+        return calls
 
     @pytest.mark.parametrize(
-        "argv, passes_per_sample",
-        [(["validate"], 1), (["stats"], 2), (["stats", "--json"], 2)],
+        "argv", [["validate"], ["stats"], ["stats", "--json"]], ids=["validate", "stats", "stats_json"]
     )
-    def test_one_span_pass_per_caption(self, tmp_path, capsys, monkeypatch, argv, passes_per_sample):
+    def test_one_span_pass_per_caption(self, tmp_path, capsys, monkeypatch, argv):
         samples = build_fixture()
         dataset = write_dataset(tmp_path, samples)
-        calls = []
-        char_spans = text._char_spans
-        monkeypatch.setattr(text, "_char_spans", lambda s: calls.append(s) or char_spans(s))
+        calls = self.count_passes(monkeypatch)
         assert main([*argv, str(dataset)]) == 0
-        assert len(calls) == passes_per_sample * len(samples)
+        # fixture spans may end on a caption's last tokens, past its chunk
+        # count when sentences end in a detached "."
+        past_chunks = [
+            s.caption for s in samples if any(g.end > len(s.caption.split()) for g in s.gold_spans)
+        ]
+        assert 0 < len(past_chunks) < len(samples) // 5
+        counted = [s.caption for s in samples] if argv[0] == "stats" else []
+        assert calls == past_chunks + counted
+
+    @pytest.mark.parametrize(
+        "start, end, exit_code", [(3, 4, 0), (4, 5, 1)], ids=["last_token", "past_the_end"]
+    )
+    def test_span_past_the_chunk_count_is_counted(
+        self, tmp_path, capsys, monkeypatch, start, end, exit_code
+    ):
+        # 3 whitespace chunks, 4 tokens: the final "." is a token of its own
+        caption = "A red car."
+        sample = BenchmarkSample(
+            id="s", image="", domain="nature", caption=caption,
+            gold_spans=[HallucinationSpan(start, end, "other")],
+        )
+        dataset = write_dataset(tmp_path, [sample])
+        calls = self.count_passes(monkeypatch)
+        assert main(["validate", str(dataset)]) == exit_code
+        assert calls == [caption]
+        if exit_code:
+            assert "invalid for caption of 4 tokens" in capsys.readouterr().err
 
 
 class TestAnnotate:
@@ -714,6 +745,19 @@ MALFORMED_INPUT_FILES = {
         '{"id": "s1", "output": "a red car parked near the gate."}\n{"id": "s2", "output": 5}',
         ["score", "--dataset", "{dataset}", "--transcripts", "{file}"],
         ":2: bad transcript line: output is a JSON number",
+    ),
+    "transcript_lone_surrogate": (
+        "t.jsonl",
+        '{"id": "s1", "output": "a red car parked near the gate.\\ud800"}',
+        ["score", "--dataset", "{dataset}", "--transcripts", "{file}"],
+        ":1: bad transcript line: output holds a lone surrogate",
+    ),
+    "dataset_lone_surrogate": (
+        "d.jsonl",
+        '{"format": "dvb-jsonl", "version": 1, "tokenizer": "dvb-tok/1"}\n'
+        '{"id": "s1", "domain": "nature", "caption": "A red car.\\ud800"}',
+        ["validate", "{file}"],
+        ":2: caption holds a lone surrogate",
     ),
     "script_rule_not_an_object": (
         "script.json",

@@ -216,6 +216,14 @@ def test_load_rejects_non_utf8(tmp_path):
         load_dataset(path)
 
 
+def test_load_rejects_lone_surrogate(tmp_path):
+    path = tmp_path / "d.jsonl"
+    record = {**make_sample().to_dict(), "caption": "A red car.\ud800"}
+    path.write_text(HEADER + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(DatasetError, match=r"d\.jsonl:2: caption holds a lone surrogate '\\ud800'"):
+        load_dataset(path)
+
+
 def test_load_accepts_null_clean_caption(tmp_path):
     path = tmp_path / "d.jsonl"
     record = {**make_sample().to_dict(), "clean_caption": None}

@@ -11,7 +11,7 @@ import pytest
 import requests
 
 from caploc import diffannot, text
-from caploc.corpus import BenchmarkSample, HallucinationSpan, save_dataset
+from caploc.corpus import BenchmarkSample, DatasetError, HallucinationSpan, save_dataset
 from caploc.inject import InjectionConfig
 from caploc.modelgate import (
     HttpBackend,
@@ -282,6 +282,12 @@ class TestTranscripts:
         path = tmp_path / "t.jsonl"
         path.write_text('{"id": "a"}\n')
         with pytest.raises(ValueError, match="t.jsonl:1"):
+            read_transcripts(path)
+
+    def test_lone_surrogate_named(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"id": "a", "output": "x"}\n{"id": "b", "output": "a red car\\ud800"}\n')
+        with pytest.raises(DatasetError, match=r"t\.jsonl:2: .*output holds a lone surrogate"):
             read_transcripts(path)
 
 
