@@ -56,6 +56,27 @@ class EditScript:
     g_len: int
     c_len: int
 
+    def kept(self) -> dict[int, int]:
+        """g index -> c index of every token a KEEP op aligns, in g order:
+        the one map from output to reference tokens. Both sides strictly
+        increase, and its size is the LCS length."""
+        out: dict[int, int] = {}
+        for op in self.ops:
+            if op.kind == KEEP:
+                out.update(zip(range(op.g_start, op.g_end), range(op.c_start, op.c_end)))
+        return out
+
+
+def runs(indices: set[int]) -> list[tuple[int, int]]:
+    """The maximal runs [a, b) of consecutive integers in indices, in order."""
+    out: list[tuple[int, int]] = []
+    for i in sorted(indices):
+        if out and i == out[-1][1]:
+            out[-1] = (out[-1][0], i + 1)
+        else:
+            out.append((i, i + 1))
+    return out
+
 
 _NEG = -(1 << 60)
 _RUNS = re.compile("k+|[gc]+")  # a run of keeps, or one gap block
@@ -281,19 +302,7 @@ def extract_gold_spans(script: EditScript) -> list[HallucinationSpan]:
             marked.update(range(op.g_start, op.g_end))
         elif op.kind == INSERT and script.g_len > 0:
             marked.add(op.g_start - 1 if op.g_start > 0 else 0)
-    spans: list[HallucinationSpan] = []
-    start = prev = None
-    for idx in sorted(marked):
-        if start is None:
-            start = prev = idx
-        elif idx == prev + 1:
-            prev = idx
-        else:
-            spans.append(HallucinationSpan(start, prev + 1, Dimension.OTHER.value))
-            start = prev = idx
-    if start is not None:
-        spans.append(HallucinationSpan(start, prev + 1, Dimension.OTHER.value))
-    return spans
+    return [HallucinationSpan(a, b, Dimension.OTHER.value) for a, b in runs(marked)]
 
 
 def label_spans(

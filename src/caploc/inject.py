@@ -7,6 +7,15 @@ Injected spans are anchored to clean-caption token ranges and carry their
 replacement tokens. The working caption is always re-derived from the clean
 caption plus surviving spans, so untagged regions are token-identical to the
 clean caption by construction, and reverting a span is simply dropping it.
+
+A reply is the caption with its edits tagged. The kept() map of its diff
+against the clean caption takes each kept reply token to its clean token, and
+the two ends to each other. A maximal tagged run whose tokens are all kept is
+unchanged and dropped. Any other run becomes the clean tokens between its two
+neighbours if both are kept and no clean token is missing at either edge, and
+is reported otherwise, as are untagged edits and missing clean tokens. A reply
+with a problem is retried once with a reminder; the retry's aligned spans are
+kept, and the round fails only if the retry tagged text and none of it aligned.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 
 from .corpus import DIMENSION_VALUES, BenchmarkSample, Dimension, HallucinationSpan
-from .diffannot import DELETE, INSERT, KEEP, REPLACE, diff_tokens
+from .diffannot import DELETE, INSERT, REPLACE, diff_tokens, runs
 from .modelgate import ImageAttachment, ModelGate, ModelRequest, Purpose
 from .tagproto import marked_token_indices, parse_tags
 from .text import TokenizedCaption, tokenize
@@ -45,12 +54,14 @@ def load_template(name: str) -> str:
     return path.read_text(encoding="utf-8")
 
 
+_PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
+
+
 def fill_template(template: str, **values: str) -> str:
-    # plain substring replacement: caption text may itself contain braces
-    out = template
-    for key, value in values.items():
-        out = out.replace("{" + key + "}", value)
-    return out
+    """Substitute each {key} of the given keys in one pass over the
+    template, so braces in a substituted value (a caption may hold
+    "{feedback}") reach the prompt as they are; other braces stay."""
+    return _PLACEHOLDER_RE.sub(lambda m: values.get(m.group(1), m.group(0)), template)
 
 
 @dataclass(frozen=True)
@@ -193,13 +204,9 @@ def _split_labels(response: str) -> tuple[str, list[str]]:
 def _parse_injector_response(
     response: str, clean: TokenizedCaption, cfg: InjectionConfig
 ) -> tuple[list[InjectedSpan], list[str], bool]:
-    """Turn a tagged injector reply into clean-anchored spans.
-
-    Returns the spans whose neighborhood aligns cleanly with the clean
-    caption, the problems found (edits outside the tagged regions, tagged
-    spans that do not align), and whether the reply tagged anything at all.
-    A reply with no problems is a faithful one.
-    """
+    """The clean-anchored spans of a tagged injector reply (see the module
+    docstring), the problems found, and whether the reply tagged anything.
+    A reply with no problems is a faithful one."""
     tagged_part, labels = _split_labels(response)
     parsed = parse_tags(tagged_part)
     out_tc = tokenize(parsed.stripped)
@@ -207,57 +214,30 @@ def _parse_injector_response(
     script = diff_tokens(out_tc, clean)
 
     problems: list[str] = []
-    op_at: list = [None] * len(out_tc)  # op covering each output token
-    insert_positions: set[int] = set()
+    inserts: set[int] = set()  # g positions an INSERT op sits in front of
     for op in script.ops:
-        for g in range(op.g_start, op.g_end):
-            op_at[g] = op
         if op.kind == INSERT:
-            insert_positions.add(op.g_start)
-            problems.append(
-                f"clean tokens [{op.c_start}, {op.c_end}) missing from the output"
-            )
+            inserts.add(op.g_start)
+            problems.append(f"clean tokens [{op.c_start}, {op.c_end}) missing from the output")
         elif op.kind in (REPLACE, DELETE):
             untagged = [g for g in range(op.g_start, op.g_end) if g not in marked]
             if untagged:
                 problems.append(f"untagged output tokens {untagged} differ from the clean caption")
 
-    # maximal runs of marked output tokens
-    runs: list[tuple[int, int]] = []
-    for idx in sorted(marked):
-        if runs and idx == runs[-1][1]:
-            runs[-1] = (runs[-1][0], idx + 1)
-        else:
-            runs.append((idx, idx + 1))
-
-    def c_position(g: int, end_side: bool) -> int:
-        op = op_at[g]
-        if op.kind == KEEP:
-            return op.c_start + (g - op.g_start) + (1 if end_side else 0)
-        return op.c_end if end_side else op.c_start
-
+    kept = script.kept()
+    kept[-1], kept[len(out_tc)] = -1, len(clean)  # the two ends align too
     spans: list[InjectedSpan] = []
-    for a, b in runs:
-        ops_in_run = {id(op_at[g]): op_at[g] for g in range(a, b)}.values()
-        if all(op.kind == KEEP for op in ops_in_run):
+    for a, b in runs(marked):
+        if all(g in kept for g in range(a, b)):
             logger.info("dropping tagged span [%d, %d): text is unchanged", a, b)
             continue
-        partial = any(
-            op.kind != KEEP
-            and any(g not in marked for g in range(op.g_start, op.g_end))
-            for op in ops_in_run
-        )
-        boundary_insert = a in insert_positions or b in insert_positions
-        neighbors_kept = (a == 0 or op_at[a - 1].kind == KEEP) and (
-            b == len(out_tc) or op_at[b].kind == KEEP
-        )
-        if partial or boundary_insert or not neighbors_kept:
+        if a - 1 not in kept or b not in kept or a in inserts or b in inserts:
             problems.append(f"span [{a}, {b}) does not align to the clean caption")
             continue
         spans.append(
             InjectedSpan(
-                clean_start=c_position(a, end_side=False),
-                clean_end=c_position(b - 1, end_side=True),
+                clean_start=kept[a - 1] + 1,
+                clean_end=kept[b],
                 replacement=tuple(t.text for t in out_tc.tokens[a:b]),
             )
         )

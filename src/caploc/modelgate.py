@@ -106,6 +106,15 @@ def cache_key(req: ModelRequest) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _is_utf8(text: str) -> bool:
+    """Whether text encodes as UTF-8, i.e. holds no surrogate code point."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 class ResponseCache:
     """One file per response under a directory, named by request digest.
 
@@ -123,7 +132,8 @@ class ResponseCache:
     def get(self, key: str) -> str | None:
         """The cached reply, or None on a miss. An entry that is not UTF-8
         JSON holding an object with a string "text" counts as a miss, and
-        the next put() rewrites it."""
+        the next put() rewrites it. So does a "text" holding a surrogate
+        escape such as \\ud800, which the gate never caches."""
         path = self._path(key)
         try:
             with open(path, encoding="utf-8") as f:
@@ -132,7 +142,7 @@ class ResponseCache:
             return None
         except (ValueError, KeyError, TypeError):  # ValueError covers bad JSON and UTF-8
             text = None
-        if isinstance(text, str):
+        if isinstance(text, str) and _is_utf8(text):
             return text
         logger.warning("dropping unreadable cache entry %s", path)
         return None
@@ -299,7 +309,8 @@ class _InFlight:
 
 class ModelGate:
     """Front door for model calls: cache lookup, in-flight de-duplication,
-    retry loop, cache write-back."""
+    retry loop, cache write-back. A reply that is not valid UTF-8 raises
+    BackendError without a retry and is not cached."""
 
     def __init__(
         self,
@@ -365,6 +376,13 @@ class ModelGate:
             start = time.perf_counter()
             try:
                 text = self.backend.send(req)
+                if not _is_utf8(text):
+                    # every consumer writes replies as UTF-8; fail the one
+                    # request now, before the cache or a transcript sees it
+                    raise BackendError(
+                        f"model {req.model!r} ({req.purpose}) replied with a "
+                        "surrogate code point, which is not valid UTF-8"
+                    )
                 return ModelResponse(
                     text=text,
                     backend_id=self.backend.id,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .corpus import HallucinationSpan
-from .diffannot import KEEP, diff_tokens
+from .diffannot import diff_tokens
 from .text import TokenizedCaption, tokenize
 
 OPEN_TAG = "<HALLUCINATION>"
@@ -181,22 +181,13 @@ def align_to_reference(
         )
     out_tc = tokenize(stripped)
     marked_out = marked_token_indices(out_tc, ranges)
-    script = diff_tokens(out_tc, ref)
-    indices: set[int] = set()
-    aligned = 0
-    for op in script.ops:
-        if op.kind != KEEP:
-            continue
-        aligned += op.g_end - op.g_start
-        for offset in range(op.g_end - op.g_start):
-            if op.g_start + offset in marked_out:
-                indices.add(op.c_start + offset)
+    kept = diff_tokens(out_tc, ref).kept()
     if len(out_tc) > 0:
-        coverage = aligned / len(out_tc)
+        coverage = len(kept) / len(out_tc)
     else:
         coverage = 1.0 if len(ref) == 0 else 0.0
     return Prediction(
-        indices=frozenset(indices),
-        faithful=all(op.kind == KEEP for op in script.ops),
+        indices=frozenset(kept[g] for g in marked_out if g in kept),
+        faithful=len(kept) == len(out_tc) == len(ref),
         alignment_coverage=coverage,
     )

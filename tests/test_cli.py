@@ -290,6 +290,20 @@ class TestEvaluateScoreRoundTrip:
         assert "model: locator" in out
 
 
+    def test_reply_with_a_lone_surrogate_skips_its_sample(self, tmp_path, caplog):
+        dataset = write_dataset(tmp_path, base_samples())
+        rules = eval_script_rules()
+        rules[0]["responses"] = ["a red car parked near the gate.\ud800"]
+        script = write_script(tmp_path, rules)
+        out = tmp_path / "out"
+        argv = ["evaluate", "--dataset", str(dataset), "--model", "locator", "--out", str(out)]
+        assert main([*argv, "--script", str(script)]) == 0
+        assert "sample s1 failed: model 'locator' (evaluate)" in caplog.text
+        lines = (out / "transcripts.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [json.loads(line)["id"] for line in lines] == ["s2"]
+        assert json.loads((out / "report.json").read_text())["coverage"] == 0.5
+
+
 class TestConfigFile:
     def test_flags_override_config(self, tmp_path, capsys):
         dataset = write_dataset(tmp_path, base_samples())
@@ -387,6 +401,23 @@ class TestInject:
         assert samples[0].clean_caption == "a red car parked near the gate."
         log = json.loads((audit / "c1.json").read_text())
         assert any(entry["phase"] == "detect" for entry in log)
+
+    def test_reply_with_a_lone_surrogate_skips_its_sample(self, tmp_path, caplog):
+        clean = [
+            BenchmarkSample(id=i, image="", domain="nature", caption=caption, gold_spans=[])
+            for i, caption in (("c1", "a red car."), ("c2", "a green gate."))
+        ]
+        dataset = write_dataset(tmp_path, clean, name="clean.jsonl")
+        rules = [
+            {"purpose": "inject", "contains": "a red car.", "responses": ["a red car.\ud800"]},
+            {"purpose": "inject", "responses": [f"a {TAG}blue{END} gate."]},
+        ]
+        script = write_script(tmp_path, rules)
+        out = tmp_path / "syn.jsonl"
+        argv = ["inject", "--dataset", str(dataset), "--out", str(out), "--rounds", "0"]
+        assert main([*argv, "--script", str(script), "--no-include-image"]) == 0
+        assert "sample c1 failed: model 'injector' (inject)" in caplog.text
+        assert [(s.id, s.caption) for s in load_dataset(out)] == [("c2", "a blue gate.")]
 
     def test_unusable_audit_path_exits_before_any_model_call(self, tmp_path, capsys, backends):
         dataset = self.clean_dataset(tmp_path)

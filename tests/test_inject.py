@@ -61,6 +61,15 @@ class TestTemplates:
         out = fill_template("x {caption} {weird}", caption="a {b} c")
         assert out == "x a {b} c {weird}"
 
+    def test_placeholders_in_a_caption_reach_the_prompt_verbatim(self):
+        caption = "A sign reads {feedback} and {dimensions} on the wall."
+        gate, backend = make_gate([inject_rule(caption)])
+        state = InjectionState(clean=tokenize(caption), feedback=["Round 1: caught X"])
+        inject_round(state, CFG, gate)
+        (request,) = backend.requests
+        assert caption in request.user
+        assert "Round 1: caught X" in request.user
+
 
 class TestConfig:
     def test_defaults_valid(self):
@@ -175,6 +184,18 @@ class TestInjectRound:
         gate, _ = make_gate([inject_rule("x")])
         with pytest.raises(InjectionError):
             inject_round("   ", CFG, gate)
+
+    @pytest.mark.parametrize(
+        "reply",
+        [f"p {TAG}r X{END} s.", f"p {TAG}X q{END} s."],
+        ids=["clean_token_missing_at_left_edge", "clean_token_missing_at_right_edge"],
+    )
+    def test_run_next_to_a_missing_clean_token_does_not_align(self, reply):
+        # the run's neighbours are kept, but a clean token is missing right
+        # at its edge: the run is reported, not stretched over the gap
+        gate, _ = make_gate([inject_rule(reply, reply)])
+        with pytest.raises(InjectionError, match=r"span \[1, 3\) does not align"):
+            inject_round("p q r s.", CFG, gate)
 
 
 class TestDetectRound:

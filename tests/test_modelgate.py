@@ -199,8 +199,8 @@ def test_cache_survives_new_gate(tmp_path):
 
 @pytest.mark.parametrize(
     "entry",
-    [b"\xff\xfe not utf-8", b'["text", "stale"]', b'{"text": 5}'],
-    ids=["not_utf8", "json_list", "text_not_a_string"],
+    [b"\xff\xfe not utf-8", b'["text", "stale"]', b'{"text": 5}', b'{"text": "A\\ud800"}'],
+    ids=["not_utf8", "json_list", "text_not_a_string", "lone_surrogate"],
 )
 def test_unreadable_cache_entry_is_a_miss(tmp_path, caplog, entry):
     cache = ResponseCache(tmp_path / "cache")
@@ -269,6 +269,15 @@ def test_non_retryable_not_retried():
     with pytest.raises(BackendError, match="401"):
         gate.complete(make_req())
     assert backend.calls == 1
+
+
+def test_reply_with_a_lone_surrogate_fails_once_and_is_not_cached(tmp_path):
+    backend = ScriptedBackend([ScriptRule(purpose="detect", responses=["A red car.\ud800"])])
+    gate = ModelGate(backend, cache=ResponseCache(tmp_path / "cache"))
+    with pytest.raises(BackendError, match=r"model 'm' \(detect\).*not valid UTF-8"):
+        gate.complete(make_req())
+    assert len(backend.requests) == 1
+    assert list((tmp_path / "cache").iterdir()) == []
 
 
 class SlowBackend:

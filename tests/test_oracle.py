@@ -668,7 +668,11 @@ def test_chunk_count_bounds_token_count(text):
 @given(diff_pairs())
 def test_diff_tokens_matches_oracle(pair):
     g, c = (tokenize(" ".join(words)) for words in pair)
-    assert diff_tokens(g, c) == oracle_diff_tokens(g, c)
+    script = diff_tokens(g, c)
+    assert script == oracle_diff_tokens(g, c)
+    kept = list(script.kept().items())
+    assert all(g0 < g1 and c0 < c1 for (g0, c0), (g1, c1) in zip(kept, kept[1:]))
+    assert len(kept) == oracle_lcs_profiles(*pair)[0][-1]
 
 
 @settings(max_examples=300, deadline=None)
