@@ -21,6 +21,7 @@ from .corpus import (
     _field,
     _json_type,
     dataset_stats,
+    decode_json,
     load_dataset,
     save_dataset,
     text_lines,
@@ -81,7 +82,7 @@ _INJECT_KEYS = {**_defaults(InjectionConfig), "image_root": None}
 def _read_json(path: str | Path):
     """The decoded JSON content of a file; a decoding error names the file."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return decode_json(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -254,7 +255,7 @@ def cmd_annotate(args: argparse.Namespace) -> int:
         if not line:
             continue
         try:
-            sample = _annotated_sample(json.loads(line))
+            sample = _annotated_sample(decode_json(line))
         except ValueError as exc:
             print(f"error: {args.pairs}:{lineno}: {exc}", file=sys.stderr)
             return 1

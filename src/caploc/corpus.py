@@ -263,6 +263,15 @@ def load_dataset(path: str | Path) -> list[BenchmarkSample]:
     return _read_samples(text_lines(path), path)
 
 
+def decode_json(text: str):
+    """json.loads, raising ValueError for all undecodable text. json raises
+    RecursionError for nesting deeper than the interpreter's stack allows."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to decode") from None
+
+
 def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """The numbered lines of a UTF-8 text file; bytes that are not UTF-8
     raise DatasetError naming the file."""
@@ -280,7 +289,7 @@ def _read_samples(lines: Iterator[tuple[int, str]], path: Path) -> list[Benchmar
     if not header_line.strip():
         raise DatasetError(f"{path}: empty file, expected a header line")
     try:
-        header = json.loads(header_line)
+        header = decode_json(header_line)
     except ValueError as exc:
         raise DatasetError(f"{path}:1: unparseable header: {exc}") from exc
     if not isinstance(header, dict):
@@ -299,7 +308,7 @@ def _read_samples(lines: Iterator[tuple[int, str]], path: Path) -> list[Benchmar
         if not line:
             continue
         try:
-            record = json.loads(line)
+            record = decode_json(line)
         except ValueError as exc:
             raise DatasetError(f"{path}:{lineno}: unparseable record: {exc}") from exc
         try:

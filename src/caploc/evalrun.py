@@ -22,6 +22,7 @@ from .corpus import (
     DatasetError,
     _field,
     _json_type,
+    decode_json,
     load_dataset,
     save_dataset,
     text_lines,
@@ -274,7 +275,7 @@ def read_transcripts(path: str | Path) -> dict[str, str]:
         if not line:
             continue
         try:
-            record = json.loads(line)
+            record = decode_json(line)
             if not isinstance(record, dict):
                 raise DatasetError(f"is a JSON {_json_type(record)}, expected an object")
             sample_id = _field(record, "id", str)

@@ -140,7 +140,8 @@ class ResponseCache:
                 text = json.load(f)["text"]
         except FileNotFoundError:
             return None
-        except (ValueError, KeyError, TypeError):  # ValueError covers bad JSON and UTF-8
+        # ValueError covers bad JSON and UTF-8, RecursionError too deep a nesting
+        except (ValueError, KeyError, TypeError, RecursionError):
             text = None
         if isinstance(text, str) and _is_utf8(text):
             return text
@@ -272,7 +273,7 @@ class HttpBackend:
             raise BackendError(f"HTTP {resp.status_code}: {resp.text[:200]}")
         try:
             data = resp.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise BackendError(f"malformed backend response: {exc}") from exc
         text = data.get("text") if isinstance(data, dict) else None
         if not isinstance(text, str):

@@ -1,17 +1,20 @@
 """Inline tag protocol for marking hallucinated spans in caption text.
 
 Spans are wrapped in the literal tags <HALLUCINATION> and </HALLUCINATION>,
-matched exactly and case-sensitively. Parsing works in UTF-8 byte space (the
-tags are pure ASCII, so they cannot collide with multibyte sequences) and
-never fails: malformed tagging is repaired deterministically and recorded as
-a status instead.
+matched exactly and case-sensitively. Parsing works on the str, and its
+marked ranges are code-point ranges into the tag-stripped text, the unit of
+Token.char_start/char_end. It never fails: malformed tagging is repaired
+deterministically and recorded as a status instead.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
+from operator import attrgetter
 
 from .corpus import HallucinationSpan
 from .diffannot import diff_tokens
@@ -20,8 +23,11 @@ from .text import TokenizedCaption, tokenize
 OPEN_TAG = "<HALLUCINATION>"
 CLOSE_TAG = "</HALLUCINATION>"
 
-_OPEN = OPEN_TAG.encode()
-_CLOSE = CLOSE_TAG.encode()
+# neither tag can overlap an occurrence of itself or of the other, so a
+# left-to-right split finds every occurrence of each
+_TAG_RE = re.compile(f"({re.escape(OPEN_TAG)}|{re.escape(CLOSE_TAG)})")
+_CHAR_START = attrgetter("char_start")
+_CHAR_END = attrgetter("char_end")
 
 
 class ParseStatus(str, Enum):
@@ -37,8 +43,8 @@ class TaggedText:
 
 @dataclass(frozen=True)
 class ParsedOutput:
-    """Tag-stripped text, byte ranges (into the stripped text) that were
-    inside tags, and the parse status."""
+    """Tag-stripped text, the code-point ranges of it that were inside
+    tags, and the parse status."""
 
     stripped: str
     marked_ranges: tuple[tuple[int, int], ...]
@@ -55,7 +61,7 @@ class Prediction:
 
 
 def serialize_tags(c: TokenizedCaption, spans: list[HallucinationSpan]) -> TaggedText:
-    """Wrap each span's tokens in tags, leaving all other bytes untouched."""
+    """Wrap each span's tokens in tags, leaving all other text untouched."""
     n = len(c.tokens)
     prev_end = 0
     for i, span in enumerate(spans):
@@ -79,37 +85,27 @@ def serialize_tags(c: TokenizedCaption, spans: list[HallucinationSpan]) -> Tagge
 
 
 def parse_tags(t: TaggedText | str) -> ParsedOutput:
-    """Strip tags, returning the plain text and the byte ranges they covered.
+    """Strip tags, returning the plain text and the code-point ranges that
+    were inside them.
 
     Repair rules for malformed tagging, applied deterministically: an open tag
     with no close extends to the end of the text; a close tag with no open is
     dropped; a nested open is dropped while the outer region stays open. Any
     repair sets status to malformed_tags. Zero-width regions are discarded.
     """
-    raw = (t.raw if isinstance(t, TaggedText) else t).encode("utf-8")
-    events: list[tuple[int, bytes]] = []
-    for tag in (_OPEN, _CLOSE):
-        start = 0
-        while True:
-            pos = raw.find(tag, start)
-            if pos < 0:
-                break
-            events.append((pos, tag))
-            start = pos + len(tag)
-    events.sort()
-
-    out = bytearray()
+    # even parts are text, odd parts are tags
+    parts = _TAG_RE.split(t.raw if isinstance(t, TaggedText) else t)
+    texts = parts[::2]
+    stripped = "".join(texts)
     ranges: list[tuple[int, int]] = []
     malformed = False
     depth = 0
     region_start = 0
-    pos = 0
-    for at, tag in events:
-        out.extend(raw[pos:at])
-        pos = at + len(tag)
-        if tag == _OPEN:
+    # at: the offset in stripped where the tag stood
+    for at, tag in zip(accumulate(map(len, texts)), parts[1::2]):
+        if tag == OPEN_TAG:
             if depth == 0:
-                region_start = len(out)
+                region_start = at
             else:
                 malformed = True
             depth += 1
@@ -118,15 +114,13 @@ def parse_tags(t: TaggedText | str) -> ParsedOutput:
                 malformed = True
             else:
                 depth -= 1
-                if depth == 0 and len(out) > region_start:
-                    ranges.append((region_start, len(out)))
-    out.extend(raw[pos:])
+                if depth == 0 and at > region_start:
+                    ranges.append((region_start, at))
     if depth > 0:
         malformed = True
-        if len(out) > region_start:
-            ranges.append((region_start, len(out)))
+        if len(stripped) > region_start:
+            ranges.append((region_start, len(stripped)))
 
-    stripped = out.decode("utf-8")
     if malformed:
         status = ParseStatus.MALFORMED_TAGS
     elif not stripped.strip():
@@ -139,20 +133,19 @@ def parse_tags(t: TaggedText | str) -> ParsedOutput:
 def marked_token_indices(
     tc: TokenizedCaption, ranges: tuple[tuple[int, int], ...]
 ) -> set[int]:
-    """Indices of the tokens of tc that overlap any byte range [r_start, r_end).
+    """Indices of the tokens of tc that overlap any code-point range
+    [r_start, r_end).
 
     A token partially covered by a range counts as marked. Tokens are sorted
     and disjoint, so the tokens overlapping one range are those ending after
     r_start and starting before r_end: a contiguous run found by bisection.
     Ranges may be unsorted, overlapping or empty.
     """
+    tokens = tc.tokens
     marked: set[int] = set()
-    if not ranges:
-        return marked
-    ends = [t.byte_end for t in tc.tokens]
-    starts = [t.byte_start for t in tc.tokens]
     for r_start, r_end in ranges:
-        marked.update(range(bisect_right(ends, r_start), bisect_left(starts, r_end)))
+        first = bisect_right(tokens, r_start, key=_CHAR_END)
+        marked.update(range(first, bisect_left(tokens, r_end, key=_CHAR_START)))
     return marked
 
 
@@ -161,9 +154,9 @@ def align_to_reference(
     marked_ranges: tuple[tuple[int, int], ...] | list[tuple[int, int]],
     ref: TokenizedCaption,
 ) -> Prediction:
-    """Map marked byte ranges onto reference token indices.
+    """Map marked code-point ranges of stripped onto reference token indices.
 
-    An output that is byte-identical to the reference source maps onto
+    An output identical to the reference source maps onto
     ref's own tokens without being tokenized again. Any other output is
     tokenized and aligned to the reference by the same diff engine used for
     gold annotation; marks on tokens the alignment cannot place are

@@ -6,16 +6,18 @@ separate single-character tokens. Internal punctuation (hyphens, apostrophes,
 version dots) stays attached. Gold annotations are stored as indices into this
 token sequence, so any rule change here must bump TOKENIZER_VERSION.
 
+Offsets are code-point offsets into the source str, the one offset unit:
+a token's text is source[char_start:char_end].
+
 The rule is one compiled pattern: a token is either a core that starts and
 ends with a character that is neither whitespace nor punctuation, or a single
 punctuation character. Splitting text on that pattern with a capturing group
 (_split) gives its tokens and the gaps between them, alternating, so running
-sums of the part lengths are the code-point offsets, and of the encoded part
-lengths the byte offsets. re has no category classes, so the pattern names
-ASCII punctuation only; when text holds other punctuation, the split runs on
-a probe of the same length in which each such character is swapped for an
-ASCII one. count_tokens() only counts the parts; tokenize() builds a Token
-for each.
+sums of the part lengths are the token offsets. re has no category classes,
+so the pattern names ASCII punctuation only; when text holds other
+punctuation, the split runs on a probe of the same length in which each such
+character is swapped for an ASCII one. count_tokens() only counts the parts;
+tokenize() builds a Token for each.
 
 split_sentences() finds its candidate boundaries with one pattern over the
 source, a terminator followed by whitespace or the end, and looks at the
@@ -32,7 +34,7 @@ import re
 import unicodedata
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate, count, pairwise, repeat
+from itertools import accumulate, pairwise, repeat
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -55,16 +57,10 @@ _CHAR_END = attrgetter("char_end")
 
 
 class Token(NamedTuple):
-    """One token with byte offsets into the UTF-8 encoding of the source.
-
-    char_start/char_end are the corresponding code-point offsets, kept so the
-    source string can be sliced without re-encoding.
-    """
+    """One token and its code-point range [char_start, char_end) in the
+    source; its index is its position in TokenizedCaption.tokens."""
 
     text: str
-    byte_start: int
-    byte_end: int
-    index: int
     char_start: int
     char_end: int
 
@@ -82,10 +78,8 @@ class TokenizedCaption:
 
 
 class Sentence(NamedTuple):
-    """A sentence as byte range plus the contiguous token index range it owns."""
+    """A sentence as the contiguous token index range it owns."""
 
-    byte_start: int
-    byte_end: int
     token_start: int
     token_end: int
 
@@ -123,23 +117,18 @@ def count_tokens(text: str) -> int:
 
 
 def tokenize(text: str) -> TokenizedCaption:
-    """Split text into word-level tokens with exact byte offsets.
+    """Split text into word-level tokens with exact code-point offsets.
 
     Deterministic: whitespace split, then leading/trailing punctuation
     characters become their own tokens. Concatenating token texts with the
-    original inter-token bytes reconstructs the source exactly.
+    original inter-token whitespace reconstructs the source exactly.
     """
     probe, parts = _split(text)
-    chars = list(accumulate(map(len, parts)))
-    if text.isascii():
-        octets = chars
-    else:
-        if probe is not text:
-            parts[1::2] = map(text.__getitem__, map(slice, chars[:-1:2], chars[1::2]))
-        # surrogatepass: a lone surrogate counts 3 bytes, like any other BMP code point
-        encoded = map(str.encode, parts, repeat("utf-8"), repeat("surrogatepass"))
-        octets = list(accumulate(map(len, encoded)))
-    fields = zip(parts[1::2], octets[:-1:2], octets[1::2], count(), chars[:-1:2], chars[1::2])
+    offsets = list(accumulate(map(len, parts)))
+    starts, ends = offsets[:-1:2], offsets[1::2]
+    if probe is not text:
+        parts[1::2] = map(text.__getitem__, map(slice, starts, ends))
+    fields = zip(parts[1::2], starts, ends)
     # tuple.__new__ builds a Token without NamedTuple's Python-level __new__
     return TokenizedCaption(source=text, tokens=tuple(map(tuple.__new__, repeat(Token), fields)))
 
@@ -162,9 +151,4 @@ def split_sentences(tc: TokenizedCaption) -> SentenceIndex:
             cuts.append(bisect_left(tokens, m.end(), key=_CHAR_END) + 1)
     if cuts[-1] < len(tokens):
         cuts.append(len(tokens))
-    return SentenceIndex(
-        tuple(
-            Sentence(tokens[start].byte_start, tokens[end - 1].byte_end, start, end)
-            for start, end in pairwise(cuts)
-        )
-    )
+    return SentenceIndex(tuple(Sentence(start, end) for start, end in pairwise(cuts)))

@@ -712,6 +712,12 @@ MALFORMED_INPUT_FILES = {
         ["annotate", "--pairs", "{file}", "--out", "{tmp}/o.jsonl"],
         ": not UTF-8 text: 'utf-8' codec can't decode byte 0xff",
     ),
+    "annotate_nested_too_deeply": (
+        "pairs.jsonl",
+        "[" * 100_000,
+        ["annotate", "--pairs", "{file}", "--out", "{tmp}/o.jsonl"],
+        ":1: JSON nested too deeply to decode",
+    ),
     "annotate_list_record": (
         "pairs.jsonl",
         '["p1", "a red car.", "a blue car."]',
@@ -730,6 +736,12 @@ MALFORMED_INPUT_FILES = {
         '{"id": "p1", "caption": "a red car.", "corrected": 5}',
         ["annotate", "--pairs", "{file}", "--out", "{tmp}/o.jsonl"],
         ":1: corrected is a JSON number",
+    ),
+    "config_nested_too_deeply": (
+        "config.json",
+        "[" * 100_000,
+        ["score", "--dataset", "{dataset}", "--transcripts", "t.jsonl", "--config", "{file}"],
+        ": JSON nested too deeply to decode",
     ),
     "config_not_an_object": (
         "config.json",
@@ -765,6 +777,12 @@ MALFORMED_INPUT_FILES = {
         ["score", "--dataset", "{dataset}", "--transcripts", "{file}"],
         ": not UTF-8 text: 'utf-8' codec can't decode byte 0xff",
     ),
+    "transcript_nested_too_deeply": (
+        "t.jsonl",
+        '{"id": "s1", "output": "a red car parked near the gate."}\n' + "[" * 100_000,
+        ["score", "--dataset", "{dataset}", "--transcripts", "{file}"],
+        ":2: bad transcript line: JSON nested too deeply to decode",
+    ),
     "transcript_line_not_an_object": (
         "t.jsonl",
         '["s1", "a red car"]',
@@ -782,6 +800,12 @@ MALFORMED_INPUT_FILES = {
         '{"id": "s1", "output": "a red car parked near the gate.\\ud800"}',
         ["score", "--dataset", "{dataset}", "--transcripts", "{file}"],
         ":1: bad transcript line: output holds a lone surrogate",
+    ),
+    "dataset_nested_too_deeply": (
+        "d.jsonl",
+        '{"format": "dvb-jsonl", "version": 1, "tokenizer": "dvb-tok/1"}\n' + "[" * 100_000,
+        ["validate", "{file}"],
+        ":2: unparseable record: JSON nested too deeply to decode",
     ),
     "dataset_lone_surrogate": (
         "d.jsonl",
@@ -803,6 +827,9 @@ MALFORMED_INPUT_FILES = {
         ": malformed report: KeyError",
     ),
     "report_not_an_object": ("report.json", "[1]", ["report", "{file}"], ": malformed report"),
+    "report_nested_too_deeply": (
+        "report.json", "[" * 100_000, ["report", "{file}"], ": JSON nested too deeply to decode"
+    ),
     "report_rows_not_a_list": (
         "report.json", '{"samples": 3}', ["report", "{file}"], ": malformed report: TypeError"
     ),

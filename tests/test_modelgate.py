@@ -51,6 +51,19 @@ def test_http_transport_errors_are_backend_errors(exc, retryable):
     assert isinstance(info.value, RetryableBackendError) == retryable
 
 
+def test_http_reply_nested_too_deeply_is_not_retried():
+    class Session:
+        def post(self, url, **kwargs):
+            resp = requests.Response()
+            resp.status_code, resp._content = 200, b"[" * 100_000
+            return resp
+
+    backend = HttpBackend("http://localhost:9", session=Session())
+    with pytest.raises(BackendError, match="malformed backend response") as info:
+        backend.send(make_req())
+    assert not isinstance(info.value, RetryableBackendError)
+
+
 class BusySession:
     """Stands in for requests.Session: the first post gets the given status
     and Retry-After header (None for no header), every later one a 200."""
@@ -199,8 +212,14 @@ def test_cache_survives_new_gate(tmp_path):
 
 @pytest.mark.parametrize(
     "entry",
-    [b"\xff\xfe not utf-8", b'["text", "stale"]', b'{"text": 5}', b'{"text": "A\\ud800"}'],
-    ids=["not_utf8", "json_list", "text_not_a_string", "lone_surrogate"],
+    [
+        b"\xff\xfe not utf-8",
+        b'["text", "stale"]',
+        b'{"text": 5}',
+        b'{"text": "A\\ud800"}',
+        b"[" * 100_000,
+    ],
+    ids=["not_utf8", "json_list", "text_not_a_string", "lone_surrogate", "deep"],
 )
 def test_unreadable_cache_entry_is_a_miss(tmp_path, caplog, entry):
     cache = ResponseCache(tmp_path / "cache")

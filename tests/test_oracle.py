@@ -1,13 +1,13 @@
 """Differential tests of the tokenizer, the sentence splitter, the token
-diff, the tag aligner, the injector's reply handling and the adversarial
-loop against the straightforward implementations they replaced, kept here
-as oracles.
+diff, the tag parser, the tag aligner, the injector's reply handling and the
+adversarial loop against the straightforward implementations they replaced,
+kept here as oracles.
 
 The oracles are the reference semantics: any speed-up or simplification of
-tokenize, split_sentences, diff_tokens, marked_token_indices,
+tokenize, split_sentences, diff_tokens, parse_tags, marked_token_indices,
 align_to_reference, inject_round or run_adversarial must agree with them on
-every token field, every sentence, every edit op, every Prediction, and
-every injection state and error.
+every token field, every sentence, every edit op, every parse, every
+Prediction, and every injection state and error.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import logging
 import re
 import sys
 import unicodedata
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace as dc_replace
 
 from hypothesis import given, settings, strategies as st
@@ -48,6 +49,7 @@ from caploc.modelgate import ModelGate, ModelRequest, Purpose, ScriptedBackend, 
 from caploc.tagproto import (
     CLOSE_TAG,
     OPEN_TAG,
+    ParseStatus,
     Prediction,
     align_to_reference,
     marked_token_indices,
@@ -84,12 +86,19 @@ def _oracle_utf8_len(ch: str) -> int:
     return 4
 
 
+def oracle_byte_offsets(text: str) -> list[int]:
+    """The UTF-8 byte offset of every code-point offset of text."""
+    byte_at = [0] * (len(text) + 1)
+    acc = 0
+    for pos, ch in enumerate(text):
+        acc += _oracle_utf8_len(ch)
+        byte_at[pos + 1] = acc
+    return byte_at
+
+
 @dataclass(frozen=True)
 class OracleToken:
     text: str
-    byte_start: int
-    byte_end: int
-    index: int
     char_start: int
     char_end: int
 
@@ -110,23 +119,74 @@ def oracle_tokenize(text: str) -> TokenizedCaption:
             spans.append((start + i, start + k))
         for t in range(k, j):
             spans.append((start + t, start + t + 1))
-
-    if text.isascii():
-        tokens = tuple(
-            OracleToken(text[cs:ce], cs, ce, idx, cs, ce)
-            for idx, (cs, ce) in enumerate(spans)
-        )
-    else:
-        byte_at = [0] * (len(text) + 1)
-        acc = 0
-        for pos, ch in enumerate(text):
-            acc += _oracle_utf8_len(ch)
-            byte_at[pos + 1] = acc
-        tokens = tuple(
-            OracleToken(text[cs:ce], byte_at[cs], byte_at[ce], idx, cs, ce)
-            for idx, (cs, ce) in enumerate(spans)
-        )
+    tokens = tuple(OracleToken(text[cs:ce], cs, ce) for cs, ce in spans)
     return TokenizedCaption(source=text, tokens=tokens)
+
+
+def oracle_byte_parse_tags(raw: str) -> tuple[str, tuple[tuple[int, int], ...], ParseStatus]:
+    """parse_tags in UTF-8 byte space: (stripped, byte ranges into the
+    encoded stripped text, status). raw must hold no lone surrogate."""
+    open_tag, close_tag = OPEN_TAG.encode(), CLOSE_TAG.encode()
+    data = raw.encode("utf-8")
+    events: list[tuple[int, bytes]] = []
+    for tag in (open_tag, close_tag):
+        start = 0
+        while True:
+            pos = data.find(tag, start)
+            if pos < 0:
+                break
+            events.append((pos, tag))
+            start = pos + len(tag)
+    events.sort()
+
+    out = bytearray()
+    ranges: list[tuple[int, int]] = []
+    malformed = False
+    depth = 0
+    region_start = 0
+    pos = 0
+    for at, tag in events:
+        out.extend(data[pos:at])
+        pos = at + len(tag)
+        if tag == open_tag:
+            if depth == 0:
+                region_start = len(out)
+            else:
+                malformed = True
+            depth += 1
+        else:
+            if depth == 0:
+                malformed = True
+            else:
+                depth -= 1
+                if depth == 0 and len(out) > region_start:
+                    ranges.append((region_start, len(out)))
+    out.extend(data[pos:])
+    if depth > 0:
+        malformed = True
+        if len(out) > region_start:
+            ranges.append((region_start, len(out)))
+
+    stripped = out.decode("utf-8")
+    if malformed:
+        status = ParseStatus.MALFORMED_TAGS
+    elif not stripped.strip():
+        status = ParseStatus.EMPTY
+    else:
+        status = ParseStatus.OK
+    return stripped, tuple(ranges), status
+
+
+def oracle_byte_marked_token_indices(text: str, byte_ranges) -> set[int]:
+    """marked_token_indices over the UTF-8 byte offsets of text's tokens."""
+    byte_at = oracle_byte_offsets(text)
+    tokens = oracle_tokenize(text).tokens
+    ends = [byte_at[t.char_end] for t in tokens]
+    starts = [byte_at[t.char_start] for t in tokens]
+    marked: set[int] = set()
+    for r_start, r_end in byte_ranges:
+        marked.update(range(bisect_right(ends, r_start), bisect_left(starts, r_end)))
+    return marked
 
 
 def oracle_diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> EditScript:
@@ -231,10 +291,10 @@ def oracle_lcs_profiles(a: list[str], b: list[str]) -> tuple[list[int], ...]:
 
 def oracle_marked_token_indices(tc, ranges) -> set[int]:
     marked: set[int] = set()
-    for tok in tc.tokens:
+    for index, tok in enumerate(tc.tokens):
         for r_start, r_end in ranges:
-            if tok.byte_start < r_end and r_start < tok.byte_end:
-                marked.add(tok.index)
+            if tok.char_start < r_end and r_start < tok.char_end:
+                marked.add(index)
                 break
     return marked
 
@@ -289,24 +349,10 @@ def oracle_split_sentences(tc: TokenizedCaption) -> SentenceIndex:
     start = 0
     for i in range(len(tc.tokens)):
         if _oracle_is_boundary_after(tc, i):
-            sentences.append(
-                Sentence(
-                    byte_start=tc.tokens[start].byte_start,
-                    byte_end=tc.tokens[i].byte_end,
-                    token_start=start,
-                    token_end=i + 1,
-                )
-            )
+            sentences.append(Sentence(token_start=start, token_end=i + 1))
             start = i + 1
     if start < len(tc.tokens):
-        sentences.append(
-            Sentence(
-                byte_start=tc.tokens[start].byte_start,
-                byte_end=tc.tokens[-1].byte_end,
-                token_start=start,
-                token_end=len(tc.tokens),
-            )
-        )
+        sentences.append(Sentence(token_start=start, token_end=len(tc.tokens)))
     return SentenceIndex(tuple(sentences))
 
 
@@ -502,16 +548,13 @@ captions = st.lists(
     st.tuples(words, st.sampled_from(SPACES)), max_size=25
 ).map(lambda parts: "".join(w + s for w, s in parts))
 any_caption = st.one_of(texts, captions)
-# the tokenizer's inputs also hold lone surrogates; the tag tests encode
-# their captions to UTF-8, which a surrogate cannot pass
+# inputs that also hold lone surrogates; only the byte-space tag oracle,
+# which encodes to UTF-8, needs any_caption's surrogate-free ones
 token_texts = st.one_of(st.text(st.sampled_from(CHARS + SURROGATES), max_size=60), captions)
 
 
 def token_fields(tc) -> list[tuple]:
-    return [
-        (t.text, t.byte_start, t.byte_end, t.index, t.char_start, t.char_end)
-        for t in tc.tokens
-    ]
+    return [(t.text, t.char_start, t.char_end) for t in tc.tokens]
 
 
 @st.composite
@@ -527,6 +570,40 @@ def tagged(draw, text_strategy=any_caption):
         pos = cut
     out.append(caption[pos:])
     return caption, "".join(out)
+
+
+# whole tags and pieces of them, which may join into a tag with their
+# neighbours
+TAG_FRAGMENTS = [OPEN_TAG, CLOSE_TAG, "<HALLUCINATION", "</HALLU", "CINATION>", "<", "/", ">"]
+TAG_RE = re.compile(f"{re.escape(OPEN_TAG)}|{re.escape(CLOSE_TAG)}")
+
+
+@st.composite
+def tag_soup(draw, text_strategy=any_caption):
+    """(caption, raw output): the caption with tag fragments inserted at
+    arbitrary code-point positions, so tags may be nested, stray or split."""
+    caption = draw(text_strategy)
+    inserts = draw(
+        st.lists(st.tuples(st.integers(0, len(caption)), st.sampled_from(TAG_FRAGMENTS)), max_size=8)
+    )
+    out, pos = [], 0
+    for cut, fragment in sorted(inserts):
+        out.append(caption[pos:cut])
+        out.append(fragment)
+        pos = cut
+    out.append(caption[pos:])
+    return caption, "".join(out)
+
+
+def edit_output(raw: str, edit: str) -> str:
+    """raw with one of the edits a model makes to a caption it echoes."""
+    if edit == "drop":
+        return raw.replace(" ", "", 1)
+    if edit == "insert":
+        return "new " + raw
+    if edit == "spaces":
+        return raw.replace(" ", "  ")
+    return raw
 
 
 # sentence material: terminators alone and attached, uppercase and lowercase
@@ -639,8 +716,8 @@ def diff_pairs(draw) -> tuple[list[str], list[str]]:
     return (c, g) if draw(st.booleans()) else (g, c)
 
 
-def byte_ranges(limit: int):
-    """Unsorted, overlapping, zero-width and out-of-bounds byte ranges."""
+def char_ranges(limit: int):
+    """Unsorted, overlapping, zero-width and out-of-bounds code-point ranges."""
     bound = st.integers(-2, limit + 2)
     return st.lists(st.tuples(bound, bound), max_size=6).map(tuple)
 
@@ -688,15 +765,45 @@ def test_lcs_length_matches_plain_dp(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_marked_token_indices_matches_oracle(data):
-    text = data.draw(any_caption)
-    ranges = data.draw(byte_ranges(len(text.encode("utf-8"))))
+    text = data.draw(token_texts)
+    ranges = data.draw(char_ranges(len(text)))
     assert marked_token_indices(tokenize(text), ranges) == oracle_marked_token_indices(
         oracle_tokenize(text), ranges
     )
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tagged(), tag_soup()), st.sampled_from(["keep", "drop", "insert", "spaces"]))
+def test_parse_tags_matches_byte_oracle(case, edit):
+    """parse_tags on the str against the byte-space parser it replaced: the
+    same text, status and ranges, and the same tokens marked."""
+    raw = edit_output(case[1], edit)
+    parsed = parse_tags(raw)
+    stripped, byte_ranges, status = oracle_byte_parse_tags(raw)
+    assert parsed.stripped == stripped
+    assert parsed.status == status
+    byte_at = oracle_byte_offsets(stripped)
+    assert tuple((byte_at[a], byte_at[b]) for a, b in parsed.marked_ranges) == byte_ranges
+    got = marked_token_indices(tokenize(stripped), parsed.marked_ranges)
+    assert got == oracle_byte_marked_token_indices(stripped, byte_ranges)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(tag_soup(token_texts), tagged(token_texts)))
+def test_parse_tags_never_raises(case):
+    """Any str parses, lone surrogates included: the tags are removed and
+    the ranges are sorted, disjoint, non-empty and inside the text."""
+    raw = case[1]
+    parsed = parse_tags(raw)
+    assert parsed.stripped == TAG_RE.sub("", raw)
+    prev = 0
+    for start, end in parsed.marked_ranges:
+        assert prev <= start < end <= len(parsed.stripped)
+        prev = end
+
+
 @settings(max_examples=200, deadline=None)
-@given(tagged())
+@given(tagged(token_texts))
 def test_align_matches_oracle_on_tagged_echo(case):
     caption, raw = case
     parsed = parse_tags(raw)
@@ -713,33 +820,28 @@ def test_align_matches_oracle_on_tagged_echo(case):
 def test_align_matches_oracle_on_raw_ranges(data):
     """Ranges straight from the strategy, not from parse_tags, on the
     byte-identical, whitespace-changed and edited paths."""
-    caption = data.draw(any_caption)
+    caption = data.draw(token_texts)
     output = data.draw(
         st.one_of(
             st.just(caption),
             st.just(" ".join(caption.split())),
             st.just(caption + " more"),
             st.just(caption[: len(caption) // 2]),
-            any_caption,
+            token_texts,
         )
     )
-    ranges = data.draw(byte_ranges(len(output.encode("utf-8"))))
+    ranges = data.draw(char_ranges(len(output)))
     got = align_to_reference(output, ranges, tokenize(caption))
     want = oracle_align_to_reference(output, ranges, oracle_tokenize(caption))
     assert got == want
 
 
-@settings(max_examples=150, deadline=None)
-@given(tagged(captions), st.sampled_from(["drop", "insert", "spaces"]))
+# twice the examples of a captions-only draw, so as many captions as before
+@settings(max_examples=300, deadline=None)
+@given(tagged(token_texts), st.sampled_from(["drop", "insert", "spaces"]))
 def test_align_matches_oracle_on_edited_output(case, edit):
     caption, raw = case
-    if edit == "drop":
-        raw = raw.replace(" ", "", 1)
-    elif edit == "insert":
-        raw = "new " + raw
-    else:
-        raw = raw.replace(" ", "  ")
-    parsed = parse_tags(raw)
+    parsed = parse_tags(edit_output(raw, edit))
     got = align_to_reference(parsed.stripped, parsed.marked_ranges, tokenize(caption))
     want = oracle_align_to_reference(
         parsed.stripped, parsed.marked_ranges, oracle_tokenize(caption)
@@ -833,7 +935,7 @@ def test_run_adversarial_matches_oracle(data):
 
 def test_token_repr_and_fields_unchanged():
     tok = tokenize("a").tokens[0]
-    assert tok._fields == ("text", "byte_start", "byte_end", "index", "char_start", "char_end")
+    assert tok._fields == ("text", "char_start", "char_end")
     assert repr(tok) == repr(oracle_tokenize("a").tokens[0]).replace("OracleToken", "Token")
 
 

@@ -43,27 +43,27 @@ def test_all_punct_chunk():
     assert texts("...") == [".", ".", "."]
 
 
-def test_byte_offsets_ascii():
+def test_char_offsets_ascii():
     tc = tokenize("a bc  d")
-    offs = [(t.byte_start, t.byte_end) for t in tc.tokens]
+    offs = [(t.char_start, t.char_end) for t in tc.tokens]
     assert offs == [(0, 1), (2, 4), (6, 7)]
 
 
-def test_byte_offsets_multibyte():
+def test_char_offsets_multibyte():
     src = "café à côté."
     tc = tokenize(src)
-    raw = src.encode("utf-8")
     for tok in tc.tokens:
-        assert raw[tok.byte_start : tok.byte_end].decode("utf-8") == tok.text
+        assert src[tok.char_start : tok.char_end] == tok.text
+    assert [(t.char_start, t.char_end) for t in tc.tokens] == [(0, 4), (5, 6), (7, 11), (11, 12)]
 
 
 def test_token_order_and_nonoverlap():
     tc = tokenize("one two, three!")
     prev = 0
     for tok in tc.tokens:
-        assert tok.byte_start >= prev
-        assert tok.byte_start < tok.byte_end
-        prev = tok.byte_end
+        assert tok.char_start >= prev
+        assert tok.char_start < tok.char_end
+        prev = tok.char_end
 
 
 def _random_text(rng):
@@ -80,17 +80,16 @@ def test_reconstruction_property():
     rng = random.Random(11)
     for _ in range(300):
         src = _random_text(rng)
-        raw = src.encode("utf-8")
         tc = tokenize(src)
         pos = 0
-        rebuilt = b""
+        rebuilt = ""
         for tok in tc.tokens:
-            rebuilt += raw[pos : tok.byte_start]
-            assert raw[tok.byte_start : tok.byte_end].decode("utf-8") == tok.text
-            rebuilt += raw[tok.byte_start : tok.byte_end]
-            pos = tok.byte_end
-        rebuilt += raw[pos:]
-        assert rebuilt == raw
+            rebuilt += src[pos : tok.char_start]
+            assert src[tok.char_start : tok.char_end] == tok.text
+            rebuilt += src[tok.char_start : tok.char_end]
+            pos = tok.char_end
+        rebuilt += src[pos:]
+        assert rebuilt == src
 
 
 def test_idempotence_property():
