@@ -23,6 +23,11 @@ logger = logging.getLogger(__name__)
 FORMAT_NAME = "dvb-jsonl"
 FORMAT_VERSION = 1
 
+# the literals of the inline tag protocol (caploc.tagproto): a caption that
+# held one would read as tagged when a model echoes it
+OPEN_TAG = "<HALLUCINATION>"
+CLOSE_TAG = "</HALLUCINATION>"
+
 _SAMPLE_FIELDS = {"id", "image", "domain", "variant", "caption", "clean_caption", "gold_spans"}
 _SPAN_FIELDS = {"start", "end", "dimension"}
 
@@ -221,6 +226,10 @@ def validate_sample(sample: BenchmarkSample) -> ValidationReport:
         add("domain", f"unknown domain {sample.domain!r}; expected one of {list(DOMAIN_VALUES)}")
     if sample.variant not in ("real", "synthetic"):
         add("variant", f"unknown variant {sample.variant!r}")
+    for fld, text in (("caption", sample.caption), ("clean_caption", sample.clean_caption)):
+        tags = [tag for tag in (OPEN_TAG, CLOSE_TAG) if text and tag in text]
+        if tags:
+            add(fld, f"holds the tag literal {' and '.join(tags)}, which marks spans in model output")
 
     # every whitespace chunk holds at least one token, so the chunk count
     # bounds the token count from below; the exact count is taken only for

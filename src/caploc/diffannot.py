@@ -22,6 +22,7 @@ it costs about O(m + n + (m+n)*D) instead of O(m*n).
 from __future__ import annotations
 
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -82,7 +83,7 @@ _NEG = -(1 << 60)
 _RUNS = re.compile("k+|[gc]+")  # a run of keeps, or one gap block
 
 
-def _prefix_lcs(a: list[str], b: list[str]) -> tuple[list[int], list[int]]:
+def _prefix_lcs(a: Sequence[str], b: Sequence[str]) -> tuple[list[int], list[int]]:
     """[LCS(a[:i], b) for i in 0..len(a)] and [LCS(a, b[:j]) for j in 0..len(b)].
 
     Bit-parallel row recurrence (Allison & Dix 1986; Hyyro 2004): bit j of
@@ -110,7 +111,7 @@ def _prefix_lcs(a: list[str], b: list[str]) -> tuple[list[int], list[int]]:
 
 
 def _lcs_profiles(
-    a: list[str], b: list[str]
+    a: Sequence[str], b: Sequence[str]
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """LCS(a[:i], b), LCS(a[i:], b), LCS(a, b[:j]) and LCS(a, b[j:]) for
     every i and j, from one forward and one reversed bit-parallel pass."""
@@ -138,7 +139,7 @@ def _forced(before: list[int], after: list[int], total: int) -> dict[int, int]:
     }
 
 
-def _band_steps(gt: list[str], ct: list[str], kept: int) -> str:
+def _band_steps(gt: Sequence[str], ct: Sequence[str], kept: int) -> str:
     """The steps ("k" keep, "g" consume g, "c" consume c) of the optimal
     alignment of gt and ct under diff_tokens' objective and tie-break,
     starting after a keep, given their LCS length.
@@ -243,14 +244,12 @@ def diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> EditScript:
     forced keeps and fills one band of about (m+n)*D cells, with D the
     tokens not kept on either side.
     """
-    gt = [t.text for t in g.tokens]
-    ct = [t.text for t in c.tokens]
     p = 0
-    for gp, cp in zip(gt, ct):
+    for gp, cp in zip(g.texts, c.texts):
         if gp != cp:
             break
         p += 1
-    del gt[:p], ct[:p]
+    gt, ct = g.texts[p:], c.texts[p:]
     m, n = len(gt), len(ct)
     rows_before, rows_after, cols_before, cols_after = _lcs_profiles(gt, ct)
     g_forced = _forced(rows_before, rows_after, rows_before[m])

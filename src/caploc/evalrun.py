@@ -547,9 +547,9 @@ def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "report.json"
-    with open(json_path, "w", encoding="utf-8") as f:
-        json.dump(report.to_dict(), f, ensure_ascii=False, indent=2, sort_keys=True)
-        f.write("\n")
+    # one write: json.dump would write the document chunk by chunk
+    text = json.dumps(report.to_dict(), ensure_ascii=False, indent=2, sort_keys=True)
+    json_path.write_text(text + "\n", encoding="utf-8")
     table_path = out_dir / "report.txt"
     table_path.write_text(render_report_table(report), encoding="utf-8")
     return [json_path, table_path]

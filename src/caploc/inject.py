@@ -38,7 +38,8 @@ PROMPT_VERSION = "v1"
 _ASSET_DIR = Path(__file__).parent / "assets"
 
 _LABELS_PREFIX = "LABELS:"
-_QUOTED_RE = re.compile(r'"([^"\n]+)"')
+# a phrase in straight or typographic double quotes
+_QUOTED_RE = re.compile(r'"([^"\n]+)"|“([^”\n]+)”')
 _RETRY_REMINDER = "\n\nREMINDER: copy the caption exactly, word for word, outside the tags."
 
 
@@ -141,7 +142,7 @@ class InjectionState:
         """Token texts of current_text(), spliced from the clean tokens and
         the replacements. _render sets every replacement off with whitespace,
         so tokenizing current_text() gives the same texts."""
-        clean = [t.text for t in self.clean.tokens]
+        clean = self.clean.texts
         out: list[str] = []
         pos = 0
         for s in self.spans:
@@ -166,10 +167,10 @@ def _render(clean: TokenizedCaption, spans: list[InjectedSpan]) -> str:
     pos = 0
     for s in spans:
         if s.clean_start < s.clean_end:
-            a = clean.tokens[s.clean_start].char_start
-            b = clean.tokens[s.clean_end - 1].char_end
-        elif s.clean_start < len(clean.tokens):
-            a = b = clean.tokens[s.clean_start].char_start
+            a = clean.starts[s.clean_start]
+            b = clean.ends[s.clean_end - 1]
+        elif s.clean_start < len(clean):
+            a = b = clean.starts[s.clean_start]
         else:
             a = b = len(src)
         emit(src[pos:a])
@@ -238,7 +239,7 @@ def _parse_injector_response(
             InjectedSpan(
                 clean_start=kept[a - 1] + 1,
                 clean_end=kept[b],
-                replacement=tuple(t.text for t in out_tc.tokens[a:b]),
+                replacement=out_tc.texts[a:b],
             )
         )
 
@@ -286,7 +287,7 @@ def inject_round(
         state = clean_or_state
     else:
         tc = tokenize(clean_or_state)
-        if not tc.tokens:
+        if not tc.texts:
             raise InjectionError("inject_round: empty caption")
         state = InjectionState(clean=tc)
 
@@ -340,8 +341,8 @@ def detect_round(
     token_texts = state.current_token_texts()
     for line in response.text.split("\n"):
         for match in _QUOTED_RE.finditer(line):
-            phrase = match.group(1)
-            needle = [t.text for t in tokenize(phrase).tokens]
+            phrase = match[1] or match[2]
+            needle = list(tokenize(phrase).texts)
             if not needle:
                 continue
             pos = _find_subsequence(token_texts, needle)

@@ -9,6 +9,7 @@ reverse) scores 0, and F1 is 0 whenever P+R is 0.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from .corpus import HallucinationSpan
@@ -80,26 +81,27 @@ def sentence_metrics(
     gold: set[int], pred: set[int], sentences: SentenceIndex
 ) -> SentenceScore:
     """Sentence-level scores: a sentence counts as hallucinated when it
-    contains at least one hallucinated token."""
-    n = sentences.sentences[-1].token_end if len(sentences) else 0
+    contains at least one hallucinated token.
+
+    The sentences tile the token range [0, n) in order, as split_sentences
+    builds them, so token i belongs to the first sentence ending after it,
+    found by bisection over the sentence ends.
+    """
+    ends = [s.token_end for s in sentences.sentences]
+    n = ends[-1] if ends else 0
     bad = [i for i in gold | pred if not 0 <= i < n]
     if bad:
         raise ValueError(
             f"sentence_metrics: indices {sorted(bad)} not covered by the sentence index"
         )
-    gold_labels = []
-    pred_labels = []
-    for s in sentences.sentences:
-        idx = set(s.token_indices)
-        gold_labels.append(bool(idx & gold))
-        pred_labels.append(bool(idx & pred))
-    tp = sum(1 for g, p in zip(gold_labels, pred_labels) if g and p)
-    counts = TokenCounts(tp, sum(pred_labels), sum(gold_labels))
+    gold_hit = {bisect_right(ends, i) for i in gold}
+    pred_hit = {bisect_right(ends, i) for i in pred}
+    counts = TokenCounts(len(gold_hit & pred_hit), len(pred_hit), len(gold_hit))
     return SentenceScore(
         prf=counts.prf(),
         counts=counts,
-        gold_labels=tuple(gold_labels),
-        pred_labels=tuple(pred_labels),
+        gold_labels=tuple(k in gold_hit for k in range(len(ends))),
+        pred_labels=tuple(k in pred_hit for k in range(len(ends))),
     )
 
 

@@ -3,7 +3,7 @@
 Spans are wrapped in the literal tags <HALLUCINATION> and </HALLUCINATION>,
 matched exactly and case-sensitively. Parsing works on the str, and its
 marked ranges are code-point ranges into the tag-stripped text, the unit of
-Token.char_start/char_end. It never fails: malformed tagging is repaired
+TokenizedCaption.starts/ends. It never fails: malformed tagging is repaired
 deterministically and recorded as a status instead.
 """
 
@@ -14,20 +14,14 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
-from operator import attrgetter
 
-from .corpus import HallucinationSpan
+from .corpus import CLOSE_TAG, OPEN_TAG, HallucinationSpan
 from .diffannot import diff_tokens
 from .text import TokenizedCaption, tokenize
-
-OPEN_TAG = "<HALLUCINATION>"
-CLOSE_TAG = "</HALLUCINATION>"
 
 # neither tag can overlap an occurrence of itself or of the other, so a
 # left-to-right split finds every occurrence of each
 _TAG_RE = re.compile(f"({re.escape(OPEN_TAG)}|{re.escape(CLOSE_TAG)})")
-_CHAR_START = attrgetter("char_start")
-_CHAR_END = attrgetter("char_end")
 
 
 class ParseStatus(str, Enum):
@@ -62,7 +56,7 @@ class Prediction:
 
 def serialize_tags(c: TokenizedCaption, spans: list[HallucinationSpan]) -> TaggedText:
     """Wrap each span's tokens in tags, leaving all other text untouched."""
-    n = len(c.tokens)
+    n = len(c)
     prev_end = 0
     for i, span in enumerate(spans):
         if not (0 <= span.start < span.end <= n):
@@ -73,8 +67,8 @@ def serialize_tags(c: TokenizedCaption, spans: list[HallucinationSpan]) -> Tagge
     out: list[str] = []
     pos = 0
     for span in spans:
-        open_at = c.tokens[span.start].char_start
-        close_at = c.tokens[span.end - 1].char_end
+        open_at = c.starts[span.start]
+        close_at = c.ends[span.end - 1]
         out.append(c.source[pos:open_at])
         out.append(OPEN_TAG)
         out.append(c.source[open_at:close_at])
@@ -141,11 +135,10 @@ def marked_token_indices(
     r_start and starting before r_end: a contiguous run found by bisection.
     Ranges may be unsorted, overlapping or empty.
     """
-    tokens = tc.tokens
+    starts, ends = tc.starts, tc.ends
     marked: set[int] = set()
     for r_start, r_end in ranges:
-        first = bisect_right(tokens, r_start, key=_CHAR_END)
-        marked.update(range(first, bisect_left(tokens, r_end, key=_CHAR_START)))
+        marked.update(range(bisect_right(ends, r_start), bisect_left(starts, r_end)))
     return marked
 
 

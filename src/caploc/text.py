@@ -7,7 +7,7 @@ version dots) stays attached. Gold annotations are stored as indices into this
 token sequence, so any rule change here must bump TOKENIZER_VERSION.
 
 Offsets are code-point offsets into the source str, the one offset unit:
-a token's text is source[char_start:char_end].
+token i's text is source[starts[i]:ends[i]].
 
 The rule is one compiled pattern: a token is either a core that starts and
 ends with a character that is neither whitespace nor punctuation, or a single
@@ -17,25 +17,30 @@ sums of the part lengths are the token offsets. re has no category classes,
 so the pattern names ASCII punctuation only; when text holds other
 punctuation, the split runs on a probe of the same length in which each such
 character is swapped for an ASCII one. count_tokens() only counts the parts;
-tokenize() builds a Token for each.
+tokenize() keeps the token parts and their offsets.
 
 split_sentences() finds its candidate boundaries with one pattern over the
 source, a terminator followed by whitespace or the end, and looks at the
 next character only there.
 
-Token and Sentence are NamedTuples: a long caption has hundreds of tokens
-and dozens of sentences, and tuples are much cheaper to build than frozen
-dataclass instances.
+A TokenizedCaption stores its tokens as three equal-length columns (texts,
+starts, ends), taken straight from the split with no object per token: a
+long caption has hundreds of tokens, and the readers only slice texts and
+bisect the offsets. Its tokens property builds the row view, one Token
+NamedTuple per token, on first use, for callers outside the package; no
+module of the package reads it. Sentence is a NamedTuple: a caption has
+dozens of them, and tuples are much cheaper to build than frozen dataclass
+instances.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import unicodedata
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, pairwise, repeat
-from operator import attrgetter
 from typing import NamedTuple
 
 TOKENIZER_VERSION = "dvb-tok/1"
@@ -53,7 +58,6 @@ _TOKEN_RE = re.compile(rf"([^\s{_P}](?:\S*[^\s{_P}])?|[{_P}])")
 # a terminator at the end of a chunk, with the next non-space character
 # (empty at the end of the text) captured
 _BOUNDARY_RE = re.compile(r"[.!?](?=\s|\Z)(?=\s*(.?))")
-_CHAR_END = attrgetter("char_end")
 
 
 class Token(NamedTuple):
@@ -67,14 +71,24 @@ class Token(NamedTuple):
 
 @dataclass(frozen=True)
 class TokenizedCaption:
+    """A caption's tokens as columns: token i is texts[i], the code points
+    [starts[i], ends[i]) of source. Tokens are disjoint and in order, so
+    both offset columns strictly increase and bisect directly."""
+
     source: str
-    tokens: tuple[Token, ...]
+    texts: tuple[str, ...]
+    starts: tuple[int, ...]
+    ends: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self.texts)
 
-    def texts(self) -> tuple[str, ...]:
-        return tuple(t.text for t in self.tokens)
+    @functools.cached_property
+    def tokens(self) -> tuple[Token, ...]:
+        """The same tokens as one Token per row, built on first access."""
+        # tuple.__new__ builds a Token without NamedTuple's Python-level __new__
+        rows = zip(self.texts, self.starts, self.ends)
+        return tuple(map(tuple.__new__, repeat(Token), rows))
 
 
 class Sentence(NamedTuple):
@@ -124,13 +138,13 @@ def tokenize(text: str) -> TokenizedCaption:
     original inter-token whitespace reconstructs the source exactly.
     """
     probe, parts = _split(text)
-    offsets = list(accumulate(map(len, parts)))
+    offsets = tuple(accumulate(map(len, parts)))
     starts, ends = offsets[:-1:2], offsets[1::2]
-    if probe is not text:
-        parts[1::2] = map(text.__getitem__, map(slice, starts, ends))
-    fields = zip(parts[1::2], starts, ends)
-    # tuple.__new__ builds a Token without NamedTuple's Python-level __new__
-    return TokenizedCaption(source=text, tokens=tuple(map(tuple.__new__, repeat(Token), fields)))
+    if probe is text:
+        texts = tuple(parts[1::2])
+    else:
+        texts = tuple(map(text.__getitem__, map(slice, starts, ends)))
+    return TokenizedCaption(text, texts, starts, ends)
 
 
 def split_sentences(tc: TokenizedCaption) -> SentenceIndex:
@@ -140,15 +154,15 @@ def split_sentences(tc: TokenizedCaption) -> SentenceIndex:
     source continues with whitespace and an uppercase letter, or ends there.
     Trailing material without a terminator forms a final sentence.
     """
-    tokens = tc.tokens
-    if not tokens:
+    ends = tc.ends
+    if not ends:
         return SentenceIndex()
     # a terminator followed by whitespace or the end is the last character
-    # of a chunk, so it ends the token whose char_end is just past it
+    # of a chunk, so it ends the token whose end offset is just past it
     cuts = [0]
     for m in _BOUNDARY_RE.finditer(tc.source):
         if not m[1] or m[1].isupper():
-            cuts.append(bisect_left(tokens, m.end(), key=_CHAR_END) + 1)
-    if cuts[-1] < len(tokens):
-        cuts.append(len(tokens))
+            cuts.append(bisect_left(ends, m.end()) + 1)
+    if cuts[-1] < len(ends):
+        cuts.append(len(ends))
     return SentenceIndex(tuple(Sentence(start, end) for start, end in pairwise(cuts)))

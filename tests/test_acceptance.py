@@ -173,7 +173,7 @@ def _closure_suite():
         suite.append(
             {
                 "caption": caption,
-                "texts": list(tokenize(caption).texts()),
+                "texts": list(tokenize(caption).texts),
                 "plants": plants,
                 "mode": mode,
                 "k": (i % 3) + 1,
@@ -277,7 +277,7 @@ def _sweep_fixture(tmp_path):
 
     def injector(req):
         entry = next(s for s in clean if s.caption in req.user)
-        out = list(tokenize(entry.caption).texts())
+        out = list(tokenize(entry.caption).texts)
         out[1] = f"{TAG}glorp{END}"
         out[4] = f"{TAG}zibber{END}"
         return " ".join(out) + "\nLABELS: color, number"
@@ -286,7 +286,7 @@ def _sweep_fixture(tmp_path):
         caption = _prompt_caption(req.user)
         out = [
             f"{TAG}{t}{END}" if t in ("glorp", "zibber") else t
-            for t in tokenize(caption).texts()
+            for t in tokenize(caption).texts
         ]
         return " ".join(out)
 

@@ -68,6 +68,24 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "OK: 2 samples" in out
 
+    @pytest.mark.parametrize("tag", [TAG, END])
+    def test_caption_holding_a_tag_literal_exits_1(self, tmp_path, capsys, tag):
+        """A locator that echoed such a caption and tagged nothing would
+        score the tokens after the tag as predicted; the dataset is
+        rejected before any scoring instead."""
+        caption = f"a {tag}red car parked near the gate."
+        sample = BenchmarkSample(id="s1", image="", domain="nature", caption=caption)
+        dataset = write_dataset(tmp_path, [sample])
+        transcripts = tmp_path / "t.jsonl"
+        transcripts.write_text(json.dumps({"id": "s1", "output": caption}) + "\n")
+        want = f"error: {dataset}:2: invalid sample: sample 's1': caption: holds the tag literal {tag}"
+        assert main(["validate", str(dataset)]) == 1
+        assert want in capsys.readouterr().err
+        argv = ["score", "--dataset", str(dataset), "--transcripts", str(transcripts)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert want in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_dataset_exits_1(self, tmp_path, capsys):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"format": "dvb-jsonl", "version": 1, "tokenizer": "dvb-tok/1"}\n{"id": ""}\n')

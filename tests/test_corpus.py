@@ -49,6 +49,16 @@ def test_validate_unknown_dimension():
     assert any("colour" in i.message for i in rep.issues)
 
 
+@pytest.mark.parametrize("fld", ["caption", "clean_caption"])
+def test_validate_rejects_tag_literals(fld):
+    text = "A red <HALLUCINATION>car</HALLUCINATION> parked near the gate."
+    rep = validate_sample(make_sample(**{fld: text}))
+    assert [(i.field, i.message) for i in rep.issues] == [
+        (fld, "holds the tag literal <HALLUCINATION> and </HALLUCINATION>, which marks spans in model output")
+    ]
+    assert validate_sample(make_sample(**{fld: "A red <car> parked near the HALLUCINATION."})).ok
+
+
 def test_validate_span_out_of_range():
     rep = validate_sample(make_sample(gold_spans=[HallucinationSpan(5, 99)]))
     assert not rep.ok

@@ -225,7 +225,7 @@ def test_long_caption_diff_fills_only_a_band():
     finally:
         tracemalloc.stop()
     assert peak < 5_000_000
-    p = next(i for i, (a, b) in enumerate(zip(g.texts(), c.texts())) if a != b)
+    p = next(i for i, (a, b) in enumerate(zip(g.texts, c.texts)) if a != b)
     assert p >= 500
     assert op_tuples(script) == [
         (KEEP, 0, p, 0, p),

@@ -114,7 +114,7 @@ class TestInjectRound:
         assert state.spans == [
             InjectedSpan(clean_start=3, clean_end=3, replacement=("with", "flames"), dimension="scene")
         ]
-        assert list(tokenize(state.current_text()).texts()) == [
+        assert list(tokenize(state.current_text()).texts) == [
             "a", "red", "car", "with", "flames", "."
         ]
 
@@ -420,6 +420,24 @@ class TestRunAdversarial:
         assert len(calls) == 1 + len(replies) + len(phrases)
         assert outcome.sample.gold_spans == [HallucinationSpan(6, 7, "scene")]
 
+    def test_typographic_quotes_ground_the_phrase(self):
+        """A detector that quotes with “…” catches the span like one that uses
+        straight quotes."""
+        cfg = InjectionConfig(rounds=1, include_image=False)
+        first = f"a {TAG}green{END} car parked near the gate.\nLABELS: color"
+        detect = ["“green” - unlikely color for this car"]
+        gate, _ = make_gate(
+            [inject_rule(first), ScriptRule(purpose="detect", responses=detect)]
+        )
+        outcome = run_adversarial(clean_sample(), cfg, gate)
+        assert outcome.sample.caption == "a red car parked near the gate."
+        assert outcome.no_survivors
+        phases = [e["phase"] for e in outcome.state.audit]
+        assert "detect_dropped" not in phases
+        assert outcome.state.audit[-1] == {
+            "phase": "detect_grounded", "round": 0, "spans": [(1, 2, "green")]
+        }
+
     def test_all_caught_yields_clean_negative(self):
         cfg = InjectionConfig(rounds=1, include_image=False)
         first = f"a {TAG}blue{END} car parked near the gate.\nLABELS: color"
@@ -451,7 +469,7 @@ SPLICE_CHARS = list(".,;:!?\"'()-") + [
     "a", "b", "é", "ж", "漢", "1", "½", " ", " ", "\u3000", "\u00a0", "\t", "\n",
 ]
 splice_texts = st.text(st.sampled_from(SPLICE_CHARS), max_size=40)
-replacements = splice_texts.map(lambda t: tokenize(t).texts()).filter(bool)
+replacements = splice_texts.map(lambda t: tokenize(t).texts).filter(bool)
 
 
 @st.composite
@@ -506,7 +524,7 @@ class TestRenderLayoutProperties:
         return state
 
     def expected_texts(self, state):
-        clean = list(state.clean.texts())
+        clean = list(state.clean.texts)
         out = []
         pos = 0
         for s in state.spans:
@@ -519,7 +537,7 @@ class TestRenderLayoutProperties:
     @settings(max_examples=500, deadline=None)
     @given(splice_states())
     def test_render_matches_token_splice(self, state):
-        texts = list(tokenize(state.current_text()).texts())
+        texts = list(tokenize(state.current_text()).texts)
         assert texts == self.expected_texts(state)
         assert state.current_token_texts() == texts
 
@@ -527,7 +545,7 @@ class TestRenderLayoutProperties:
         rng = random.Random(913)
         for _ in range(300):
             state = self.random_state(rng)
-            texts = tokenize(state.current_text()).texts()
+            texts = tokenize(state.current_text()).texts
             for (a, b), span in zip(state.span_layout(), state.spans):
                 assert tuple(texts[a:b]) == span.replacement
 

@@ -1,13 +1,14 @@
-"""Differential tests of the tokenizer, the sentence splitter, the token
-diff, the tag parser, the tag aligner, the injector's reply handling and the
-adversarial loop against the straightforward implementations they replaced,
-kept here as oracles.
+"""Differential tests of the tokenizer, the sentence splitter, the sentence
+labels, the token diff, the tag parser, the tag aligner, the injector's
+reply handling and the adversarial loop against the straightforward
+implementations they replaced, kept here as oracles.
 
 The oracles are the reference semantics: any speed-up or simplification of
-tokenize, split_sentences, diff_tokens, parse_tags, marked_token_indices,
-align_to_reference, inject_round or run_adversarial must agree with them on
-every token field, every sentence, every edit op, every parse, every
-Prediction, and every injection state and error.
+tokenize, split_sentences, sentence_metrics, diff_tokens, parse_tags,
+marked_token_indices, align_to_reference, inject_round or run_adversarial
+must agree with them on every token field, every sentence, every sentence
+score, every edit op, every parse, every Prediction, and every injection
+state and error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import unicodedata
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace as dc_replace
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from caploc.corpus import DIMENSION_VALUES, BenchmarkSample, Dimension, HallucinationSpan
 from caploc.diffannot import (
@@ -45,6 +46,7 @@ from caploc.inject import (
     inject_round,
     run_adversarial,
 )
+from caploc.metrics import SentenceScore, TokenCounts, sentence_metrics
 from caploc.modelgate import ModelGate, ModelRequest, Purpose, ScriptedBackend, ScriptRule
 from caploc.tagproto import (
     CLOSE_TAG,
@@ -58,6 +60,7 @@ from caploc.tagproto import (
 from caploc.text import (
     Sentence,
     SentenceIndex,
+    Token,
     TokenizedCaption,
     count_tokens,
     split_sentences,
@@ -103,7 +106,18 @@ class OracleToken:
     char_end: int
 
 
-def oracle_tokenize(text: str) -> TokenizedCaption:
+@dataclass(frozen=True)
+class OracleCaption:
+    """The oracle's own tokenized caption: one OracleToken per token."""
+
+    source: str
+    tokens: tuple[OracleToken, ...]
+
+    def __len__(self) -> int:
+        return len(self.tokens)
+
+
+def oracle_tokenize(text: str) -> OracleCaption:
     spans: list[tuple[int, int]] = []
     for m in _CHUNK_RE.finditer(text):
         start = m.start()
@@ -120,7 +134,7 @@ def oracle_tokenize(text: str) -> TokenizedCaption:
         for t in range(k, j):
             spans.append((start + t, start + t + 1))
     tokens = tuple(OracleToken(text[cs:ce], cs, ce) for cs, ce in spans)
-    return TokenizedCaption(source=text, tokens=tokens)
+    return OracleCaption(source=text, tokens=tokens)
 
 
 def oracle_byte_parse_tags(raw: str) -> tuple[str, tuple[tuple[int, int], ...], ParseStatus]:
@@ -302,7 +316,7 @@ def oracle_marked_token_indices(tc, ranges) -> set[int]:
 def oracle_align_to_reference(stripped, marked_ranges, ref) -> Prediction:
     ranges = tuple(marked_ranges)
     out_tc = oracle_tokenize(stripped)
-    if out_tc.texts() == ref.texts():
+    if [t.text for t in out_tc.tokens] == [t.text for t in ref.tokens]:
         return Prediction(
             indices=frozenset(oracle_marked_token_indices(out_tc, ranges)),
             faithful=True,
@@ -354,6 +368,32 @@ def oracle_split_sentences(tc: TokenizedCaption) -> SentenceIndex:
     if start < len(tc.tokens):
         sentences.append(Sentence(token_start=start, token_end=len(tc.tokens)))
     return SentenceIndex(tuple(sentences))
+
+
+def oracle_sentence_metrics(
+    gold: set[int], pred: set[int], sentences: SentenceIndex
+) -> SentenceScore:
+    """Sentence labels from one token set per sentence."""
+    n = sentences.sentences[-1].token_end if len(sentences) else 0
+    bad = [i for i in gold | pred if not 0 <= i < n]
+    if bad:
+        raise ValueError(
+            f"sentence_metrics: indices {sorted(bad)} not covered by the sentence index"
+        )
+    gold_labels = []
+    pred_labels = []
+    for s in sentences.sentences:
+        idx = set(s.token_indices)
+        gold_labels.append(bool(idx & gold))
+        pred_labels.append(bool(idx & pred))
+    tp = sum(1 for g, p in zip(gold_labels, pred_labels) if g and p)
+    counts = TokenCounts(tp, sum(pred_labels), sum(gold_labels))
+    return SentenceScore(
+        prf=counts.prf(),
+        counts=counts,
+        gold_labels=tuple(gold_labels),
+        pred_labels=tuple(pred_labels),
+    )
 
 
 def oracle_parse_injector_response(
@@ -730,8 +770,19 @@ def char_ranges(limit: int):
 def test_tokenize_matches_oracle(text):
     got, want = tokenize(text), oracle_tokenize(text)
     assert got.source == want.source
+    assert list(zip(got.texts, got.starts, got.ends)) == token_fields(want)
     assert token_fields(got) == token_fields(want)
+    assert len(got.texts) == len(got.starts) == len(got.ends) == len(got) == len(want)
     assert count_tokens(text) == len(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(token_texts)
+def test_tokens_view_is_the_columns_as_rows(text):
+    tc = tokenize(text)
+    assert tc.tokens == tuple(Token(*row) for row in zip(tc.texts, tc.starts, tc.ends))
+    assert all(type(t) is Token for t in tc.tokens)
+    assert tc.tokens is tc.tokens  # built once
 
 
 @settings(max_examples=300, deadline=None)
@@ -854,6 +905,39 @@ def test_align_matches_oracle_on_edited_output(case, edit):
 def test_split_sentences_matches_oracle(text):
     tc = tokenize(text)
     assert split_sentences(tc) == oracle_split_sentences(tc)
+
+
+@st.composite
+def sentence_cases(draw) -> tuple[str, set[int], set[int]]:
+    """(caption, gold, pred): index sets that mostly fall inside the
+    caption's tokens and sometimes one past either end."""
+    text = draw(st.one_of(sentence_texts, token_texts))
+    index = st.integers(-1, count_tokens(text))
+    return text, draw(st.sets(index, max_size=6)), draw(st.sets(index, max_size=6))
+
+
+def sentence_outcome(score, case):
+    """The SentenceScore of a case, or the message of its ValueError."""
+    text, gold, pred = case
+    try:
+        return score(gold, pred, split_sentences(tokenize(text)))
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(sentence_cases())
+@example(("", set(), set()))
+@example(("", {0}, set()))
+@example(("A b. C d.", {1}, {6}))
+@example(("A b. C d.", {2, 3}, {1, 4}))
+@example(("A b. C d.", {2}, {-1, 6}))
+def test_sentence_metrics_matches_oracle(case):
+    """Labels, counts and P/R/F1 agree, and so does the error for an index
+    outside the caption, on an empty caption too."""
+    assert sentence_outcome(sentence_metrics, case) == sentence_outcome(
+        oracle_sentence_metrics, case
+    )
 
 
 def run_injection(inject, start, cfg, replies):
