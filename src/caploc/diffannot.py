@@ -1,7 +1,10 @@
 """Gold-span derivation: diff a generated caption against its corrected form.
 
-The diff is a minimal edit script under an LCS objective on token texts.
-Every generated-side token that a corrector replaced or deleted is marked
+The diff is a minimal edit script under an LCS objective on token texts. Its
+one result is the keep chain: each kept g (generated) token's c (corrected)
+index, in g order. The blocks between consecutive keeps are its gaps, each
+one replace (tokens on both sides), delete (g tokens only) or insert (c
+tokens only). Every g token in a replace or delete gap is marked
 hallucinated; runs of marked tokens merge into spans. Pure insertions (words
 the corrector added with no counterpart) anchor to the preceding token so the
 mark stays token-indexable.
@@ -21,51 +24,37 @@ it costs about O(m + n + (m+n)*D) instead of O(m*n).
 
 from __future__ import annotations
 
-import re
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .corpus import Dimension, HallucinationSpan
 from .text import TokenizedCaption
 
-KEEP = "keep"
-REPLACE = "replace"
-DELETE = "delete"
-INSERT = "insert"
-
-
-@dataclass(frozen=True)
-class EditOp:
-    """One edit over token ranges of g (generated) and c (corrected).
-
-    keep/replace carry both ranges; delete has an empty c-range at the current
-    c position; insert has an empty g-range at the g position the new tokens
-    land in front of.
-    """
-
-    kind: str
-    g_start: int
-    g_end: int
-    c_start: int
-    c_end: int
-
 
 @dataclass(frozen=True)
 class EditScript:
-    ops: tuple[EditOp, ...]
+    """The keep chain of a diff of g against c.
+
+    kept maps each kept g index to its c index, in g order: the one map
+    from output to reference tokens. Both sides strictly increase, and its
+    size is the LCS length.
+    """
+
+    kept: dict[int, int]
     g_len: int
     c_len: int
 
-    def kept(self) -> dict[int, int]:
-        """g index -> c index of every token a KEEP op aligns, in g order:
-        the one map from output to reference tokens. Both sides strictly
-        increase, and its size is the LCS length."""
-        out: dict[int, int] = {}
-        for op in self.ops:
-            if op.kind == KEEP:
-                out.update(zip(range(op.g_start, op.g_end), range(op.c_start, op.c_end)))
-        return out
+    def gaps(self) -> Iterator[tuple[int, int, int, int]]:
+        """(g_start, g_end, c_start, c_end) of each maximal block between
+        two keeps, in order, with (-1, -1) and (g_len, c_len) as the ends.
+        No gap is empty on both sides, and g_start == g_end is an insert in
+        front of g token g_start."""
+        i0 = j0 = -1
+        for i, j in chain(self.kept.items(), ((self.g_len, self.c_len),)):
+            if i > i0 + 1 or j > j0 + 1:
+                yield i0 + 1, i, j0 + 1, j
+            i0, j0 = i, j
 
 
 def runs(indices: set[int]) -> list[tuple[int, int]]:
@@ -80,7 +69,6 @@ def runs(indices: set[int]) -> list[tuple[int, int]]:
 
 
 _NEG = -(1 << 60)
-_RUNS = re.compile("k+|[gc]+")  # a run of keeps, or one gap block
 
 
 def _prefix_lcs(a: Sequence[str], b: Sequence[str]) -> tuple[list[int], list[int]]:
@@ -139,17 +127,19 @@ def _forced(before: list[int], after: list[int], total: int) -> dict[int, int]:
     }
 
 
-def _band_steps(gt: Sequence[str], ct: Sequence[str], kept: int) -> str:
-    """The steps ("k" keep, "g" consume g, "c" consume c) of the optimal
-    alignment of gt and ct under diff_tokens' objective and tie-break,
-    starting after a keep, given their LCS length.
+def _band_keeps(gt: Sequence[str], ct: Sequence[str], kept: int) -> list[tuple[int, int]]:
+    """The kept (i, j) pairs, in order, of the optimal alignment of gt and
+    ct under diff_tokens' objective and tie-break, starting after a keep,
+    given their LCS length.
 
     Every optimal alignment keeps `kept` tokens, so it takes m-kept g-steps
     and n-kept c-steps and stays on the diagonals i-j in [-(n-kept),
     m-kept]; only that band is filled. Banded values never exceed the true
     ones and equal them on every optimal path, so the traceback takes the
-    same steps as over the full table.
+    same steps as over the full table. It stops at the last keep.
     """
+    if not kept:
+        return []
     m, n = len(gt), len(ct)
     w = m + n + 2  # one kept token outweighs any possible block count
     lo, hi = m - kept, n - kept  # the band is -hi <= i - j <= lo
@@ -191,37 +181,36 @@ def _band_steps(gt: Sequence[str], ct: Sequence[str], kept: int) -> str:
             row_k[x] = keep_val if keep_val >= gap_open else gap_open
         vk[i], vg[i] = row_k, row_g
 
-    steps: list[str] = []
+    keeps: list[tuple[int, int]] = []
     i = j = 0
     entered = True
-    while i < m or j < n:
+    while len(keeps) < kept:  # so a keep lies ahead, and i < m and j < n
         x, y = top[i] - j, top[i + 1] - j
         cur = vk[i][x] if entered else vg[i][x]
-        if i < m and j < n and gt[i] == ct[j] and cur == w + vk[i + 1][y - 1]:
-            steps.append("k")
+        if gt[i] == ct[j] and cur == w + vk[i + 1][y - 1]:
+            keeps.append((i, j))
             i += 1
             j += 1
             entered = True
             continue
-        open_cost = 1 if entered else 0
-        if i < m and cur == vg[i + 1][y] - open_cost:
-            steps.append("g")
+        if cur == vg[i + 1][y] - (1 if entered else 0):
             i += 1
         else:
-            steps.append("c")
             j += 1
         entered = False
-    return "".join(steps)
+    return keeps
 
 
 def diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> EditScript:
-    """Minimal token-level edit script turning g into c.
+    """Minimal token-level edit script turning g into c, as its keep chain:
+    kept maps each kept g index to its c index, and the gaps between keeps
+    are the replace, delete and insert blocks.
 
     Primary objective: a maximum number of kept tokens (an LCS alignment).
     Among maximum alignments the one with the fewest gap blocks (maximal runs
     of non-keep edits) wins; an alignment that grabs the wrong partner among
     repeated words needs an extra block, so this keeps aligned runs contiguous
-    and avoids insert ops that would mark an innocent neighboring token.
+    and avoids insert gaps that would mark an innocent neighboring token.
     Remaining ties resolve by a fixed forward preference (keep, then consume
     g, then consume c), making the output deterministic.
 
@@ -235,7 +224,7 @@ def diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> EditScript:
     across a keep, and every optimal path runs through a forced keep, so
     the traceback's first-equal choices on each side of one depend only on
     that side: the segments between forced keeps are diffed on their own
-    by the banded dynamic program (_band_steps) and joined with keeps.
+    by the banded dynamic program (_band_keeps) and joined with keeps.
 
     Cost: 2m big-int steps on n-bit integers and O(m + n) Python steps for
     the profiles, plus about (a+b)*d band cells for each segment of a and
@@ -255,52 +244,35 @@ def diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> EditScript:
     g_forced = _forced(rows_before, rows_after, rows_before[m])
     c_forced = _forced(cols_before, cols_after, rows_before[m])
 
-    # forced keeps as (g, c) pairs, in order; (m, n) closes the last segment
+    # the prefix, then each segment's keeps and the forced keep that closes
+    # it, in g order; (m, n) closes the last segment and is no keep
+    kept = dict(zip(range(p), range(p)))
     pairs = [(i, c_forced[k]) for k, i in g_forced.items() if k in c_forced]
-    parts: list[str] = []
-    done = 0  # g tokens covered by the parts so far
     for (i0, j0), (i, j) in zip([(-1, -1), *pairs], [*pairs, (m, n)]):
         i0, j0 = i0 + 1, j0 + 1
         if i > i0 or j > j0:
-            parts.append("k" * (i0 - done))  # the forced keeps since the last segment
-            parts.append(_band_steps(gt[i0:i], ct[j0:j], rows_before[i] - rows_before[i0]))
-            done = i
-    parts.append("k" * (m - done))
-
-    # the rest starts with a gap, so the prefix is one KEEP op of its own
-    ops: list[EditOp] = [EditOp(KEEP, 0, p, 0, p)] if p else []
-    i = j = p
-    for run in _RUNS.findall("".join(parts)):
-        if run[0] == "k":
-            ops.append(EditOp(KEEP, i, i + len(run), j, j + len(run)))
-            i, j = i + len(run), j + len(run)
-            continue
-        dg = run.count("g")
-        dc = len(run) - dg
-        if dg and dc:
-            ops.append(EditOp(REPLACE, i, i + dg, j, j + dc))
-        elif dg:
-            ops.append(EditOp(DELETE, i, i + dg, j, j))
-        else:
-            ops.append(EditOp(INSERT, i, i, j, j + dc))
-        i, j = i + dg, j + dc
-    return EditScript(ops=tuple(ops), g_len=p + m, c_len=p + n)
+            segment = _band_keeps(gt[i0:i], ct[j0:j], rows_before[i] - rows_before[i0])
+            kept.update((p + i0 + a, p + j0 + b) for a, b in segment)
+        kept[p + i] = p + j
+    del kept[p + m]
+    return EditScript(kept=kept, g_len=p + m, c_len=p + n)
 
 
 def extract_gold_spans(script: EditScript) -> list[HallucinationSpan]:
     """Mark hallucinated g tokens from an edit script and merge into spans.
 
-    Replace and delete ranges are marked directly. An insert marks the g token
-    just before the insertion point, or token 0 for an insertion at the start;
-    with an empty g there is nothing to mark. Dimension defaults to `other`
-    until a labeling pass assigns real categories.
+    The g tokens of a gap (a replace or delete) are marked directly. A gap
+    with no g tokens is an insert: it marks the g token just before the
+    insertion point, or token 0 for an insertion at the start; with an empty
+    g there is nothing to mark. Dimension defaults to `other` until a
+    labeling pass assigns real categories.
     """
     marked: set[int] = set()
-    for op in script.ops:
-        if op.kind in (REPLACE, DELETE):
-            marked.update(range(op.g_start, op.g_end))
-        elif op.kind == INSERT and script.g_len > 0:
-            marked.add(op.g_start - 1 if op.g_start > 0 else 0)
+    for g_start, g_end, _, _ in script.gaps():
+        if g_start < g_end:
+            marked.update(range(g_start, g_end))
+        elif script.g_len > 0:
+            marked.add(max(g_start - 1, 0))
     return [HallucinationSpan(a, b, Dimension.OTHER.value) for a, b in runs(marked)]
 
 

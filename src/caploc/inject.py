@@ -8,14 +8,15 @@ replacement tokens. The working caption is always re-derived from the clean
 caption plus surviving spans, so untagged regions are token-identical to the
 clean caption by construction, and reverting a span is simply dropping it.
 
-A reply is the caption with its edits tagged. The kept() map of its diff
+A reply is the caption with its edits tagged. The keep chain of its diff
 against the clean caption takes each kept reply token to its clean token, and
 the two ends to each other. A maximal tagged run whose tokens are all kept is
 unchanged and dropped. Any other run becomes the clean tokens between its two
-neighbours if both are kept and no clean token is missing at either edge, and
-is reported otherwise, as are untagged edits and missing clean tokens. A reply
-with a problem is retried once with a reminder; the retry's aligned spans are
-kept, and the round fails only if the retry tagged text and none of it aligned.
+neighbours if both are kept, no clean token is missing at either edge and no
+token holds a tag literal, and is reported otherwise, as are untagged edits and
+missing clean tokens. A reply with a problem is retried once with a reminder;
+the retry's aligned spans are kept, and the round fails only if the retry
+tagged text and none of it aligned.
 """
 
 from __future__ import annotations
@@ -26,8 +27,9 @@ import re
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 
-from .corpus import DIMENSION_VALUES, BenchmarkSample, Dimension, HallucinationSpan
-from .diffannot import DELETE, INSERT, REPLACE, diff_tokens, runs
+from .corpus import CLOSE_TAG, DIMENSION_VALUES, OPEN_TAG, BenchmarkSample, Dimension
+from .corpus import HallucinationSpan
+from .diffannot import diff_tokens, runs
 from .modelgate import ImageAttachment, ModelGate, ModelRequest, Purpose
 from .tagproto import marked_token_indices, parse_tags
 from .text import TokenizedCaption, tokenize
@@ -215,18 +217,18 @@ def _parse_injector_response(
     script = diff_tokens(out_tc, clean)
 
     problems: list[str] = []
-    inserts: set[int] = set()  # g positions an INSERT op sits in front of
-    for op in script.ops:
-        if op.kind == INSERT:
-            inserts.add(op.g_start)
-            problems.append(f"clean tokens [{op.c_start}, {op.c_end}) missing from the output")
-        elif op.kind in (REPLACE, DELETE):
-            untagged = [g for g in range(op.g_start, op.g_end) if g not in marked]
+    inserts: set[int] = set()  # g positions an insert gap sits in front of
+    for g_start, g_end, c_start, c_end in script.gaps():
+        if g_start == g_end:
+            inserts.add(g_start)
+            problems.append(f"clean tokens [{c_start}, {c_end}) missing from the output")
+        else:
+            untagged = [g for g in range(g_start, g_end) if g not in marked]
             if untagged:
                 problems.append(f"untagged output tokens {untagged} differ from the clean caption")
 
-    kept = script.kept()
-    kept[-1], kept[len(out_tc)] = -1, len(clean)  # the two ends align too
+    # a copy of the script's map, with the two ends aligned too
+    kept = {-1: -1, **script.kept, len(out_tc): len(clean)}
     spans: list[InjectedSpan] = []
     for a, b in runs(marked):
         if all(g in kept for g in range(a, b)):
@@ -235,11 +237,15 @@ def _parse_injector_response(
         if a - 1 not in kept or b not in kept or a in inserts or b in inserts:
             problems.append(f"span [{a}, {b}) does not align to the clean caption")
             continue
+        replacement = out_tc.texts[a:b]
+        if any(OPEN_TAG in t or CLOSE_TAG in t for t in replacement):
+            problems.append(f"span [{a}, {b}) holds a tag literal")
+            continue
         spans.append(
             InjectedSpan(
                 clean_start=kept[a - 1] + 1,
                 clean_end=kept[b],
-                replacement=out_tc.texts[a:b],
+                replacement=replacement,
             )
         )
 
@@ -321,7 +327,7 @@ def detect_round(
     state: InjectionState, cfg: InjectionConfig, gate: ModelGate
 ) -> list[DetectedSpan]:
     """Show the detector the plain current caption (no image, no tags) and
-    ground its quoted phrases as token ranges."""
+    ground its quoted phrases as token ranges, one at every occurrence."""
     if not state.spans:
         raise ValueError("detect_round: no injected spans to detect")
     prompt = fill_template(load_template("detect"), caption=state.current_text())
@@ -345,17 +351,21 @@ def detect_round(
             needle = list(tokenize(phrase).texts)
             if not needle:
                 continue
-            pos = _find_subsequence(token_texts, needle)
-            if pos is None:
+            positions = _find_subsequence(token_texts, needle)
+            if not positions:
                 dropped.append(phrase)
                 logger.info("detector phrase %r not found in caption, dropped", phrase)
                 continue
             rationale = (line[: match.start()] + line[match.end() :]).strip(" -:–")
-            detected.append(
+            detected += [
                 DetectedSpan(start=pos, end=pos + len(needle), phrase=phrase, rationale=rationale)
-            )
+                for pos in positions
+            ]
     if dropped:
         state.audit.append({"phase": "detect_dropped", "round": state.round, "phrases": dropped})
+    elif not detected and response.text.strip() != "No issues found.":
+        logger.info("detector reply quotes no phrase: %r", response.text)
+        state.audit.append({"phase": "detect_unparsed", "round": state.round})
     state.audit.append(
         {
             "phase": "detect_grounded",
@@ -366,12 +376,14 @@ def detect_round(
     return detected
 
 
-def _find_subsequence(haystack: list[str], needle: list[str]) -> int | None:
-    limit = len(haystack) - len(needle)
-    for i in range(limit + 1):
-        if haystack[i : i + len(needle)] == needle:
-            return i
-    return None
+def _find_subsequence(haystack: list[str], needle: list[str]) -> list[int]:
+    """Every start position of needle in haystack, overlapping ones too."""
+    n, first = len(needle), needle[0]
+    return [
+        i
+        for i, text in enumerate(haystack[: len(haystack) - n + 1])
+        if text == first and haystack[i : i + n] == needle
+    ]
 
 
 def filter_detected(

@@ -167,7 +167,7 @@ def align_to_reference(
         )
     out_tc = tokenize(stripped)
     marked_out = marked_token_indices(out_tc, ranges)
-    kept = diff_tokens(out_tc, ref).kept()
+    kept = diff_tokens(out_tc, ref).kept
     if len(out_tc) > 0:
         coverage = len(kept) / len(out_tc)
     else:

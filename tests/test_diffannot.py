@@ -6,11 +6,6 @@ import pytest
 
 from caploc import diffannot
 from caploc.diffannot import (
-    DELETE,
-    INSERT,
-    KEEP,
-    REPLACE,
-    EditOp,
     EditScript,
     diff_tokens,
     extract_gold_spans,
@@ -24,8 +19,23 @@ def script_for(g, c):
     return diff_tokens(tokenize(g), tokenize(c))
 
 
+KEEP, REPLACE, DELETE, INSERT = "keep", "replace", "delete", "insert"
+
+
 def op_tuples(script):
-    return [(o.kind, o.g_start, o.g_end, o.c_start, o.c_end) for o in script.ops]
+    """The edit ops of a script as (kind, g_start, g_end, c_start, c_end):
+    each run of consecutive keeps is one keep op, and each gap is one
+    replace, delete or insert op."""
+    ops = []
+    for g, c in script.kept.items():
+        if ops and ops[-1][0] == KEEP and (ops[-1][2], ops[-1][4]) == (g, c):
+            ops[-1] = (KEEP, ops[-1][1], g + 1, ops[-1][3], c + 1)
+        else:
+            ops.append((KEEP, g, g + 1, c, c + 1))
+    for g0, g1, c0, c1 in script.gaps():
+        kind = REPLACE if g0 < g1 and c0 < c1 else DELETE if g0 < g1 else INSERT
+        ops.append((kind, g0, g1, c0, c1))
+    return sorted(ops, key=lambda op: (op[1], op[3]))
 
 
 def lcs_len(a, b):
@@ -43,31 +53,29 @@ def lcs_len(a, b):
 
 def apply_script(script, gt, ct):
     out = []
-    for op in script.ops:
-        if op.kind == KEEP:
-            out.extend(gt[op.g_start : op.g_end])
-        elif op.kind in (REPLACE, INSERT):
-            out.extend(ct[op.c_start : op.c_end])
+    for kind, g0, g1, c0, c1 in op_tuples(script):
+        if kind == KEEP:
+            out.extend(gt[g0:g1])
+        elif kind in (REPLACE, INSERT):
+            out.extend(ct[c0:c1])
     return out
 
 
 def check_wellformed(script, gt, ct):
     gi = ci = 0
-    for op in script.ops:
-        assert op.g_start == gi and op.c_start == ci
-        assert op.g_end >= op.g_start and op.c_end >= op.c_start
-        if op.kind == KEEP:
-            assert op.g_end > op.g_start
-            assert gt[op.g_start : op.g_end] == ct[op.c_start : op.c_end]
-        elif op.kind == REPLACE:
-            assert op.g_end > op.g_start and op.c_end > op.c_start
-        elif op.kind == DELETE:
-            assert op.g_end > op.g_start and op.c_end == op.c_start
-        elif op.kind == INSERT:
-            assert op.g_end == op.g_start and op.c_end > op.c_start
+    for kind, g0, g1, c0, c1 in op_tuples(script):
+        assert g0 == gi and c0 == ci
+        assert g1 >= g0 and c1 >= c0
+        if kind == KEEP:
+            assert g1 > g0
+            assert gt[g0:g1] == ct[c0:c1]
+        elif kind == REPLACE:
+            assert g1 > g0 and c1 > c0
+        elif kind == DELETE:
+            assert g1 > g0 and c1 == c0
         else:
-            raise AssertionError(op.kind)
-        gi, ci = op.g_end, op.c_end
+            assert g1 == g0 and c1 > c0
+        gi, ci = g1, c1
     assert gi == script.g_len == len(gt)
     assert ci == script.c_len == len(ct)
 
@@ -98,15 +106,8 @@ def test_empty_sides():
 
 
 def test_extract_replace():
-    s = EditScript(
-        ops=(
-            EditOp(KEEP, 0, 1, 0, 1),
-            EditOp(REPLACE, 1, 2, 1, 2),
-            EditOp(KEEP, 2, 3, 2, 3),
-        ),
-        g_len=3,
-        c_len=3,
-    )
+    s = EditScript(kept={0: 0, 2: 2}, g_len=3, c_len=3)
+    assert op_tuples(s) == [(KEEP, 0, 1, 0, 1), (REPLACE, 1, 2, 1, 2), (KEEP, 2, 3, 2, 3)]
     assert extract_gold_spans(s) == [HallucinationSpan(1, 2, "other")]
 
 
@@ -116,11 +117,8 @@ def test_extract_identity_empty():
 
 
 def test_extract_delete_range():
-    s = EditScript(
-        ops=(EditOp(KEEP, 0, 4, 0, 4), EditOp(DELETE, 4, 6, 4, 4)),
-        g_len=6,
-        c_len=4,
-    )
+    s = EditScript(kept={0: 0, 1: 1, 2: 2, 3: 3}, g_len=6, c_len=4)
+    assert op_tuples(s) == [(KEEP, 0, 4, 0, 4), (DELETE, 4, 6, 4, 4)]
     assert extract_gold_spans(s) == [HallucinationSpan(4, 6, "other")]
 
 
@@ -182,8 +180,7 @@ def test_minimality_and_coverage_property():
         s = script_for(" ".join(gt), " ".join(ct))
         check_wellformed(s, gt, ct)
         assert apply_script(s, gt, ct) == ct
-        kept = sum(o.g_end - o.g_start for o in s.ops if o.kind == KEEP)
-        assert kept == lcs_len(tuple(gt), tuple(ct))
+        assert len(s.kept) == lcs_len(tuple(gt), tuple(ct))
 
 
 def test_recovery_property():
@@ -248,13 +245,13 @@ def test_scattered_edits_band_only_their_segments(monkeypatch):
     for p in positions:
         edited[p] = f"zzq{p}"
     cells = []
-    band_steps = diffannot._band_steps
+    band_keeps = diffannot._band_keeps
 
     def recording(gt, ct, kept):
         cells.append((len(gt) + 1) * (len(ct) + 1))
-        return band_steps(gt, ct, kept)
+        return band_keeps(gt, ct, kept)
 
-    monkeypatch.setattr(diffannot, "_band_steps", recording)
+    monkeypatch.setattr(diffannot, "_band_keeps", recording)
     script = script_for(" ".join(edited), " ".join(words))
     assert 1 <= len(cells) <= 5
     assert sum(cells) < 200

@@ -8,7 +8,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caploc.corpus import BenchmarkSample, HallucinationSpan
+from caploc.corpus import BenchmarkSample, HallucinationSpan, validate_sample
 from caploc.inject import (
     _QUOTED_RE,
     DetectedSpan,
@@ -218,9 +218,29 @@ class TestDetectRound:
         }
 
     def test_no_issues_line_detects_nothing(self):
+        for reply in ("No issues found.", "  No issues found.\n"):
+            state = self.make_state()
+            gate, _ = make_gate([ScriptRule(purpose="detect", responses=[reply])])
+            assert detect_round(state, CFG, gate) == []
+            assert [e["phase"] for e in state.audit] == ["detect", "detect_grounded"]
+
+    @pytest.mark.parametrize("reply", ["The caption looks fine.", 'blue - odd', '" " - odd', ""])
+    def test_reply_quoting_no_phrase_is_audited(self, reply):
         state = self.make_state()
-        gate, _ = make_gate([ScriptRule(purpose="detect", responses=["No issues found."])])
+        gate, _ = make_gate([ScriptRule(purpose="detect", responses=[reply])])
         assert detect_round(state, CFG, gate) == []
+        assert state.audit[1:] == [
+            {"phase": "detect_unparsed", "round": 0},
+            {"phase": "detect_grounded", "round": 0, "spans": []},
+        ]
+
+    def test_phrase_grounded_at_every_occurrence(self):
+        state = InjectionState(clean=tokenize("a red car near the red gate."))
+        state.spans = [InjectedSpan(2, 3, ("bus",), "object")]
+        gate, _ = make_gate([ScriptRule(purpose="detect", responses=['"red" - odd'])])
+        detected = detect_round(state, CFG, gate)
+        assert [(d.start, d.end, d.rationale) for d in detected] == [(1, 2, "odd"), (5, 6, "odd")]
+        assert state.audit[-1]["spans"] == [(1, 2, "red"), (5, 6, "red")]
 
     def test_unlocatable_phrase_dropped(self):
         state = self.make_state()
@@ -437,6 +457,37 @@ class TestRunAdversarial:
         assert outcome.state.audit[-1] == {
             "phase": "detect_grounded", "round": 0, "spans": [(1, 2, "green")]
         }
+
+    def test_repeated_phrase_is_caught_where_it_was_planted(self):
+        """The detector quotes a word the clean caption also holds earlier:
+        the planted occurrence is grounded too, and its span reverts."""
+        cfg = InjectionConfig(rounds=1, include_image=False)
+        clean = BenchmarkSample(
+            id="s2", image="", domain="nature",
+            caption="A red car stands beside a blue car.", gold_spans=[],
+        )
+        first = f"A red car stands beside a {TAG}red{END} car.\nLABELS: color"
+        gate, _ = make_gate(
+            [inject_rule(first), ScriptRule(purpose="detect", responses=['"red" - odd'])]
+        )
+        outcome = run_adversarial(clean, cfg, gate)
+        assert outcome.sample.caption == "A red car stands beside a blue car."
+        assert outcome.no_survivors
+        assert outcome.state.audit[-1]["spans"] == [(1, 2, "red"), (6, 7, "red")]
+
+    def test_tag_literal_in_a_replacement_never_reaches_the_caption(self):
+        """Tag fragments that join into a tag literal around the tagged
+        text: the span is a problem, retried once, and never returned."""
+        cfg = InjectionConfig(rounds=0, include_image=False)
+        reply = f"a {TAG}<HALLU{TAG}CINATION>blue{END}{END} car parked near the gate."
+        gate, backend = make_gate([inject_rule(reply, reply)])
+        try:
+            outcome = run_adversarial(clean_sample(), cfg, gate)
+        except InjectionError as exc:
+            assert "holds a tag literal" in str(exc)
+        else:
+            assert validate_sample(outcome.sample).ok
+        assert len(backend.requests) == 2  # the reply and its one retry
 
     def test_all_caught_yields_clean_negative(self):
         cfg = InjectionConfig(rounds=1, include_image=False)

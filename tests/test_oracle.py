@@ -7,7 +7,7 @@ The oracles are the reference semantics: any speed-up or simplification of
 tokenize, split_sentences, sentence_metrics, diff_tokens, parse_tags,
 marked_token_indices, align_to_reference, inject_round or run_adversarial
 must agree with them on every token field, every sentence, every sentence
-score, every edit op, every parse, every Prediction, and every injection
+score, every keep chain, every parse, every Prediction, and every injection
 state and error.
 """
 
@@ -23,16 +23,7 @@ from dataclasses import dataclass, replace as dc_replace
 from hypothesis import example, given, settings, strategies as st
 
 from caploc.corpus import DIMENSION_VALUES, BenchmarkSample, Dimension, HallucinationSpan
-from caploc.diffannot import (
-    DELETE,
-    INSERT,
-    KEEP,
-    REPLACE,
-    EditOp,
-    EditScript,
-    _lcs_profiles,
-    diff_tokens,
-)
+from caploc.diffannot import _lcs_profiles, diff_tokens
 from caploc.inject import (
     InjectedSpan,
     InjectionConfig,
@@ -203,9 +194,31 @@ def oracle_byte_marked_token_indices(text: str, byte_ranges) -> set[int]:
     return marked
 
 
-def oracle_diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> EditScript:
+KEEP, REPLACE, DELETE, INSERT = "keep", "replace", "delete", "insert"
+
+
+@dataclass(frozen=True)
+class OracleOp:
+    """One edit over token ranges of g and c: keep and replace carry both
+    ranges, delete an empty c range, insert an empty g range."""
+
+    kind: str
+    g_start: int
+    g_end: int
+    c_start: int
+    c_end: int
+
+
+@dataclass(frozen=True)
+class OracleScript:
+    ops: tuple[OracleOp, ...]
+    g_len: int
+    c_len: int
+
+
+def oracle_diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> OracleScript:
     """The same objective and tie-break as diff_tokens, over two full
-    (m+1) x (n+1) tables."""
+    (m+1) x (n+1) tables, as an op list."""
     gt = [t.text for t in g.tokens]
     ct = [t.text for t in c.tokens]
     m, n = len(gt), len(ct)
@@ -249,7 +262,7 @@ def oracle_diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> EditScript:
             j += 1
         entered = False
 
-    ops: list[EditOp] = []
+    ops: list[OracleOp] = []
     i = j = 0
     pos = 0
     while pos < len(steps):
@@ -259,7 +272,7 @@ def oracle_diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> EditScript:
                 i += 1
                 j += 1
                 pos += 1
-            ops.append(EditOp(KEEP, ki, i, kj, j))
+            ops.append(OracleOp(KEEP, ki, i, kj, j))
         else:
             bi, bj = i, j
             while pos < len(steps) and steps[pos] != "k":
@@ -269,12 +282,25 @@ def oracle_diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> EditScript:
                     j += 1
                 pos += 1
             if bi < i and bj < j:
-                ops.append(EditOp(REPLACE, bi, i, bj, j))
+                ops.append(OracleOp(REPLACE, bi, i, bj, j))
             elif bi < i:
-                ops.append(EditOp(DELETE, bi, i, j, j))
+                ops.append(OracleOp(DELETE, bi, i, j, j))
             else:
-                ops.append(EditOp(INSERT, i, i, bj, j))
-    return EditScript(ops=tuple(ops), g_len=m, c_len=n)
+                ops.append(OracleOp(INSERT, i, i, bj, j))
+    return OracleScript(ops=tuple(ops), g_len=m, c_len=n)
+
+
+def oracle_keep_chain(script: OracleScript) -> tuple[list[tuple[int, int]], list[tuple]]:
+    """The (g, c) pairs of the keep ops, in order, and the ranges of the
+    other ops, in order."""
+    kept: list[tuple[int, int]] = []
+    gaps: list[tuple] = []
+    for op in script.ops:
+        if op.kind == KEEP:
+            kept += zip(range(op.g_start, op.g_end), range(op.c_start, op.c_end))
+        else:
+            gaps.append((op.g_start, op.g_end, op.c_start, op.c_end))
+    return kept, gaps
 
 
 def oracle_lcs_profiles(a: list[str], b: list[str]) -> tuple[list[int], ...]:
@@ -454,6 +480,9 @@ def oracle_parse_injector_response(
         )
         if partial or boundary_insert or not neighbors_kept:
             problems.append(f"span [{a}, {b}) does not align to the clean caption")
+            continue
+        if any(OPEN_TAG in t.text or CLOSE_TAG in t.text for t in out_tc.tokens[a:b]):
+            problems.append(f"span [{a}, {b}) holds a tag literal")
             continue
         spans.append(
             InjectedSpan(
@@ -658,7 +687,7 @@ sentence_texts = st.lists(
 INJECT_VOCAB = ["a", "red", "car", "gate", "."]
 REPLY_EDITS = ["keep"] * 6 + [
     "tag", "tag_swap", "tag_insert", "swap", "drop", "insert", "stray_open", "stray_close",
-    "tag_space",
+    "tag_space", "tag_literal",
 ]
 
 
@@ -684,7 +713,10 @@ def injector_replies(draw, clean_words: list[str]) -> str:
             out.append(CLOSE_TAG)
         elif edit == "tag_space":
             out.append(f"{OPEN_TAG} {CLOSE_TAG}")
-        if word is not None and edit not in ("tag", "tag_swap", "swap", "drop"):
+        elif edit == "tag_literal" and word is not None:
+            # fragments that join into a tag literal inside the tagged text
+            out.append(f"{OPEN_TAG}<HALLU{OPEN_TAG}CINATION>{draw(words)}{CLOSE_TAG}{CLOSE_TAG}")
+        if word is not None and edit not in ("tag", "tag_swap", "swap", "drop", "tag_literal"):
             out.append(word)
     reply = " ".join(out)
     labels = draw(st.lists(st.sampled_from(["color", "number", "vibes", "OTHER", ""]), max_size=4))
@@ -797,10 +829,29 @@ def test_chunk_count_bounds_token_count(text):
 def test_diff_tokens_matches_oracle(pair):
     g, c = (tokenize(" ".join(words)) for words in pair)
     script = diff_tokens(g, c)
-    assert script == oracle_diff_tokens(g, c)
-    kept = list(script.kept().items())
-    assert all(g0 < g1 and c0 < c1 for (g0, c0), (g1, c1) in zip(kept, kept[1:]))
-    assert len(kept) == oracle_lcs_profiles(*pair)[0][-1]
+    want = oracle_diff_tokens(g, c)
+    assert (list(script.kept.items()), list(script.gaps())) == oracle_keep_chain(want)
+    assert (script.g_len, script.c_len) == (want.g_len, want.c_len)
+    assert len(script.kept) == oracle_lcs_profiles(*pair)[0][-1]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(diff_pairs())
+def test_keep_chain_and_gaps_partition_both_sides(pair):
+    """The kept indices and the gap ranges cover each side once, in order;
+    no gap is empty on both sides, and two gaps never touch."""
+    g, c = pair
+    script = diff_tokens(*(tokenize(" ".join(words)) for words in pair))
+    assert (script.g_len, script.c_len) == (len(g), len(c))
+    gaps = list(script.gaps())
+    for side, length in ((0, len(g)), (1, len(c))):
+        keys = [item[side] for item in script.kept.items()]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        covered = sorted(keys + [x for gap in gaps for x in range(gap[2 * side], gap[2 * side + 1])])
+        assert covered == list(range(length))
+    assert all(g[i] == c[j] for i, j in script.kept.items())
+    assert all(g0 < g1 or c0 < c1 for g0, g1, c0, c1 in gaps)
+    assert all(h0 > g1 and d0 > c1 for (_, g1, _, c1), (h0, _, d0, _) in zip(gaps, gaps[1:]))
 
 
 @settings(max_examples=300, deadline=None)
