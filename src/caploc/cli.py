@@ -319,8 +319,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError("--models is required for sweep")
     models = _list(eff["models"])
     ks = _round_counts(eff["rounds"])
+    # sweep_rounds sets the round count and each row's model
     inj_cfg = _injection_config(eff, rounds=0)
-    # sweep_rounds sets each row's model
     eval_cfg = _config(EvalConfig, eff, dataset=args.dataset, model="")
     rows = sweep_rounds(args.dataset, ks, models, inj_cfg, eval_cfg, gate)
     print(render_sweep_table(rows), end="")

@@ -442,34 +442,29 @@ def sweep_rounds(
     eval_cfg: EvalConfig,
     gate: ModelGate,
 ) -> list[SweepRow]:
-    """Build one synthetic dataset per K (build_synthetic, images found by
-    eval_cfg.image_root), evaluate each listed model as a locator on it
-    through the ordinary evaluation path, and write the rows to sweep.json
-    in eval_cfg.out_dir. Every K keeps only the samples injected at every
-    K, so all rows cover the same samples. An empty or repeated K or model
-    list raises ValueError naming rounds or models, as does a bad K, before
-    any model call."""
+    """Run the adversarial loop once per clean sample at the largest K
+    (build_synthetic, images found by eval_cfg.image_root), write each K's
+    dataset as the runs stood after round K, evaluate each listed model as a
+    locator on it through the ordinary evaluation path, and write the rows
+    to sweep.json in eval_cfg.out_dir. A sample that fails at any round is
+    left out at every K. A bad K, or an empty or repeated K or model list,
+    raises ValueError naming rounds or models before any model call."""
     for key, values in (("rounds", ks), ("models", detector_models)):
         if not values:
             raise ValueError(f"{key}: the list is empty")
         repeated = [v for i, v in enumerate(values) if v in values[:i]]
         if repeated:
             raise ValueError(f"{key}: {repeated[0]!r} is listed more than once")
-    cfgs = [dc_replace(inj_cfg, rounds=k) for k in ks]
+    dc_replace(inj_cfg, rounds=min(ks))  # raises if any K is bad
+    cfg = dc_replace(inj_cfg, rounds=max(ks))
     clean = load_dataset(clean_dataset)
     out_dir = Path(eval_cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    built = [build_synthetic(clean, cfg, gate, eval_cfg.image_root)[0] for cfg in cfgs]
-    kept = {s.id for s in clean}.intersection(*({o.sample.id for o in b} for b in built))
-    if not kept:
-        raise InjectionError("no sample could be injected at every K")
-    if len(kept) < len(clean):
-        dropped = [s.id for s in clean if s.id not in kept]
-        logger.warning("sweep leaves out samples not injected at every K: %s", dropped)
+    outcomes = build_synthetic(clean, cfg, gate, eval_cfg.image_root)[0]
     rows: list[SweepRow] = []
-    for k, outcomes in zip(ks, built):
+    for k in ks:
         dataset_path = out_dir / f"sweep_k{k}.jsonl"
-        save_dataset([o.sample for o in outcomes if o.sample.id in kept], dataset_path)
+        save_dataset([o.sample_after(k) for o in outcomes], dataset_path)
         for model in detector_models:
             model_cfg = dc_replace(
                 eval_cfg,

@@ -416,9 +416,25 @@ def filter_detected(
 
 @dataclass
 class InjectionOutcome:
-    sample: BenchmarkSample
+    clean: BenchmarkSample
     state: InjectionState
-    no_survivors: bool
+    spans_after: list[list[InjectedSpan]]  # after the injection, then after each round
+    sample: BenchmarkSample = field(init=False)  # the final round's
+
+    def __post_init__(self) -> None:
+        self.sample = self.sample_after(len(self.spans_after) - 1)
+
+    def sample_after(self, r: int) -> BenchmarkSample:
+        """The sample after round r, as a run with rounds=r makes it."""
+        at = InjectionState(self.state.clean, spans=self.spans_after[r])
+        gold = [HallucinationSpan(*ab, s.dimension) for ab, s in zip(at.span_layout(), at.spans)]
+        return dc_replace(
+            self.clean,
+            caption=at.current_text(),
+            gold_spans=gold,
+            variant="synthetic",
+            clean_caption=at.clean.source,
+        )
 
 
 def run_adversarial(
@@ -431,26 +447,14 @@ def run_adversarial(
     feedback-driven re-injection. rounds=0 means inject once and keep all.
 
     Zero survivors is not an error: the sample comes back with empty gold
-    spans, flagged, usable as a clean negative control.
+    spans, usable as a clean negative control.
     """
     state = inject_round(clean.caption, cfg, gate, image)
+    spans_after = [state.spans]
     for _ in range(cfg.rounds):
         if state.reverted_last_round > 0:
             state = inject_round(state, cfg, gate, image)
         detected = detect_round(state, cfg, gate) if state.spans else []
         state = filter_detected(state, detected, cfg)
-
-    gold = [
-        HallucinationSpan(a, b, s.dimension)
-        for (a, b), s in zip(state.span_layout(), state.spans)
-    ]
-    sample = BenchmarkSample(
-        id=clean.id,
-        image=clean.image,
-        domain=clean.domain,
-        caption=state.current_text(),
-        gold_spans=gold,
-        variant="synthetic",
-        clean_caption=state.clean.source,
-    )
-    return InjectionOutcome(sample=sample, state=state, no_survivors=not gold)
+        spans_after.append(state.spans)
+    return InjectionOutcome(clean, state, spans_after)

@@ -233,7 +233,6 @@ def test_criterion_05():
         assert detector(FakeReq(final)) == "No issues found.", entry
         if entry["mode"] == 1:
             assert outcome.sample.gold_spans == []
-            assert outcome.no_survivors
         else:
             assert outcome.sample.gold_spans == [HallucinationSpan(4, 5, "number")], entry
         assert "glorp" not in final

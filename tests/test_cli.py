@@ -10,7 +10,7 @@ from caploc import cli, text
 from caploc.cli import main
 from caploc.corpus import BenchmarkSample, HallucinationSpan, load_dataset, save_dataset
 from caploc.fixtures import build_fixture
-from caploc.modelgate import ScriptedBackend
+from caploc.modelgate import ScriptedBackend, ScriptRule
 
 TAG = "<HALLUCINATION>"
 END = "</HALLUCINATION>"
@@ -654,6 +654,62 @@ class TestSweepAndReport:
             assert [s.id for s in load_dataset(out / f"sweep_k{k}.jsonl")] == ["c1", "c3"]
         rows = json.loads((out / "sweep.json").read_text())
         assert [(r["rounds"], r["f1"]) for r in rows] == [(0, 1.0), (1, 1.0)]
+
+    def test_sweep_makes_the_requests_of_one_run_at_the_largest_k(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Without a cache, sweep makes the inject and detect requests of one
+        inject run at its largest K, in the same order, and that K's dataset
+        is the run's dataset."""
+        replies = {
+            "a red car parked near the gate.": (
+                f"a {TAG}blue{END} car parked near the {TAG}open{END} gate.\nLABELS: color, scene",
+                f"a red car parked near the {TAG}open{END} gate.\nLABELS: scene",
+            ),
+            "the red button is near the door.": (
+                f"the {TAG}blue{END} button is near the door.\nLABELS: color",
+                f"the red button is near the {TAG}green{END} door.\nLABELS: color",
+            ),
+        }
+        clean = write_dataset(
+            tmp_path,
+            [
+                BenchmarkSample(id=f"c{i}", image="", domain="nature", caption=c, gold_spans=[])
+                for i, c in enumerate(replies)
+            ],
+            name="clean.jsonl",
+        )
+
+        def inject(req):
+            first, after_feedback = next(r for c, r in replies.items() if c in req.user)
+            return after_feedback if "was caught" in req.user else first
+
+        def detect(req):
+            return '"blue" - unlikely color' if "blue" in req.user else "No issues found."
+
+        rules = [
+            ScriptRule(purpose="inject", responder=inject),
+            ScriptRule(purpose="detect", responder=detect),
+            ScriptRule(purpose="evaluate", responder=lambda req: "no tags here."),
+        ]
+        made = []
+
+        class Responding(ScriptedBackend):
+            def __init__(self, _):
+                super().__init__(rules)
+                made.append(self)
+
+        monkeypatch.setattr(cli, "ScriptedBackend", Responding)
+        script = write_script(tmp_path, [])
+        argv = ["--dataset", str(clean), "--script", str(script), "--no-include-image"]
+        syn, out = tmp_path / "syn.jsonl", tmp_path / "sweep_out"
+        assert main(["inject", *argv, "--rounds", "2", "--out", str(syn)]) == 0
+        argv += ["--rounds", "0,1,2", "--models", "locator", "--out", str(out)]
+        assert main(["sweep", *argv]) == 0
+        inject_run, sweep_run = made
+        assert [r.purpose for r in inject_run.requests] == ["inject", "detect"] * 4
+        assert [r for r in sweep_run.requests if r.purpose != "evaluate"] == inject_run.requests
+        assert (out / "sweep_k2.jsonl").read_bytes() == syn.read_bytes()
 
     def test_report_rerenders_json(self, tmp_path, capsys):
         dataset = write_dataset(tmp_path, base_samples())

@@ -378,7 +378,6 @@ class TestRunAdversarial:
         assert sample.caption == "a red car parked near the open gate."
         assert sample.gold_spans == [HallucinationSpan(6, 7, "scene")]
         assert [r.purpose for r in backend.requests] == ["inject", "detect"]
-        assert not outcome.no_survivors
 
     def test_k2_reinjects_with_feedback_then_fixed_point(self):
         cfg = InjectionConfig(rounds=2, include_image=False)
@@ -451,7 +450,7 @@ class TestRunAdversarial:
         )
         outcome = run_adversarial(clean_sample(), cfg, gate)
         assert outcome.sample.caption == "a red car parked near the gate."
-        assert outcome.no_survivors
+        assert outcome.sample.gold_spans == []
         phases = [e["phase"] for e in outcome.state.audit]
         assert "detect_dropped" not in phases
         assert outcome.state.audit[-1] == {
@@ -472,7 +471,7 @@ class TestRunAdversarial:
         )
         outcome = run_adversarial(clean, cfg, gate)
         assert outcome.sample.caption == "A red car stands beside a blue car."
-        assert outcome.no_survivors
+        assert outcome.sample.gold_spans == []
         assert outcome.state.audit[-1]["spans"] == [(1, 2, "red"), (6, 7, "red")]
 
     def test_tag_literal_in_a_replacement_never_reaches_the_caption(self):
@@ -501,7 +500,6 @@ class TestRunAdversarial:
             ]
         )
         outcome = run_adversarial(clean_sample(), cfg, gate)
-        assert outcome.no_survivors
         assert outcome.sample.gold_spans == []
         assert outcome.sample.caption == "a red car parked near the gate."
 

@@ -28,7 +28,6 @@ from caploc.inject import (
     InjectedSpan,
     InjectionConfig,
     InjectionError,
-    InjectionOutcome,
     InjectionState,
     _injector_prompt,
     _split_labels,
@@ -566,9 +565,15 @@ def oracle_inject_round(
     return state
 
 
+@dataclass
+class OracleOutcome:
+    sample: BenchmarkSample
+    state: InjectionState
+
+
 def oracle_run_adversarial(
     clean: BenchmarkSample, cfg: InjectionConfig, gate: ModelGate
-) -> InjectionOutcome:
+) -> OracleOutcome:
     """The adversarial loop with a separate branch for rounds that have no
     spans to detect."""
     state = oracle_inject_round(clean.caption, cfg, gate)
@@ -594,7 +599,7 @@ def oracle_run_adversarial(
         variant="synthetic",
         clean_caption=state.clean.source,
     )
-    return InjectionOutcome(sample=sample, state=state, no_survivors=not gold)
+    return OracleOutcome(sample=sample, state=state)
 
 
 # ---------------------------------------------------------------- inputs
@@ -1021,10 +1026,10 @@ def test_inject_round_matches_oracle(data):
     assert got == want
 
 
-def run_loop(run, clean, cfg, inject_replies, detect_replies):
-    """Everything one adversarial run leaves behind, or its error message,
-    on a scripted gate with the given injector and detector replies."""
-    gate = ModelGate(
+def loop_gate(inject_replies, detect_replies) -> ModelGate:
+    """A scripted gate that answers injections and detections with the
+    given replies in turn."""
+    return ModelGate(
         ScriptedBackend(
             [
                 ScriptRule(purpose="inject", responses=list(inject_replies)),
@@ -1032,8 +1037,13 @@ def run_loop(run, clean, cfg, inject_replies, detect_replies):
             ]
         )
     )
+
+
+def run_loop(run, clean, cfg, inject_replies, detect_replies):
+    """Everything one adversarial run leaves behind, or its error message,
+    on a scripted gate with the given injector and detector replies."""
     try:
-        outcome = run(clean, cfg, gate)
+        outcome = run(clean, cfg, loop_gate(inject_replies, detect_replies))
     except InjectionError as exc:
         return str(exc)
     state = outcome.state
@@ -1043,29 +1053,53 @@ def run_loop(run, clean, cfg, inject_replies, detect_replies):
         state.round,
         state.reverted_last_round,
         state.feedback,
-        outcome.no_survivors,
     )
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.data())
-def test_run_adversarial_matches_oracle(data):
-    clean_words = data.draw(st.lists(st.sampled_from(INJECT_VOCAB), min_size=1, max_size=8))
-    k = data.draw(st.integers(0, 3))
+@st.composite
+def adversarial_cases(draw):
+    """(clean sample, config, injector replies, detector replies) of an
+    adversarial run of up to 3 rounds."""
+    clean_words = draw(st.lists(st.sampled_from(INJECT_VOCAB), min_size=1, max_size=8))
+    k = draw(st.integers(0, 3))
     caption = " ".join(clean_words)
     # at most one injection per round plus the first, each with a retry
     inject_replies = [
-        data.draw(
+        draw(
             st.one_of(st.just(caption), planted_replies(clean_words), injector_replies(clean_words))
         )
         for _ in range(2 * (k + 1))
     ]
-    detect_replies = data.draw(st.lists(st.sampled_from(DETECT_REPLIES), min_size=k, max_size=k))
-    cfg = InjectionConfig(rounds=k, max_spans=data.draw(st.integers(1, 3)), include_image=False)
+    detect_replies = draw(st.lists(st.sampled_from(DETECT_REPLIES), min_size=k, max_size=k))
+    cfg = InjectionConfig(rounds=k, max_spans=draw(st.integers(1, 3)), include_image=False)
     clean = BenchmarkSample(id="s", image="", domain="nature", caption=caption, gold_spans=[])
-    got = run_loop(run_adversarial, clean, cfg, inject_replies, detect_replies)
-    want = run_loop(oracle_run_adversarial, clean, cfg, inject_replies, detect_replies)
+    return clean, cfg, inject_replies, detect_replies
+
+
+@settings(max_examples=300, deadline=None)
+@given(adversarial_cases())
+def test_run_adversarial_matches_oracle(case):
+    got = run_loop(run_adversarial, *case)
+    want = run_loop(oracle_run_adversarial, *case)
     assert got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(adversarial_cases())
+def test_each_round_of_one_run_matches_an_oracle_run_of_that_many_rounds(case):
+    """The round-r sample of one run at rounds=k is the sample an oracle run
+    at rounds=r makes from the same replies, for every r <= k."""
+    clean, cfg, inject_replies, detect_replies = case
+    try:
+        outcome = run_adversarial(clean, cfg, loop_gate(inject_replies, detect_replies))
+    except InjectionError:
+        return
+    for r in range(cfg.rounds + 1):
+        want = oracle_run_adversarial(
+            clean, dc_replace(cfg, rounds=r), loop_gate(inject_replies, detect_replies)
+        )
+        assert outcome.sample_after(r).to_dict() == want.sample.to_dict(), r
+    assert outcome.sample == outcome.sample_after(cfg.rounds)
 
 
 def test_token_repr_and_fields_unchanged():
