@@ -23,8 +23,8 @@ from .corpus import (
     dataset_stats,
     decode_json,
     load_dataset,
+    read_records,
     save_dataset,
-    text_lines,
     validate_sample,
 )
 from .diffannot import diff_tokens, extract_gold_spans, label_spans
@@ -250,15 +250,7 @@ def _annotated_sample(record) -> BenchmarkSample:
 def cmd_annotate(args: argparse.Namespace) -> int:
     samples: list[BenchmarkSample] = []
     issues = []
-    for lineno, line in text_lines(args.pairs):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            sample = _annotated_sample(decode_json(line))
-        except ValueError as exc:
-            print(f"error: {args.pairs}:{lineno}: {exc}", file=sys.stderr)
-            return 1
+    for _, sample in read_records(args.pairs, lambda line: _annotated_sample(decode_json(line))):
         issues.extend(validate_sample(sample).issues)
         samples.append(sample)
     if issues:

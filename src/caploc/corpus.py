@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -102,9 +102,6 @@ class BenchmarkSample:
         d = asdict(self)
         d["gold_spans"] = [s.to_dict() for s in self.gold_spans]
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), ensure_ascii=False)
 
     @classmethod
     def from_dict(cls, data: dict) -> BenchmarkSample:
@@ -269,7 +266,46 @@ def load_dataset(path: str | Path) -> list[BenchmarkSample]:
     and, where one is to blame, the line.
     """
     path = Path(path)
-    return _read_samples(text_lines(path), path)
+    lines = text_lines(path)
+    _, header_line = next(lines, (1, ""))
+    if not header_line.strip():
+        raise DatasetError(f"{path}: empty file, expected a header line")
+    try:
+        header = decode_json(header_line)
+    except ValueError as exc:
+        raise DatasetError(f"{path}:1: unparseable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DatasetError(f"{path}:1: header is a JSON {_json_type(header)}, expected an object")
+    if header.get("format") != FORMAT_NAME:
+        raise DatasetError(f"{path}:1: unknown format {header.get('format')!r}")
+    if header.get("version") != FORMAT_VERSION:
+        raise DatasetError(f"{path}:1: unsupported format version {header.get('version')!r}")
+    if header.get("tokenizer") != TOKENIZER_VERSION:
+        raise DatasetError(
+            f"{path}:1: tokenizer {header.get('tokenizer')!r} does not match "
+            f"{TOKENIZER_VERSION!r}; gold spans are not portable across tokenizers"
+        )
+    samples: list[BenchmarkSample] = []
+    seen_ids: set[str] = set()
+    for lineno, sample in read_records(path, _parse_sample, lines):
+        if sample.id in seen_ids:
+            raise DatasetError(f"{path}:{lineno}: duplicate sample id {sample.id!r}")
+        seen_ids.add(sample.id)
+        report = validate_sample(sample)
+        if not report.ok:
+            raise DatasetError(
+                f"{path}:{lineno}: invalid sample: " + "; ".join(str(i) for i in report.issues)
+            )
+        samples.append(sample)
+    return samples
+
+
+def _parse_sample(line: str) -> BenchmarkSample:
+    try:
+        record = decode_json(line)
+    except ValueError as exc:
+        raise DatasetError(f"unparseable record: {exc}") from exc
+    return BenchmarkSample.from_dict(record)
 
 
 def decode_json(text: str):
@@ -291,59 +327,39 @@ def text_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             raise DatasetError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
-def _read_samples(lines: Iterator[tuple[int, str]], path: Path) -> list[BenchmarkSample]:
-    samples: list[BenchmarkSample] = []
-    seen_ids: set[str] = set()
-    _, header_line = next(lines, (1, ""))
-    if not header_line.strip():
-        raise DatasetError(f"{path}: empty file, expected a header line")
-    try:
-        header = decode_json(header_line)
-    except ValueError as exc:
-        raise DatasetError(f"{path}:1: unparseable header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise DatasetError(f"{path}:1: header is a JSON {_json_type(header)}, expected an object")
-    if header.get("format") != FORMAT_NAME:
-        raise DatasetError(f"{path}:1: unknown format {header.get('format')!r}")
-    if header.get("version") != FORMAT_VERSION:
-        raise DatasetError(f"{path}:1: unsupported format version {header.get('version')!r}")
-    if header.get("tokenizer") != TOKENIZER_VERSION:
-        raise DatasetError(
-            f"{path}:1: tokenizer {header.get('tokenizer')!r} does not match "
-            f"{TOKENIZER_VERSION!r}; gold spans are not portable across tokenizers"
-        )
-    for lineno, line in lines:
+def read_records(
+    path: str | Path,
+    parse: Callable[[str], object],
+    lines: Iterator[tuple[int, str]] | None = None,
+) -> Iterator[tuple[int, object]]:
+    """(line number, parse(line)) for each non-blank line of a JSONL file,
+    stripped; the one line loop of every JSONL reader. A ValueError from
+    parse becomes a DatasetError naming path:line, so parse owns only its
+    format's message. lines, when given, are the file's remaining numbered
+    lines (load_dataset reads the header itself); by default the whole file.
+    """
+    for lineno, line in text_lines(path) if lines is None else lines:
         line = line.strip()
         if not line:
             continue
         try:
-            record = decode_json(line)
+            record = parse(line)
         except ValueError as exc:
-            raise DatasetError(f"{path}:{lineno}: unparseable record: {exc}") from exc
-        try:
-            sample = BenchmarkSample.from_dict(record)
-        except DatasetError as exc:
             raise DatasetError(f"{path}:{lineno}: {exc}") from exc
-        if sample.id in seen_ids:
-            raise DatasetError(f"{path}:{lineno}: duplicate sample id {sample.id!r}")
-        seen_ids.add(sample.id)
-        report = validate_sample(sample)
-        if not report.ok:
-            raise DatasetError(
-                f"{path}:{lineno}: invalid sample: " + "; ".join(str(i) for i in report.issues)
-            )
-        samples.append(sample)
-    return samples
+        yield lineno, record
+
+
+def write_records(path: str | Path, records: Iterable[object]) -> None:
+    """Write one JSON line per record; the one JSONL writer."""
+    with open(path, "w", encoding="utf-8") as f:
+        for record in records:
+            f.write(json.dumps(record, ensure_ascii=False) + "\n")
 
 
 def save_dataset(samples: list[BenchmarkSample], path: str | Path) -> None:
     """Write samples to a dataset file with a fresh header line."""
-    path = Path(path)
     header = {"format": FORMAT_NAME, "version": FORMAT_VERSION, "tokenizer": TOKENIZER_VERSION}
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(header, ensure_ascii=False) + "\n")
-        for sample in samples:
-            f.write(sample.to_json() + "\n")
+    write_records(path, [header, *(s.to_dict() for s in samples)])
 
 
 @dataclass

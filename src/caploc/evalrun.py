@@ -24,8 +24,9 @@ from .corpus import (
     _json_type,
     decode_json,
     load_dataset,
+    read_records,
     save_dataset,
-    text_lines,
+    write_records,
 )
 from .inject import (
     PROMPT_VERSION,
@@ -263,25 +264,22 @@ def score_outputs(
 
 
 def write_transcripts(path: str | Path, rows: list[tuple[str, str]]) -> None:
-    with open(path, "w", encoding="utf-8") as f:
-        for sample_id, output in rows:
-            f.write(json.dumps({"id": sample_id, "output": output}, ensure_ascii=False) + "\n")
+    write_records(path, ({"id": sample_id, "output": output} for sample_id, output in rows))
+
+
+def _parse_transcript(line: str) -> tuple[str, str]:
+    try:
+        record = decode_json(line)
+        if not isinstance(record, dict):
+            raise DatasetError(f"is a JSON {_json_type(record)}, expected an object")
+        return _field(record, "id", str), _field(record, "output", str)
+    except ValueError as exc:
+        raise DatasetError(f"bad transcript line: {exc}") from exc
 
 
 def read_transcripts(path: str | Path) -> dict[str, str]:
     outputs: dict[str, str] = {}
-    for lineno, line in text_lines(path):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = decode_json(line)
-            if not isinstance(record, dict):
-                raise DatasetError(f"is a JSON {_json_type(record)}, expected an object")
-            sample_id = _field(record, "id", str)
-            output = _field(record, "output", str)
-        except ValueError as exc:
-            raise DatasetError(f"{path}:{lineno}: bad transcript line: {exc}") from exc
+    for lineno, (sample_id, output) in read_records(path, _parse_transcript):
         if sample_id in outputs:
             raise DatasetError(f"{path}:{lineno}: duplicate transcript id {sample_id!r}")
         outputs[sample_id] = output
@@ -445,10 +443,11 @@ def sweep_rounds(
     """Run the adversarial loop once per clean sample at the largest K
     (build_synthetic, images found by eval_cfg.image_root), write each K's
     dataset as the runs stood after round K, evaluate each listed model as a
-    locator on it through the ordinary evaluation path, and write the rows
-    to sweep.json in eval_cfg.out_dir. A sample that fails at any round is
-    left out at every K. A bad K, or an empty or repeated K or model list,
-    raises ValueError naming rounds or models before any model call."""
+    locator on it through the ordinary evaluation path, with its report card
+    in sweep_k<K>_<model>/, and write the rows to sweep.json in
+    eval_cfg.out_dir. A sample that fails at any round is left out at every
+    K. A bad K, or an empty or repeated K or model list, raises ValueError
+    naming rounds or models before any model call."""
     for key, values in (("rounds", ks), ("models", detector_models)):
         if not values:
             raise ValueError(f"{key}: the list is empty")
@@ -473,6 +472,7 @@ def sweep_rounds(
                 out_dir=out_dir / f"sweep_k{k}_{model}",
             )
             report = evaluate_dataset(model_cfg, gate)
+            emit_report(report, model_cfg.out_dir)
             rows.append(
                 SweepRow(
                     model=model,

@@ -56,8 +56,6 @@ class ModelRequest:
 @dataclass(frozen=True)
 class ModelResponse:
     text: str
-    backend_id: str
-    latency: float
     cache_hit: bool
     attempts: int
 
@@ -185,8 +183,6 @@ class ScriptedBackend:
     requests never take the same response. Responders run outside it.
     """
 
-    id = "scripted"
-
     def __init__(self, rules: list[ScriptRule]):
         self.rules = list(rules)
         self.requests: list[ModelRequest] = []
@@ -229,7 +225,6 @@ class HttpBackend:
         self.api_key_env = api_key_env
         self.timeout = timeout
         self.session = session or requests.Session()
-        self.id = f"http:{self.base_url}"
 
     def send(self, req: ModelRequest) -> str:
         headers = {}
@@ -332,13 +327,7 @@ class ModelGate:
         if self.cache is not None:
             cached = self.cache.get(key)
             if cached is not None:
-                return ModelResponse(
-                    text=cached,
-                    backend_id=self.backend.id,
-                    latency=0.0,
-                    cache_hit=True,
-                    attempts=0,
-                )
+                return ModelResponse(text=cached, cache_hit=True, attempts=0)
         with self._lock:
             flight = self._inflight.get(key)
             owner = flight is None
@@ -350,13 +339,7 @@ class ModelGate:
             if flight.error is not None:
                 raise flight.error
             assert flight.response is not None
-            return ModelResponse(
-                text=flight.response.text,
-                backend_id=flight.response.backend_id,
-                latency=0.0,
-                cache_hit=True,
-                attempts=0,
-            )
+            return ModelResponse(text=flight.response.text, cache_hit=True, attempts=0)
         try:
             response = self._call(req)
             if self.cache is not None:
@@ -374,7 +357,6 @@ class ModelGate:
     def _call(self, req: ModelRequest) -> ModelResponse:
         last: BaseException | None = None
         for attempt in range(1, self.retry.attempts + 1):
-            start = time.perf_counter()
             try:
                 text = self.backend.send(req)
                 if not _is_utf8(text):
@@ -384,13 +366,7 @@ class ModelGate:
                         f"model {req.model!r} ({req.purpose}) replied with a "
                         "surrogate code point, which is not valid UTF-8"
                     )
-                return ModelResponse(
-                    text=text,
-                    backend_id=self.backend.id,
-                    latency=time.perf_counter() - start,
-                    cache_hit=False,
-                    attempts=attempt,
-                )
+                return ModelResponse(text=text, cache_hit=False, attempts=attempt)
             except RetryableBackendError as exc:
                 last = exc
                 if attempt < self.retry.attempts:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from caploc import cli, text
 from caploc.cli import main
@@ -238,6 +240,92 @@ class TestAnnotate:
             encoding="utf-8",
         )
         assert main(["annotate", "--pairs", str(pairs), "--out", str(tmp_path / "o.jsonl")]) == 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats(allow_nan=False)
+    | st.text(max_size=12),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+pair_texts = st.sampled_from(["a red car.", "a blue car.", "the <HALLUCINATION> gate", ""]) | st.text(
+    st.sampled_from("ab .,\u00e9<>"), max_size=12
+)
+pair_lines = st.one_of(
+    st.text(max_size=12),  # mostly not JSON
+    st.sampled_from(["", "  "]),
+    json_values.map(json.dumps),
+    # a well-formed pair, which annotate writes unless a check fails
+    st.fixed_dictionaries(
+        {"id": st.sampled_from(["p1", "p2"]), "caption": pair_texts, "corrected": pair_texts},
+        optional={
+            "labels": st.lists(st.sampled_from(["color", "shape"]), max_size=2)
+            | st.one_of(st.booleans(), st.integers(), st.floats(), st.text(max_size=6)),
+        },
+    ).map(json.dumps),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "id": st.sampled_from(["p1", "p2", ""]) | json_values,
+            "caption": pair_texts | json_values,
+            "corrected": pair_texts | json_values,
+            "labels": st.lists(st.sampled_from(["color", "shape", "hue"]), max_size=2)
+            | json_values,
+            "domain": st.sampled_from(["gui", "nature", "space"]) | json_values,
+            "image": json_values,
+        },
+    ).map(json.dumps),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(pair_lines, max_size=3))
+def test_annotate_exits_0_or_1_on_any_pairs(tmp_path_factory, lines):
+    tmp = tmp_path_factory.mktemp("fuzz")
+    pairs = tmp / "pairs.jsonl"
+    pairs.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["annotate", "--pairs", str(pairs), "--out", str(tmp / "o.jsonl")]) in (0, 1)
+
+
+_CONFIG_KEYS = sorted({**cli._EVAL_KEYS, **cli._INJECT_KEYS, **cli._GATE_KEYS, "models": None})
+
+
+def _configs_from(eff: dict, command: str) -> None:
+    """The config objects `command` builds from its effective values, as
+    cmd_score, cmd_inject and cmd_sweep build them, without running it."""
+    if command == "score":
+        cli._config(cli.EvalConfig, eff, dataset="d.jsonl", model=eff["model"] or "offline")
+    elif command == "inject":
+        cli._injection_config(eff)
+    else:
+        if not eff["models"]:
+            raise cli._UsageError("--models is required for sweep")
+        cli._list(eff["models"])
+        cli._round_counts(eff["rounds"])
+        cli._injection_config(eff, rounds=0)
+        cli._config(cli.EvalConfig, eff, dataset="d.jsonl", model="")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["score", "inject", "sweep"]),
+    st.dictionaries(st.sampled_from(_CONFIG_KEYS + ["unknown"]), json_values, max_size=5)
+    | json_values,
+)
+def test_any_config_document_raises_only_value_or_usage_error(tmp_path_factory, command, doc):
+    config = tmp_path_factory.mktemp("fuzz") / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    keys = {
+        "score": cli._EVAL_KEYS,
+        "inject": {**cli._INJECT_KEYS, **cli._GATE_KEYS},
+        "sweep": {**cli._INJECT_KEYS, **cli._EVAL_KEYS, **cli._GATE_KEYS, "models": None},
+    }[command]
+    args = argparse.Namespace(config=str(config), verbose=False)
+    many = ("rounds", "models") if command == "sweep" else ()
+    try:
+        _configs_from(cli._effective(args, keys, many=many), command)
+    except (ValueError, cli._UsageError):
+        pass
 
 
 def eval_script_rules():
@@ -710,6 +798,57 @@ class TestSweepAndReport:
         assert [r.purpose for r in inject_run.requests] == ["inject", "detect"] * 4
         assert [r for r in sweep_run.requests if r.purpose != "evaluate"] == inject_run.requests
         assert (out / "sweep_k2.jsonl").read_bytes() == syn.read_bytes()
+
+    def test_sweep_keeps_the_report_card_evaluate_writes(self, tmp_path, capsys):
+        """Each sweep_k<K>_<model>/ holds the report evaluate writes for that
+        model on sweep_k<K>.jsonl."""
+        rules = [
+            {
+                "purpose": "inject",
+                "contains": "a red car",
+                "responses": [f"a {TAG}blue{END} car parked near the gate.\nLABELS: color"] * 4,
+            },
+            {
+                "purpose": "inject",
+                "responses": [f"the {TAG}round{END} button is green.\nLABELS: shape"] * 4,
+            },
+            {"purpose": "detect", "responses": ["No issues found."] * 8},
+            {
+                "purpose": "evaluate",
+                "contains": "a blue car",
+                "responses": [f"a blue {TAG}car{END} parked near the gate."] * 4,
+            },
+            {"purpose": "evaluate", "responses": [f"the {TAG}round{END} button is green."] * 4},
+        ]
+        clean = write_dataset(
+            tmp_path,
+            [
+                BenchmarkSample(id=f"c{i}", image="", domain=d, caption=c, gold_spans=[])
+                for i, (d, c) in enumerate(
+                    [("nature", "a red car parked near the gate."), ("gui", "the button is green.")]
+                )
+            ],
+            name="clean.jsonl",
+        )
+        script = write_script(tmp_path, rules)
+        out, direct = tmp_path / "sweep_out", tmp_path / "direct"
+        argv = ["--script", str(script), "--no-include-image", "--out"]
+        sweep = ["sweep", "--dataset", str(clean), "--rounds", "1", "--models", "locator"]
+        assert main([*sweep, *argv, str(out)]) == 0
+        dataset = out / "sweep_k1.jsonl"
+        evaluate = ["evaluate", "--dataset", str(dataset), "--model", "locator"]
+        assert main([*evaluate, "--script", str(script), "--out", str(direct)]) == 0
+
+        def report(directory):
+            data = json.loads((directory / "report.json").read_text(encoding="utf-8"))
+            return {**data, "generated_at": ""}
+
+        swept = report(out / "sweep_k1_locator")
+        assert swept == report(direct)
+        assert swept["overall"]["token"]["f1"] == 0.5
+        assert (out / "sweep_k1_locator" / "report.txt").read_text() == (
+            direct / "report.txt"
+        ).read_text()
 
     def test_report_rerenders_json(self, tmp_path, capsys):
         dataset = write_dataset(tmp_path, base_samples())

@@ -14,6 +14,7 @@ from caploc.corpus import (
     save_dataset,
     validate_sample,
 )
+from caploc.evalrun import read_transcripts
 
 
 def make_sample(**kw):
@@ -278,3 +279,35 @@ def test_load_raises_only_dataset_error(tmp_path_factory, recs):
         return
     for sample in samples:
         assert validate_sample(sample).ok
+
+
+# transcript strings: plain text, and text around a lone surrogate, which
+# json.dumps writes as a \ud800-style escape
+transcript_strings = st.text(max_size=8) | st.builds(
+    "{}{}{}".format, st.text(max_size=3), st.sampled_from(["\ud800", "\udfff"]), st.text(max_size=3)
+)
+transcript_lines = st.one_of(
+    st.text(max_size=12),  # mostly not JSON
+    st.sampled_from(["", "   ", "\t"]),
+    json_values.map(json.dumps),
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "id": st.sampled_from(["s1", "s2"]) | transcript_strings | json_values,
+            "output": transcript_strings | json_values,
+        },
+    ).map(json.dumps),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(transcript_lines, max_size=4))
+def test_read_transcripts_raises_only_dataset_error(tmp_path_factory, lines):
+    path = tmp_path_factory.mktemp("fuzz") / "t.jsonl"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        outputs = read_transcripts(path)
+    except DatasetError:
+        return
+    for sample_id, output in outputs.items():
+        (sample_id + output).encode("utf-8")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import sys
 from collections import Counter
+from dataclasses import replace as dc_replace
 from types import SimpleNamespace
 
 import pytest
@@ -25,6 +26,7 @@ from caploc.evalrun import (
     EvalConfig,
     EvalReport,
     build_prompt,
+    build_synthetic,
     correlate_settings,
     emit_report,
     evaluate_dataset,
@@ -356,6 +358,86 @@ class TestScoreEqualsEvaluate:
         assert len(backend.requests) == calls  # all served from cache
         first.pop("generated_at"), second.pop("generated_at")
         assert first == second
+
+
+class DroppingBackend:
+    """Answers through respond, except that its fail_at-th request raises as
+    a dropped connection would; records every request."""
+
+    def __init__(self, respond, fail_at=None):
+        self.respond = respond
+        self.fail_at = fail_at
+        self.requests = []
+
+    def send(self, req):
+        self.requests.append(req)
+        if len(self.requests) == self.fail_at:
+            raise RuntimeError("connection dropped")
+        return self.respond(req)
+
+
+def inject_responder(req):
+    # tag one word of each clean caption; the detector finds nothing
+    if req.purpose == "detect":
+        return "No issues found."
+    for caption, reply in [
+        ("a red car parked near the gate.", f"a {TAG}blue{END} car parked near the gate."),
+        ("the button is green.", f"the button is {TAG}red{END}."),
+        ("values rose in march.", f"values {TAG}fell{END} in march."),
+    ]:
+        if caption in req.user:
+            return f"{reply}\nLABELS: color"
+    raise AssertionError(f"unexpected prompt: {req.user!r}")
+
+
+class TestResumeThroughCache:
+    """A run that stops at a dropped connection resumes through its response
+    cache: the rerun asks the backend only what the first run did not get
+    answered and writes what an uninterrupted run writes."""
+
+    def test_evaluate_resumes(self, tmp_path):
+        dataset = write_dataset(tmp_path)
+        out, whole = tmp_path / "out", tmp_path / "whole"
+        cfg = EvalConfig(dataset=dataset, model="locator", out_dir=out)
+        cache = ResponseCache(tmp_path / "cache")
+        dropped = DroppingBackend(eval_responder, fail_at=3)
+        with pytest.raises(RuntimeError):
+            evaluate_dataset(cfg, ModelGate(dropped, cache=cache))
+        rerun = DroppingBackend(eval_responder)
+        emit_report(evaluate_dataset(cfg, ModelGate(rerun, cache=cache)), out)
+        assert [r.user for r in rerun.requests] == [dropped.requests[2].user]
+
+        whole_cfg = EvalConfig(dataset=dataset, model="locator", out_dir=whole)
+        emit_report(evaluate_dataset(whole_cfg, ModelGate(DroppingBackend(eval_responder))), whole)
+        for name in ("transcripts.jsonl", "report.json"):
+            assert normalized(out / name) == normalized(whole / name)
+
+    def test_build_synthetic_resumes(self, tmp_path):
+        clean = [dc_replace(s, gold_spans=[]) for s in sample_set()]
+        cfg = InjectionConfig(rounds=1, include_image=False)
+        cache = ResponseCache(tmp_path / "cache")
+        dropped = DroppingBackend(inject_responder, fail_at=3)
+        with pytest.raises(RuntimeError):
+            build_synthetic(clean, cfg, ModelGate(dropped, cache=cache), None)
+        rerun = DroppingBackend(inject_responder)
+        outcomes, _ = build_synthetic(clean, cfg, ModelGate(rerun, cache=cache), None)
+        save_dataset([o.sample for o in outcomes], tmp_path / "resumed.jsonl")
+
+        whole = DroppingBackend(inject_responder)
+        outcomes, _ = build_synthetic(clean, cfg, ModelGate(whole), None)
+        save_dataset([o.sample for o in outcomes], tmp_path / "whole.jsonl")
+        # the first run got its first two requests (s1's inject and detect) answered
+        assert rerun.requests == whole.requests[2:]
+        assert all(clean[0].caption not in r.user for r in rerun.requests)
+        resumed = (tmp_path / "resumed.jsonl").read_bytes()
+        assert resumed == (tmp_path / "whole.jsonl").read_bytes()
+
+
+def normalized(path):
+    """A written file's bytes, with a report's generated_at blanked."""
+    if path.name != "report.json":
+        return path.read_bytes()
+    return {**json.loads(path.read_text(encoding="utf-8")), "generated_at": ""}
 
 
 class TestCorrelateSettings:
