@@ -93,9 +93,12 @@ _EXPECTED = {type(None): "string or null", tuple: "array of strings"}
 def _fits(value, default, many: bool) -> bool:
     """Whether a decoded JSON value may replace default: a value of its type
     (a bool is no int), an array of strings for a tuple, a string or null
-    for None; with many, also a comma-separated string or an array of such."""
+    for None; with many, also a comma-separated string or an array of such
+    values other than null."""
     if many and isinstance(value, (str, list)):
-        return isinstance(value, str) or all(_fits(v, default, False) for v in value)
+        return isinstance(value, str) or all(
+            v is not None and _fits(v, default, False) for v in value
+        )
     if default is None:
         return value is None or isinstance(value, str)
     if isinstance(default, tuple):

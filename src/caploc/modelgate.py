@@ -7,7 +7,6 @@ Retry-After.
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import logging
@@ -19,8 +18,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 from typing import Callable
-
-import requests
 
 logger = logging.getLogger(__name__)
 
@@ -117,7 +114,7 @@ class ResponseCache:
     """One file per response under a directory, named by request digest.
 
     Writes go through a temp file and an atomic rename, so a reader never
-    sees a partial entry.
+    sees a partial entry, and a failed write leaves no temp file behind.
     """
 
     def __init__(self, directory: str | Path):
@@ -147,11 +144,26 @@ class ResponseCache:
         return None
 
     def put(self, key: str, text: str) -> None:
+        """Write the entry in one write to a temp file, then rename it into
+        place. On any failure the temp file is removed and the error raised."""
         path = self._path(key)
+        data = json.dumps({"text": text}, ensure_ascii=False).encode("utf-8")
         tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as f:
-            json.dump({"text": text}, f, ensure_ascii=False)
-        os.replace(tmp, path)
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+            try:
+                view = memoryview(data)
+                while view:  # one write unless the kernel takes a part
+                    view = view[os.write(fd, view) :]
+            finally:
+                os.close(fd)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
 
 
 @dataclass
@@ -212,6 +224,10 @@ class HttpBackend:
     JSON object body with a string "text" field; any other reply raises
     BackendError. The bearer token is read from the environment variable
     named at construction.
+
+    requests is imported here and nowhere else in the package, so only a
+    command given --base-url loads the HTTP stack; without it installed,
+    construction raises BackendError.
     """
 
     def __init__(
@@ -221,12 +237,22 @@ class HttpBackend:
         timeout: float = 120.0,
         session: requests.Session | None = None,
     ):
+        try:
+            import requests
+        except ImportError as exc:
+            raise BackendError(
+                f"the HTTP backend needs the 'requests' package, which cannot be imported: {exc}"
+            ) from exc
         self.base_url = base_url.rstrip("/")
         self.api_key_env = api_key_env
         self.timeout = timeout
         self.session = session or requests.Session()
 
     def send(self, req: ModelRequest) -> str:
+        import base64
+
+        import requests
+
         headers = {}
         token = os.environ.get(self.api_key_env)
         if token:

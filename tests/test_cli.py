@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -135,6 +136,16 @@ class TestUsageErrors:
         code = main(["evaluate", "--dataset", str(dataset), "--model", "m"])
         assert code == 2
         assert "no backend" in capsys.readouterr().err
+
+    def test_base_url_without_requests_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)
+        dataset = write_dataset(tmp_path, base_samples())
+        argv = ["evaluate", "--dataset", str(dataset), "--model", "m", "--base-url", "http://localhost:9"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the HTTP backend needs the 'requests' package")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestStats:
@@ -615,6 +626,21 @@ class TestSweepRounds:
         (backend,) = backends
         assert backend.requests == []
         assert not (tmp_path / "out").exists()
+
+    def test_null_model_in_config_exits_before_any_model_call(self, tmp_path, capsys, backends):
+        """A null among a config file's models is no model name: sweep
+        exits 1 naming models, and writes no sweep_k<K>_None/."""
+        clean = write_dataset(tmp_path, base_samples(), name="clean.jsonl")
+        script = inject_script(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"models": [None, "a"], "rounds": "0"}), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["sweep", "--dataset", str(clean), "--config", str(config), "--script", str(script)]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert f"error: {config}: models is a JSON array" in capsys.readouterr().err
+        assert backends == []  # refused before the gate is built
+        assert not out.exists()
+        assert not cli._fits([None, "a"], None, True)
 
 
 class TestSweepAndReport:

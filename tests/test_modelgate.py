@@ -1,4 +1,5 @@
 import json
+import os
 import sys
 import threading
 import time
@@ -62,6 +63,12 @@ def test_http_reply_nested_too_deeply_is_not_retried():
     with pytest.raises(BackendError, match="malformed backend response") as info:
         backend.send(make_req())
     assert not isinstance(info.value, RetryableBackendError)
+
+
+def test_http_backend_without_requests_raises_backend_error(monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)
+    with pytest.raises(BackendError, match="needs the 'requests' package"):
+        HttpBackend("http://localhost:9")
 
 
 class BusySession:
@@ -233,6 +240,28 @@ def test_unreadable_cache_entry_is_a_miss(tmp_path, caplog, entry):
     assert len(backend.requests) == 1
     assert "dropping unreadable cache entry" in caplog.text
     assert json.loads(path.read_text(encoding="utf-8")) == {"text": "fresh"}
+
+
+def test_cache_entry_bytes(tmp_path):
+    """One JSON object, non-ASCII text kept as UTF-8, no trailing newline."""
+    cache = ResponseCache(tmp_path)
+    cache.put("k", 'café "q"\n')
+    assert (tmp_path / "k.json").read_bytes() == b'{"text": "caf\xc3\xa9 \\"q\\"\\n"}'
+    assert cache.get("k") == 'café "q"\n'
+
+
+@pytest.mark.parametrize("failing", ["write", "replace"])
+def test_failed_cache_put_leaves_no_temp_file(tmp_path, monkeypatch, failing):
+    cache = ResponseCache(tmp_path)
+
+    def fail(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, failing, fail)
+    with pytest.raises(OSError, match="No space left"):
+        cache.put("k", "reply")
+    monkeypatch.undo()
+    assert list(tmp_path.iterdir()) == []
 
 
 class FlakyBackend:
