@@ -90,15 +90,10 @@ def _read_json(path: str | Path):
 _EXPECTED = {type(None): "string or null", tuple: "array of strings"}
 
 
-def _fits(value, default, many: bool) -> bool:
+def _fits(value, default) -> bool:
     """Whether a decoded JSON value may replace default: a value of its type
     (a bool is no int), an array of strings for a tuple, a string or null
-    for None; with many, also a comma-separated string or an array of such
-    values other than null."""
-    if many and isinstance(value, (str, list)):
-        return isinstance(value, str) or all(
-            v is not None and _fits(v, default, False) for v in value
-        )
+    for None."""
     if default is None:
         return value is None or isinstance(value, str)
     if isinstance(default, tuple):
@@ -106,11 +101,29 @@ def _fits(value, default, many: bool) -> bool:
     return type(value) is type(default)
 
 
+def _misfit(key: str, value, default, many: bool) -> str | None:
+    """Why a decoded JSON value may not replace default, naming the key or
+    the array item at fault; None when it fits (_fits). With many, a
+    comma-separated string fits too, and so does an array of fitting values
+    other than null."""
+    expected = _EXPECTED.get(type(default), type(default).__name__)
+    if many and isinstance(value, list):
+        for i, item in enumerate(value):
+            if item is None or not _fits(item, default):
+                item_expected = "string" if default is None else expected
+                return f"{key}[{i}] is a JSON {_json_type(item)}, expected {item_expected}"
+        return None
+    if (many and isinstance(value, str)) or _fits(value, default):
+        return None
+    return f"{key} is a JSON {_json_type(value)}, expected {expected}"
+
+
 def _effective(args: argparse.Namespace, keys: dict, many: tuple[str, ...] = ()) -> dict:
     """Merge flag values over config-file values over the defaults in keys.
 
-    A config-file value that does not fit its key's default (_fits; the
-    keys in many may hold lists) raises ValueError naming the file and key.
+    A config-file value that does not fit its key's default (_misfit; the
+    keys in many may hold lists) raises ValueError naming the file and the
+    key or array item.
     """
     file_values: dict = {}
     if getattr(args, "config", None):
@@ -123,12 +136,9 @@ def _effective(args: argparse.Namespace, keys: dict, many: tuple[str, ...] = ())
         if unknown:
             logger.warning("config keys not used by this subcommand: %s", sorted(unknown))
         for key in sorted(file_values.keys() & keys.keys()):
-            value, default = file_values[key], keys[key]
-            if not _fits(value, default, key in many):
-                expected = _EXPECTED.get(type(default), type(default).__name__)
-                raise ValueError(
-                    f"{args.config}: {key} is a JSON {_json_type(value)}, expected {expected}"
-                )
+            problem = _misfit(key, file_values[key], keys[key], key in many)
+            if problem:
+                raise ValueError(f"{args.config}: {problem}")
     eff = {}
     for key, default in keys.items():
         flag = getattr(args, key, None)
@@ -251,11 +261,9 @@ def _annotated_sample(record) -> BenchmarkSample:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    samples: list[BenchmarkSample] = []
-    issues = []
-    for _, sample in read_records(args.pairs, lambda line: _annotated_sample(decode_json(line))):
-        issues.extend(validate_sample(sample).issues)
-        samples.append(sample)
+    records = read_records(args.pairs, lambda line: _annotated_sample(decode_json(line)))
+    samples = [sample for _, sample in records]
+    issues = [issue for sample in samples for issue in validate_sample(sample)]
     if issues:
         for issue in issues:
             print(f"error: {issue}", file=sys.stderr)

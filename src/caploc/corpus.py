@@ -77,9 +77,6 @@ class HallucinationSpan:
     end: int
     dimension: str = Dimension.OTHER.value
 
-    def to_dict(self) -> dict:
-        return {"start": self.start, "end": self.end, "dimension": self.dimension}
-
 
 @dataclass
 class BenchmarkSample:
@@ -99,9 +96,7 @@ class BenchmarkSample:
     clean_caption: str | None = None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["gold_spans"] = [s.to_dict() for s in self.gold_spans]
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> BenchmarkSample:
@@ -198,19 +193,10 @@ class ValidationIssue:
         return f"sample {self.sample_id!r}: {self.field}: {self.message}"
 
 
-@dataclass
-class ValidationReport:
-    issues: list[ValidationIssue] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.issues
-
-
-def validate_sample(sample: BenchmarkSample) -> ValidationReport:
+def validate_sample(sample: BenchmarkSample) -> list[ValidationIssue]:
     """Check one sample against the data-model invariants.
 
-    Returns a report listing every violation; an empty report means valid.
+    Returns every violation; an empty list means valid.
     """
     issues: list[ValidationIssue] = []
 
@@ -256,7 +242,7 @@ def validate_sample(sample: BenchmarkSample) -> ValidationReport:
                 )
         prev_end = span.end
         prev_idx = i
-    return ValidationReport(issues)
+    return issues
 
 
 def load_dataset(path: str | Path) -> list[BenchmarkSample]:
@@ -291,10 +277,10 @@ def load_dataset(path: str | Path) -> list[BenchmarkSample]:
         if sample.id in seen_ids:
             raise DatasetError(f"{path}:{lineno}: duplicate sample id {sample.id!r}")
         seen_ids.add(sample.id)
-        report = validate_sample(sample)
-        if not report.ok:
+        issues = validate_sample(sample)
+        if issues:
             raise DatasetError(
-                f"{path}:{lineno}: invalid sample: " + "; ".join(str(i) for i in report.issues)
+                f"{path}:{lineno}: invalid sample: " + "; ".join(str(i) for i in issues)
             )
         samples.append(sample)
     return samples
@@ -376,10 +362,7 @@ class DatasetStats:
     total: DomainStats = field(default_factory=DomainStats)
 
     def to_dict(self) -> dict:
-        return {
-            "per_domain": {k: asdict(v) for k, v in self.per_domain.items()},
-            "total": asdict(self.total),
-        }
+        return asdict(self)
 
 
 def _stats_for(group: list[tuple[BenchmarkSample, int]]) -> DomainStats:

@@ -8,11 +8,13 @@ transcript file, so offline re-scoring reproduces a live run exactly.
 
 from __future__ import annotations
 
+import concurrent.futures
 import hashlib
 import json
 import logging
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, replace as dc_replace
 from pathlib import Path
 
@@ -263,7 +265,7 @@ def score_outputs(
     return aggregate(scores), rows, skipped
 
 
-def write_transcripts(path: str | Path, rows: list[tuple[str, str]]) -> None:
+def write_transcripts(path: str | Path, rows: Iterable[tuple[str, str]]) -> None:
     write_records(path, ({"id": sample_id, "output": output} for sample_id, output in rows))
 
 
@@ -286,14 +288,6 @@ def read_transcripts(path: str | Path) -> dict[str, str]:
     return outputs
 
 
-def _dataset_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _tool_versions() -> dict:
-    return {"caploc": __version__, "tokenizer": TOKENIZER_VERSION, "prompts": PROMPT_VERSION}
-
-
 def _make_report(
     cfg: EvalConfig,
     samples: list[BenchmarkSample],
@@ -303,14 +297,43 @@ def _make_report(
     coverage = (len(samples) - len(skipped)) / len(samples) if samples else 0.0
     return EvalReport(
         model=cfg.model,
-        dataset_sha256=_dataset_sha256(cfg.dataset),
+        dataset_sha256=hashlib.sha256(Path(cfg.dataset).read_bytes()).hexdigest(),
         coverage=coverage,
         card=card,
         samples=rows,
         skipped=skipped,
-        tool_versions=_tool_versions(),
+        tool_versions={"caploc": __version__, "tokenizer": TOKENIZER_VERSION, "prompts": PROMPT_VERSION},
         generated_at=time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     )
+
+
+def run_samples(
+    samples: list[BenchmarkSample], work: Callable[[BenchmarkSample], object], width: int
+) -> list[tuple[BenchmarkSample, object]]:
+    """(sample, work(sample)) per sample in input order, work running on
+    `width` threads: the one per-sample loop of evaluation and injection.
+    A BackendError, InjectionError or FileNotFoundError fails only its
+    sample, which is logged and gets None. Any other exception,
+    KeyboardInterrupt included, stops the run: samples not yet started do
+    not run, and the exception propagates once the running ones end."""
+    stop = threading.Event()
+
+    def run(sample: BenchmarkSample) -> object:
+        if stop.is_set():
+            return None
+        try:
+            return work(sample)
+        except (BackendError, InjectionError, FileNotFoundError) as exc:
+            logger.warning("sample %s failed: %s", sample.id, exc)
+            return None
+        except BaseException:
+            stop.set()
+            raise
+
+    with concurrent.futures.ThreadPoolExecutor(max_workers=width) as pool:
+        # an exception raised here (a Ctrl-C while waiting, or one that
+        # stopped a worker) cancels the samples not yet started
+        return list(zip(samples, pool.map(run, samples)))
 
 
 def evaluate_dataset(cfg: EvalConfig, gate: ModelGate) -> EvalReport:
@@ -322,20 +345,11 @@ def evaluate_dataset(cfg: EvalConfig, gate: ModelGate) -> EvalReport:
     samples = load_dataset(cfg.dataset)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def fetch(sample: BenchmarkSample) -> tuple[str, str | None]:
-        try:
-            response = gate.complete(build_prompt(sample, cfg))
-            return sample.id, response.text
-        except (BackendError, FileNotFoundError) as exc:
-            logger.warning("sample %s failed: %s", sample.id, exc)
-            return sample.id, None
-
-    with ThreadPoolExecutor(max_workers=cfg.width) as pool:
-        fetched = list(pool.map(fetch, samples))
-
-    outputs = {sid: text for sid, text in fetched if text is not None}
-    write_transcripts(out_dir / "transcripts.jsonl", [(s, t) for s, t in fetched if t is not None])
+    fetched = run_samples(
+        samples, lambda sample: gate.complete(build_prompt(sample, cfg)).text, cfg.width
+    )
+    outputs = {sample.id: text for sample, text in fetched if text is not None}
+    write_transcripts(out_dir / "transcripts.jsonl", outputs.items())
     return _make_report(cfg, samples, outputs)
 
 
@@ -409,15 +423,14 @@ def build_synthetic(
     cfg.include_image. Returns the outcomes in input order and the ids of
     the samples whose injection failed, which are skipped with a warning;
     raises InjectionError when every sample failed."""
-    outcomes: list[InjectionOutcome] = []
-    failed: list[str] = []
-    for sample in clean:
+
+    def inject(sample: BenchmarkSample) -> InjectionOutcome:
         image = load_image(sample.image, image_root) if cfg.include_image else None
-        try:
-            outcomes.append(run_adversarial(sample, cfg, gate, image))
-        except (InjectionError, BackendError) as exc:
-            logger.warning("sample %s failed: %s", sample.id, exc)
-            failed.append(sample.id)
+        return run_adversarial(sample, cfg, gate, image)
+
+    results = run_samples(clean, inject, 1)
+    outcomes = [outcome for _, outcome in results if outcome is not None]
+    failed = [sample.id for sample, outcome in results if outcome is None]
     if not outcomes:
         raise InjectionError(f"no samples could be injected ({len(failed)} failed)")
     return outcomes, failed

@@ -31,11 +31,6 @@ class ParseStatus(str, Enum):
 
 
 @dataclass(frozen=True)
-class TaggedText:
-    raw: str
-
-
-@dataclass(frozen=True)
 class ParsedOutput:
     """Tag-stripped text, the code-point ranges of it that were inside
     tags, and the parse status."""
@@ -54,7 +49,7 @@ class Prediction:
     alignment_coverage: float
 
 
-def serialize_tags(c: TokenizedCaption, spans: list[HallucinationSpan]) -> TaggedText:
+def serialize_tags(c: TokenizedCaption, spans: list[HallucinationSpan]) -> str:
     """Wrap each span's tokens in tags, leaving all other text untouched."""
     n = len(c)
     prev_end = 0
@@ -75,10 +70,10 @@ def serialize_tags(c: TokenizedCaption, spans: list[HallucinationSpan]) -> Tagge
         out.append(CLOSE_TAG)
         pos = close_at
     out.append(c.source[pos:])
-    return TaggedText("".join(out))
+    return "".join(out)
 
 
-def parse_tags(t: TaggedText | str) -> ParsedOutput:
+def parse_tags(text: str) -> ParsedOutput:
     """Strip tags, returning the plain text and the code-point ranges that
     were inside them.
 
@@ -88,7 +83,7 @@ def parse_tags(t: TaggedText | str) -> ParsedOutput:
     repair sets status to malformed_tags. Zero-width regions are discarded.
     """
     # even parts are text, odd parts are tags
-    parts = _TAG_RE.split(t.raw if isinstance(t, TaggedText) else t)
+    parts = _TAG_RE.split(text)
     texts = parts[::2]
     stripped = "".join(texts)
     ranges: list[tuple[int, int]] = []

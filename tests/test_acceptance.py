@@ -377,7 +377,7 @@ def _fixture_runs(tmp_path):
     assert len(by_caption) == len(samples)
 
     def tagged(sample, spans):
-        return serialize_tags(tokenize(sample.caption), spans).raw
+        return serialize_tags(tokenize(sample.caption), spans)
 
     gold_raw = {s.caption: tagged(s, s.gold_spans) for s in samples}
     full_raw = {
@@ -421,7 +421,7 @@ def test_criterion_09(tmp_path):
     dataset = tmp_path / "subset.jsonl"
     save_dataset(samples, dataset)
     gold_raw = {
-        s.caption: serialize_tags(tokenize(s.caption), s.gold_spans).raw for s in samples
+        s.caption: serialize_tags(tokenize(s.caption), s.gold_spans) for s in samples
     }
     gate = ModelGate(
         ScriptedBackend(
@@ -477,7 +477,7 @@ def test_criterion_10(tmp_path):
             id=f"t{i:04d}", image="", domain="nature", caption=caption, gold_spans=spans
         )
         samples.append(sample)
-        outputs[sample.id] = serialize_tags(tc, spans).raw
+        outputs[sample.id] = serialize_tags(tc, spans)
 
     cfg = EvalConfig(dataset="unused", model="mock")
     start = time.perf_counter()

@@ -629,7 +629,7 @@ class TestSweepRounds:
 
     def test_null_model_in_config_exits_before_any_model_call(self, tmp_path, capsys, backends):
         """A null among a config file's models is no model name: sweep
-        exits 1 naming models, and writes no sweep_k<K>_None/."""
+        exits 1 naming the item, and writes no sweep_k<K>_None/."""
         clean = write_dataset(tmp_path, base_samples(), name="clean.jsonl")
         script = inject_script(tmp_path)
         config = tmp_path / "config.json"
@@ -637,10 +637,35 @@ class TestSweepRounds:
         out = tmp_path / "out"
         argv = ["sweep", "--dataset", str(clean), "--config", str(config), "--script", str(script)]
         assert main([*argv, "--out", str(out)]) == 1
-        assert f"error: {config}: models is a JSON array" in capsys.readouterr().err
+        assert f"error: {config}: models[0] is a JSON null, expected string" in capsys.readouterr().err
         assert backends == []  # refused before the gate is built
         assert not out.exists()
-        assert not cli._fits([None, "a"], None, True)
+        assert cli._misfit("models", [None, "a"], None, True) == "models[0] is a JSON null, expected string"
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"models": ["a", 5], "rounds": "0"}, "models[1] is a JSON number, expected string"),
+            ({"models": "a", "rounds": [True]}, "rounds[0] is a JSON boolean, expected int"),
+            ({"models": "a", "rounds": [0, "1"]}, "rounds[1] is a JSON string, expected int"),
+        ],
+        ids=["number_model", "boolean_round", "string_round"],
+    )
+    def test_bad_array_item_in_config_exits_before_any_model_call(
+        self, tmp_path, capsys, backends, config, message
+    ):
+        """A config array item that does not fit its key exits 1 naming the
+        item, before any model call."""
+        clean = write_dataset(tmp_path, base_samples(), name="clean.jsonl")
+        script = inject_script(tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["sweep", "--dataset", str(clean), "--config", str(config_path), "--script", str(script)]
+        assert main([*argv, "--out", str(out)]) == 1
+        assert f"error: {config_path}: {message}\n" in capsys.readouterr().err
+        assert backends == []  # refused before the gate is built
+        assert not out.exists()
 
 
 class TestSweepAndReport:

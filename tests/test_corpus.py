@@ -36,50 +36,48 @@ def test_enums():
 
 
 def test_validate_ok():
-    assert validate_sample(make_sample()).ok
+    assert validate_sample(make_sample()) == []
 
 
 def test_validate_unknown_domain():
-    rep = validate_sample(make_sample(domain="indoor"))
-    assert not rep.ok
-    assert any(i.field == "domain" for i in rep.issues)
+    issues = validate_sample(make_sample(domain="indoor"))
+    assert issues
+    assert any(i.field == "domain" for i in issues)
 
 
 def test_validate_unknown_dimension():
-    rep = validate_sample(make_sample(gold_spans=[HallucinationSpan(1, 2, "colour")]))
-    assert any("colour" in i.message for i in rep.issues)
+    issues = validate_sample(make_sample(gold_spans=[HallucinationSpan(1, 2, "colour")]))
+    assert any("colour" in i.message for i in issues)
 
 
 @pytest.mark.parametrize("fld", ["caption", "clean_caption"])
 def test_validate_rejects_tag_literals(fld):
     text = "A red <HALLUCINATION>car</HALLUCINATION> parked near the gate."
-    rep = validate_sample(make_sample(**{fld: text}))
-    assert [(i.field, i.message) for i in rep.issues] == [
+    issues = validate_sample(make_sample(**{fld: text}))
+    assert [(i.field, i.message) for i in issues] == [
         (fld, "holds the tag literal <HALLUCINATION> and </HALLUCINATION>, which marks spans in model output")
     ]
-    assert validate_sample(make_sample(**{fld: "A red <car> parked near the HALLUCINATION."})).ok
+    assert validate_sample(make_sample(**{fld: "A red <car> parked near the HALLUCINATION."})) == []
 
 
 def test_validate_span_out_of_range():
-    rep = validate_sample(make_sample(gold_spans=[HallucinationSpan(5, 99)]))
-    assert not rep.ok
+    assert validate_sample(make_sample(gold_spans=[HallucinationSpan(5, 99)]))
 
 
 def test_validate_overlap_cites_both():
-    rep = validate_sample(
+    issues = validate_sample(
         make_sample(gold_spans=[HallucinationSpan(1, 3), HallucinationSpan(2, 4)])
     )
-    assert not rep.ok
-    issue = rep.issues[0]
+    assert issues
+    issue = issues[0]
     assert "gold_spans[1]" in issue.field
     assert "span 0" in issue.message
 
 
 def test_validate_unsorted_spans():
-    rep = validate_sample(
+    assert validate_sample(
         make_sample(gold_spans=[HallucinationSpan(4, 5), HallucinationSpan(0, 1)])
     )
-    assert not rep.ok
 
 
 def test_roundtrip(tmp_path):
@@ -278,7 +276,7 @@ def test_load_raises_only_dataset_error(tmp_path_factory, recs):
     except DatasetError:
         return
     for sample in samples:
-        assert validate_sample(sample).ok
+        assert validate_sample(sample) == []
 
 
 # transcript strings: plain text, and text around a lone surrogate, which

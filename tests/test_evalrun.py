@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import logging
 import sys
+import threading
+import time
 from collections import Counter
 from dataclasses import replace as dc_replace
 from types import SimpleNamespace
@@ -13,7 +17,7 @@ import requests
 
 from caploc import diffannot, text
 from caploc.corpus import BenchmarkSample, DatasetError, HallucinationSpan, save_dataset
-from caploc.inject import InjectionConfig
+from caploc.inject import InjectionConfig, InjectionError
 from caploc.modelgate import (
     HttpBackend,
     ModelGate,
@@ -33,6 +37,7 @@ from caploc.evalrun import (
     read_transcripts,
     render_report_table,
     render_sweep_table,
+    run_samples,
     score_sample,
     score_transcripts,
     sweep_rounds,
@@ -163,11 +168,14 @@ class TestEvaluateDataset:
             EvalReport.from_dict(data)
 
     def test_width_does_not_change_result(self, tmp_path):
+        transcripts = tmp_path / "out" / "transcripts.jsonl"
         serial, _ = self.run(tmp_path)
+        serial_transcripts = transcripts.read_bytes()
         parallel, _ = self.run(tmp_path, width=4)
         a, b = serial.to_dict(), parallel.to_dict()
         a.pop("generated_at"), b.pop("generated_at")
         assert a == b
+        assert transcripts.read_bytes() == serial_transcripts
 
     def test_backend_failure_skips_sample(self, tmp_path):
         dataset = write_dataset(tmp_path)
@@ -320,7 +328,7 @@ class TestTokenizeOnce:
         write_transcripts(
             transcripts,
             [
-                (s.id, serialize_tags(text.tokenize(s.caption), s.gold_spans).raw)
+                (s.id, serialize_tags(text.tokenize(s.caption), s.gold_spans))
                 for s in samples
             ],
         )
@@ -431,6 +439,94 @@ class TestResumeThroughCache:
         assert all(clean[0].caption not in r.user for r in rerun.requests)
         resumed = (tmp_path / "resumed.jsonl").read_bytes()
         assert resumed == (tmp_path / "whole.jsonl").read_bytes()
+
+
+class FatalBackend:
+    """Answers through respond after `delay` seconds, except that its
+    fail_at-th request raises `error` at once; records every request."""
+
+    def __init__(self, respond, fail_at, error, delay=0.0):
+        self.respond, self.fail_at, self.error, self.delay = respond, fail_at, error, delay
+        self.requests = []
+        self._lock = threading.Lock()
+
+    def send(self, req):
+        with self._lock:
+            self.requests.append(req)
+            n = len(self.requests)
+        if n == self.fail_at:
+            raise self.error
+        time.sleep(self.delay)
+        return self.respond(req)
+
+
+def many_samples(n=40):
+    return [
+        BenchmarkSample(
+            id=f"m{i}", image="", domain="nature", caption=f"car {i} is red and parked.", gold_spans=[]
+        )
+        for i in range(n)
+    ]
+
+
+def many_responder(req):
+    # the locator echoes the caption; the injector recolours it; the
+    # detector finds nothing
+    if req.purpose == "detect":
+        return "No issues found."
+    caption = next(s.caption for s in many_samples() if s.caption in req.user)
+    if req.purpose == "evaluate":
+        return caption
+    return caption.replace("red", f"{TAG}blue{END}") + "\nLABELS: color"
+
+
+FATAL_ERRORS = [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()]
+
+
+class TestRunSamples:
+    """run_samples skips a sample whose work fails with a sample error and
+    stops the run at any other error: a fatal error on request 3 of 40
+    leaves the samples not yet started unrun."""
+
+    def test_sample_errors_skip_only_their_sample(self, caplog):
+        def work(sample):
+            if sample.id == "s1":
+                raise InjectionError("unsalvageable reply")
+            if sample.id == "s3":
+                raise FileNotFoundError("img/s3.png")
+            return sample.caption.upper()
+
+        with caplog.at_level(logging.WARNING, logger="caploc.evalrun"):
+            results = run_samples(sample_set(), work, 4)
+        assert [(s.id, r) for s, r in results] == [
+            ("s1", None), ("s2", "THE BUTTON IS GREEN."), ("s3", None)
+        ]
+        assert sorted(r.getMessage() for r in caplog.records) == [
+            "sample s1 failed: unsalvageable reply",
+            "sample s3 failed: img/s3.png",
+        ]
+
+    @pytest.mark.parametrize("error", FATAL_ERRORS, ids=["oserror", "keyboard_interrupt"])
+    # above width 1, the delay lets the failing worker stop the run while
+    # the other workers' requests are still out
+    @pytest.mark.parametrize("width, most, delay", [(1, 3, 0.0), (4, 6, 0.02)])
+    def test_fatal_error_stops_evaluate(self, tmp_path, error, width, most, delay):
+        dataset = write_dataset(tmp_path, many_samples())
+        cfg = EvalConfig(dataset=dataset, model="locator", out_dir=tmp_path / "out", width=width)
+        backend = FatalBackend(many_responder, fail_at=3, error=error, delay=delay)
+        with pytest.raises(type(error)):
+            evaluate_dataset(cfg, ModelGate(backend))
+        assert 3 <= len(backend.requests) <= most
+        assert not (tmp_path / "out" / "transcripts.jsonl").exists()
+
+    @pytest.mark.parametrize("error", FATAL_ERRORS, ids=["oserror", "keyboard_interrupt"])
+    def test_fatal_error_stops_build_synthetic(self, error):
+        backend = FatalBackend(many_responder, fail_at=3, error=error)
+        cfg = InjectionConfig(rounds=1, include_image=False)
+        with pytest.raises(type(error)):
+            build_synthetic(many_samples(), cfg, ModelGate(backend), None)
+        # m0's inject and detect, then m1's inject
+        assert [r.purpose for r in backend.requests] == ["inject", "detect", "inject"]
 
 
 def normalized(path):

@@ -14,7 +14,7 @@ def test_fixture_samples_are_valid():
     assert len(samples) == len(HALLU_RATES) * SAMPLES_PER_DOMAIN
     assert len({s.id for s in samples}) == len(samples)
     for s in samples:
-        assert validate_sample(s).ok, s.id
+        assert validate_sample(s) == [], s.id
 
 
 def test_hallucinated_prefix_counts():

@@ -98,7 +98,7 @@ class TestInjectRound:
             InjectedSpan(clean_start=1, clean_end=2, replacement=("blue",), dimension="color")
         ]
         assert state.current_text() == "a blue car."
-        assert TAG + "blue" + END in tagged_caption(state).raw
+        assert TAG + "blue" + END in tagged_caption(state)
 
     def test_echo_yields_no_spans(self):
         gate, _ = make_gate([inject_rule("a red car.")])
@@ -485,7 +485,7 @@ class TestRunAdversarial:
         except InjectionError as exc:
             assert "holds a tag literal" in str(exc)
         else:
-            assert validate_sample(outcome.sample).ok
+            assert validate_sample(outcome.sample) == []
         assert len(backend.requests) == 2  # the reply and its one retry
 
     def test_all_caught_yields_clean_negative(self):
@@ -605,7 +605,7 @@ class TestRenderLayoutProperties:
             if not state.spans:
                 continue
             tagged = tagged_caption(state)
-            parsed = parse_tags(tagged.raw)
+            parsed = parse_tags(tagged)
             current = tokenize(state.current_text())
             assert parsed.stripped == current.source
             marked = marked_token_indices(current, parsed.marked_ranges)

@@ -21,22 +21,22 @@ def test_tag_literals():
 
 def test_serialize_single_span():
     tagged = serialize_tags(tokenize("a red car"), [HallucinationSpan(1, 2)])
-    assert tagged.raw == "a <HALLUCINATION>red</HALLUCINATION> car"
+    assert tagged == "a <HALLUCINATION>red</HALLUCINATION> car"
 
 
 def test_serialize_empty_spans():
     tagged = serialize_tags(tokenize("a red car"), [])
-    assert tagged.raw == "a red car"
+    assert tagged == "a red car"
 
 
 def test_serialize_span_at_start():
     tagged = serialize_tags(tokenize("two red cars"), [HallucinationSpan(0, 2)])
-    assert tagged.raw == "<HALLUCINATION>two red</HALLUCINATION> cars"
+    assert tagged == "<HALLUCINATION>two red</HALLUCINATION> cars"
 
 
 def test_serialize_preserves_interior_whitespace():
     tagged = serialize_tags(tokenize("a  red\tcar"), [HallucinationSpan(1, 3)])
-    assert tagged.raw == "a  <HALLUCINATION>red\tcar</HALLUCINATION>"
+    assert tagged == "a  <HALLUCINATION>red\tcar</HALLUCINATION>"
 
 
 def test_serialize_rejects_bad_span():
