@@ -50,7 +50,14 @@ from .metrics import (
     spearman,
     token_counts,
 )
-from .modelgate import BackendError, ImageAttachment, ModelGate, ModelRequest, Purpose
+from .modelgate import (
+    BackendError,
+    ImageAttachment,
+    ModelGate,
+    ModelRequest,
+    Purpose,
+    ResponseCache,
+)
 from .tagproto import align_to_reference, parse_tags
 from .text import TOKENIZER_VERSION, split_sentences, tokenize
 
@@ -152,6 +159,11 @@ class EvalReport:
         return report
 
 
+class MissingImageError(FileNotFoundError):
+    """A sample's image is not found and images are required: an error of
+    that sample alone, unlike any other missing file."""
+
+
 def load_image(image: str, image_root: str | Path | None) -> ImageAttachment | None:
     """The image file at path `image`, or None when that is empty or no file.
 
@@ -172,7 +184,7 @@ def build_prompt(sample: BenchmarkSample, cfg: EvalConfig) -> ModelRequest:
     """One fixed instruction (shipped asset) plus the caption and the image."""
     image = load_image(sample.image, cfg.image_root)
     if image is None and cfg.require_image:
-        raise FileNotFoundError(
+        raise MissingImageError(
             f"sample {sample.id!r}: image {sample.image!r} not found and images are required"
         )
     user = fill_template(load_template("evaluate"), caption=sample.caption)
@@ -312,10 +324,11 @@ def run_samples(
 ) -> list[tuple[BenchmarkSample, object]]:
     """(sample, work(sample)) per sample in input order, work running on
     `width` threads: the one per-sample loop of evaluation and injection.
-    A BackendError, InjectionError or FileNotFoundError fails only its
-    sample, which is logged and gets None. Any other exception,
-    KeyboardInterrupt included, stops the run: samples not yet started do
-    not run, and the exception propagates once the running ones end."""
+    A BackendError, InjectionError or MissingImageError fails only its
+    sample, which is logged and gets None. Any other exception, a failed
+    cache write or KeyboardInterrupt included, stops the run: samples not
+    yet started do not run, and the exception propagates once the running
+    ones end."""
     stop = threading.Event()
 
     def run(sample: BenchmarkSample) -> object:
@@ -323,7 +336,7 @@ def run_samples(
             return None
         try:
             return work(sample)
-        except (BackendError, InjectionError, FileNotFoundError) as exc:
+        except (BackendError, InjectionError, MissingImageError) as exc:
             logger.warning("sample %s failed: %s", sample.id, exc)
             return None
         except BaseException:
@@ -459,8 +472,11 @@ def sweep_rounds(
     locator on it through the ordinary evaluation path, with its report card
     in sweep_k<K>_<model>/, and write the rows to sweep.json in
     eval_cfg.out_dir. A sample that fails at any round is left out at every
-    K. A bad K, or an empty or repeated K or model list, raises ValueError
-    naming rounds or models before any model call."""
+    K. A gate without a cache gets one in memory for the sweep, so a
+    prompt repeated across K (a caption with nothing reverted reads the same
+    at K = 1 and 2) is sent once. A bad K, or an empty or repeated K or
+    model list, raises ValueError naming rounds or models before any model
+    call."""
     for key, values in (("rounds", ks), ("models", detector_models)):
         if not values:
             raise ValueError(f"{key}: the list is empty")
@@ -469,6 +485,8 @@ def sweep_rounds(
             raise ValueError(f"{key}: {repeated[0]!r} is listed more than once")
     dc_replace(inj_cfg, rounds=min(ks))  # raises if any K is bad
     cfg = dc_replace(inj_cfg, rounds=max(ks))
+    if gate.cache is None:
+        gate = ModelGate(gate.backend, ResponseCache(None), gate.retry, gate.sleep)
     clean = load_dataset(clean_dataset)
     out_dir = Path(eval_cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,8 +1,9 @@
 """Uniform model access: one request/response shape for every role a model
 plays (injector, detector, model under test, captioner), with an HTTP
-backend, a deterministic scripted backend for tests, a content-addressed
-response cache, and retry with exponential backoff or the server's
-Retry-After.
+backend, a deterministic scripted backend for tests, a response cache
+keyed by request content (in memory, or an append-only log of JSON lines
+per directory that several processes may share), and retry with
+exponential backoff or the server's Retry-After.
 """
 
 from __future__ import annotations
@@ -111,59 +112,82 @@ def _is_utf8(text: str) -> bool:
 
 
 class ResponseCache:
-    """One file per response under a directory, named by request digest.
+    """Replies keyed by request digest, held in a dict and, with a
+    directory, appended to its log file responses.jsonl.
 
-    Writes go through a temp file and an atomic rename, so a reader never
-    sees a partial entry, and a failed write leaves no temp file behind.
+    Each log line is one JSON object {"key": ..., "text": ...}. Construction
+    reads the log, and any <key>.json entry file an older cache left, into
+    the dict; a later line for a key wins. get() is a dict lookup. put()
+    appends its line with one write to a descriptor opened with O_APPEND,
+    so processes sharing a directory never interleave parts of lines; a
+    process does not see lines another process appends after it started.
+    A line or entry file that cannot be read is skipped with a warning
+    naming it: a line left torn by a crash or a full disk is a miss, never
+    a wrong reply. Without a directory the cache lives in memory only.
     """
 
-    def __init__(self, directory: str | Path):
-        self.directory = Path(directory)
+    def __init__(self, directory: str | Path | None):
+        self.directory = None if directory is None else Path(directory)
+        self._entries: dict[str, str] = {}
+        self._lock = threading.Lock()
+        self._torn = False  # the log ends inside a line
+        if self.directory is None:
+            return
         self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> Path:
-        return self.directory / f"{key}.json"
-
-    def get(self, key: str) -> str | None:
-        """The cached reply, or None on a miss. An entry that is not UTF-8
-        JSON holding an object with a string "text" counts as a miss, and
-        the next put() rewrites it. So does a "text" holding a surrogate
-        escape such as \\ud800, which the gate never caches."""
-        path = self._path(key)
+        self._log = self.directory / "responses.jsonl"
+        for path in sorted(self.directory.glob("*.json")):
+            self._load(path.stem, path.read_bytes(), str(path))
         try:
-            with open(path, encoding="utf-8") as f:
-                text = json.load(f)["text"]
+            data = self._log.read_bytes()
         except FileNotFoundError:
-            return None
+            return
+        self._torn = bool(data) and not data.endswith(b"\n")
+        # only b"\n" ends a line: a reply may hold U+2028 or U+0085 raw
+        for lineno, line in enumerate(data.split(b"\n"), 1):
+            if line:
+                self._load(None, line, f"{self._log}:{lineno}")
+
+    def _load(self, key: str | None, data: bytes, where: str) -> None:
+        """Take one entry: a log line (key None) or a legacy entry file's
+        bytes. Anything but UTF-8 JSON holding an object with a string
+        "text" (and, on a log line, a string "key") is skipped with a
+        warning, as is a surrogate escape such as \\ud800, which the gate
+        never caches."""
+        try:
+            entry = json.loads(data.decode("utf-8"))
+            text = entry["text"]
+            if key is None:
+                key = entry["key"]
         # ValueError covers bad JSON and UTF-8, RecursionError too deep a nesting
         except (ValueError, KeyError, TypeError, RecursionError):
             text = None
-        if isinstance(text, str) and _is_utf8(text):
-            return text
-        logger.warning("dropping unreadable cache entry %s", path)
-        return None
+        if isinstance(key, str) and isinstance(text, str) and _is_utf8(key) and _is_utf8(text):
+            self._entries[key] = text
+        else:
+            logger.warning("dropping unreadable cache entry %s", where)
+
+    def get(self, key: str) -> str | None:
+        """The cached reply, or None on a miss."""
+        return self._entries.get(key)
 
     def put(self, key: str, text: str) -> None:
-        """Write the entry in one write to a temp file, then rename it into
-        place. On any failure the temp file is removed and the error raised."""
-        path = self._path(key)
-        data = json.dumps({"text": text}, ensure_ascii=False).encode("utf-8")
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        try:
-            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-            try:
-                view = memoryview(data)
-                while view:  # one write unless the kernel takes a part
-                    view = view[os.write(fd, view) :]
-            finally:
-                os.close(fd)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        """Append the entry's line to the log in one write, then hold it.
+        A failed or short write raises, and the entry is not held."""
+        line = json.dumps({"key": key, "text": text}, ensure_ascii=False).encode("utf-8")
+        with self._lock:
+            if self.directory is not None:
+                # after a torn line, start a fresh one rather than glue onto it
+                data = (b"\n" if self._torn else b"") + line + b"\n"
+                fd = os.open(self._log, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+                try:
+                    written = os.write(fd, data)
+                finally:
+                    os.close(fd)
+                if written != len(data):
+                    self._torn = True
+                    raise OSError(f"{self._log}: wrote {written} of {len(data)} bytes")
+                self._torn = False
+            self._entries[key] = text
 
 
 @dataclass
@@ -344,7 +368,7 @@ class ModelGate:
         self.backend = backend
         self.cache = cache
         self.retry = retry or RetryPolicy()
-        self._sleep = sleep
+        self.sleep = sleep
         self._lock = threading.Lock()
         self._inflight: dict[str, _InFlight] = {}
 
@@ -407,7 +431,7 @@ class ModelGate:
                         wait,
                         exc,
                     )
-                    self._sleep(wait)
+                    self.sleep(wait)
         raise BackendError(
             f"backend failed after {self.retry.attempts} attempts: {last}"
         ) from last

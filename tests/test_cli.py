@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from caploc import cli, text
+from caploc import cli, corpus, text
 from caploc.cli import main
 from caploc.corpus import BenchmarkSample, HallucinationSpan, load_dataset, save_dataset
 from caploc.fixtures import build_fixture
@@ -42,6 +44,16 @@ def base_samples():
             gold_spans=[],
         ),
     ]
+
+
+def perfbench_gen():
+    """The benchmark's seeded input generator, perfbench/gen.py, which
+    imports only the standard library."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def write_script(tmp_path, rules, name="script.json"):
@@ -799,7 +811,8 @@ class TestSweepAndReport:
     ):
         """Without a cache, sweep makes the inject and detect requests of one
         inject run at its largest K, in the same order, and that K's dataset
-        is the run's dataset."""
+        is the run's dataset. The run repeats no prompt, so sweep's
+        in-memory cache answers none of them."""
         replies = {
             "a red car parked near the gate.": (
                 f"a {TAG}blue{END} car parked near the {TAG}open{END} gate.\nLABELS: color, scene",
@@ -849,6 +862,45 @@ class TestSweepAndReport:
         assert [r.purpose for r in inject_run.requests] == ["inject", "detect"] * 4
         assert [r for r in sweep_run.requests if r.purpose != "evaluate"] == inject_run.requests
         assert (out / "sweep_k2.jsonl").read_bytes() == syn.read_bytes()
+
+    def test_sweep_without_cache_asks_each_locator_once_per_prompt(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Without --cache, sweep keeps replies in memory: perfbench's
+        injector and detector script (seed 1, 40 samples) leave 72 distinct
+        captions over K = 0, 1 and 2, so two locators are asked 144 times,
+        not 240, as with --cache and with the same rows."""
+        gen = perfbench_gen()
+        script = gen.InjectScript(1, 40)
+        clean = tmp_path / "clean.jsonl"
+        header = {
+            "format": corpus.FORMAT_NAME,
+            "version": corpus.FORMAT_VERSION,
+            "tokenizer": corpus.TOKENIZER_VERSION,
+        }
+        gen.write_jsonl(clean, [header] + script.clean)
+        rules = [
+            ScriptRule(purpose="inject", responder=lambda r: script.inject_reply(r.user)),
+            ScriptRule(purpose="detect", responder=lambda r: script.detect_reply(r.user)),
+            ScriptRule(purpose="evaluate", responder=lambda r: gen.caption_after_label(r.user)),
+        ]
+        made = []
+
+        class Responding(ScriptedBackend):
+            def __init__(self, _):
+                super().__init__(rules)
+                made.append(self)
+
+        monkeypatch.setattr(cli, "ScriptedBackend", Responding)
+        argv = ["sweep", "--dataset", str(clean), "--script", str(write_script(tmp_path, []))]
+        argv += ["--rounds", "0,1,2", "--models", "a,b", "--no-include-image"]
+        assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+        assert main([*argv, "--out", str(tmp_path / "cached"), "--cache", str(tmp_path / "c")]) == 0
+        locator_calls = [sum(r.purpose == "evaluate" for r in run.requests) for run in made]
+        assert locator_calls == [144, 144]
+        assert (tmp_path / "plain" / "sweep.json").read_bytes() == (
+            tmp_path / "cached" / "sweep.json"
+        ).read_bytes()
 
     def test_sweep_keeps_the_report_card_evaluate_writes(self, tmp_path, capsys):
         """Each sweep_k<K>_<model>/ holds the report evaluate writes for that

@@ -29,6 +29,7 @@ from caploc.tagproto import serialize_tags
 from caploc.evalrun import (
     EvalConfig,
     EvalReport,
+    MissingImageError,
     build_prompt,
     build_synthetic,
     correlate_settings,
@@ -108,7 +109,7 @@ class TestBuildPrompt:
 
     def test_missing_image_required_raises(self, tmp_path):
         cfg = EvalConfig(dataset="unused", model="m", require_image=True)
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(MissingImageError):
             build_prompt(sample_set()[0], cfg)
 
     def test_image_loaded_from_root(self, tmp_path):
@@ -493,7 +494,7 @@ class TestRunSamples:
             if sample.id == "s1":
                 raise InjectionError("unsalvageable reply")
             if sample.id == "s3":
-                raise FileNotFoundError("img/s3.png")
+                raise MissingImageError("img/s3.png")
             return sample.caption.upper()
 
         with caplog.at_level(logging.WARNING, logger="caploc.evalrun"):
@@ -517,6 +518,20 @@ class TestRunSamples:
         with pytest.raises(type(error)):
             evaluate_dataset(cfg, ModelGate(backend))
         assert 3 <= len(backend.requests) <= most
+        assert not (tmp_path / "out" / "transcripts.jsonl").exists()
+
+    def test_removed_cache_directory_stops_evaluate(self, tmp_path):
+        """A put into a cache directory removed mid-run raises
+        FileNotFoundError, which is fatal: the first failing put stops the
+        run before the other requests go out."""
+        dataset = write_dataset(tmp_path, many_samples(5))
+        cfg = EvalConfig(dataset=dataset, model="locator", out_dir=tmp_path / "out")
+        cache = ResponseCache(tmp_path / "cache")
+        (tmp_path / "cache").rmdir()
+        backend = FatalBackend(many_responder, fail_at=0, error=None)
+        with pytest.raises(FileNotFoundError):
+            evaluate_dataset(cfg, ModelGate(backend, cache=cache))
+        assert len(backend.requests) == 1
         assert not (tmp_path / "out" / "transcripts.jsonl").exists()
 
     @pytest.mark.parametrize("error", FATAL_ERRORS, ids=["oserror", "keyboard_interrupt"])

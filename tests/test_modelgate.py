@@ -1,11 +1,15 @@
 import json
 import os
+import subprocess
 import sys
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
 from caploc.modelgate import (
     BackendError,
@@ -13,6 +17,7 @@ from caploc.modelgate import (
     ImageAttachment,
     ModelGate,
     ModelRequest,
+    ModelResponse,
     Purpose,
     ResponseCache,
     RetryPolicy,
@@ -217,50 +222,240 @@ def test_cache_survives_new_gate(tmp_path):
     assert gate2.complete(make_req()).text == "persisted"
 
 
+KEY = cache_key(make_req())
+
+
+def log_of(directory):
+    return directory / "responses.jsonl"
+
+
 @pytest.mark.parametrize(
-    "entry",
+    "line",
     [
-        b"\xff\xfe not utf-8",
-        b'["text", "stale"]',
-        b'{"text": 5}',
-        b'{"text": "A\\ud800"}',
+        b'{"key": "KEY", "text": "\xff\xfe not utf-8"}',
+        b'["KEY", "stale"]',
+        b'{"key": "KEY", "text": 5}',
+        b'{"key": "KEY", "text": "A\\ud800"}',
         b"[" * 100_000,
+        b'{"key": 5, "text": "stale"}',
+        b'{"text": "stale"}',
     ],
-    ids=["not_utf8", "json_list", "text_not_a_string", "lone_surrogate", "deep"],
+    ids=[
+        "not_utf8",
+        "json_list",
+        "text_not_a_string",
+        "lone_surrogate",
+        "deep",
+        "key_not_a_string",
+        "no_key",
+    ],
 )
-def test_unreadable_cache_entry_is_a_miss(tmp_path, caplog, entry):
-    cache = ResponseCache(tmp_path / "cache")
-    path = tmp_path / "cache" / f"{cache_key(make_req())}.json"
-    path.write_bytes(entry)
-    backend = ScriptedBackend([ScriptRule(purpose="detect", responses=["fresh"])])
-    gate = ModelGate(backend, cache=cache)
+def test_unreadable_cache_entry_is_a_miss(tmp_path, caplog, line):
+    """A log line that is not UTF-8 JSON holding an object with a string
+    "key" and "text", free of surrogates, is skipped with a warning naming
+    its file and line; the fresh reply is appended and read back."""
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    log_of(cache_dir).write_bytes(b"\n" + line.replace(b"KEY", KEY.encode()) + b"\n")
     with caplog.at_level("WARNING", logger="caploc.modelgate"):
-        response = gate.complete(make_req())
+        cache = ResponseCache(cache_dir)
+    assert f"dropping unreadable cache entry {log_of(cache_dir)}:2" in caplog.text
+    backend = ScriptedBackend([ScriptRule(purpose="detect", responses=["fresh"])])
+    response = ModelGate(backend, cache=cache).complete(make_req())
     assert (response.text, response.cache_hit) == ("fresh", False)
     assert len(backend.requests) == 1
-    assert "dropping unreadable cache entry" in caplog.text
-    assert json.loads(path.read_text(encoding="utf-8")) == {"text": "fresh"}
+    assert ResponseCache(cache_dir).get(KEY) == "fresh"
 
 
 def test_cache_entry_bytes(tmp_path):
-    """One JSON object, non-ASCII text kept as UTF-8, no trailing newline."""
+    """One JSON object per line, non-ASCII text kept as UTF-8, each put
+    appended after the last."""
     cache = ResponseCache(tmp_path)
     cache.put("k", 'café "q"\n')
-    assert (tmp_path / "k.json").read_bytes() == b'{"text": "caf\xc3\xa9 \\"q\\"\\n"}'
-    assert cache.get("k") == 'café "q"\n'
+    cache.put("k2", "b")
+    assert log_of(tmp_path).read_bytes() == (
+        b'{"key": "k", "text": "caf\xc3\xa9 \\"q\\"\\n"}\n{"key": "k2", "text": "b"}\n'
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["responses.jsonl"]
+    assert ResponseCache(tmp_path).get("k") == 'café "q"\n'
 
 
-@pytest.mark.parametrize("failing", ["write", "replace"])
-def test_failed_cache_put_leaves_no_temp_file(tmp_path, monkeypatch, failing):
-    cache = ResponseCache(tmp_path)
+def _enospc(*args):
+    raise OSError(28, "No space left on device")
 
-    def fail(*args):
-        raise OSError(28, "No space left on device")
 
-    monkeypatch.setattr(os, failing, fail)
-    with pytest.raises(OSError, match="No space left"):
+@pytest.mark.parametrize("failing", ["write", "short_write", "directory_removed"])
+def test_failed_cache_put_leaves_no_hit(tmp_path, monkeypatch, caplog, failing):
+    """A put that fails raises; neither the cache nor one built afterwards
+    on the same directory holds the entry."""
+    cache_dir = tmp_path / "cache"
+    cache = ResponseCache(cache_dir)
+    real_write = os.write
+    if failing == "directory_removed":
+        cache_dir.rmdir()
+        error = FileNotFoundError
+    elif failing == "write":
+        monkeypatch.setattr(os, "write", _enospc)
+        error = OSError
+    else:
+        monkeypatch.setattr(os, "write", lambda fd, data: real_write(fd, data[: len(data) // 2]))
+        error = OSError
+    with pytest.raises(error):
         cache.put("k", "reply")
     monkeypatch.undo()
+    assert cache.get("k") is None
+    with caplog.at_level("WARNING", logger="caploc.modelgate"):
+        assert ResponseCache(cache_dir).get("k") is None
+
+
+def test_torn_last_line_is_a_miss_and_the_next_put_reads_back(tmp_path, caplog):
+    """A log that ends inside a line, as a crash or a full disk leaves it:
+    the torn entry is a miss, and the next put starts a line of its own."""
+    whole = b'{"key": "a", "text": "kept"}\n'
+    torn = b'{"key": "b", "text": "cut sh'
+    log_of(tmp_path).write_bytes(whole + torn)
+    with caplog.at_level("WARNING", logger="caploc.modelgate"):
+        cache = ResponseCache(tmp_path)
+    assert f"dropping unreadable cache entry {log_of(tmp_path)}:2" in caplog.text
+    assert (cache.get("a"), cache.get("b")) == ("kept", None)
+    cache.put("b", "whole")
+    cache.put("c", "next")
+    assert log_of(tmp_path).read_bytes() == (
+        whole + torn + b'\n{"key": "b", "text": "whole"}\n{"key": "c", "text": "next"}\n'
+    )
+    reread = ResponseCache(tmp_path)
+    assert [reread.get(k) for k in "abc"] == ["kept", "whole", "next"]
+
+
+def test_legacy_entry_files_still_hit(tmp_path, caplog):
+    """<key>.json files of the one-file-per-entry layout are read at
+    construction; new entries go only to the log, and a later log line
+    for a key wins over its file."""
+    (tmp_path / f"{KEY}.json").write_bytes(b'{"text": "from an old run"}')
+    (tmp_path / "bad.json").write_bytes(b'{"text": 5}')
+    with caplog.at_level("WARNING", logger="caploc.modelgate"):
+        cache = ResponseCache(tmp_path)
+    assert f"dropping unreadable cache entry {tmp_path / 'bad.json'}" in caplog.text
+    gate = ModelGate(ScriptedBackend([]), cache=cache)
+    assert gate.complete(make_req()) == ModelResponse("from an old run", True, 0)
+    cache.put("other", "new")
+    cache.put(KEY, "newer")
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["bad.json", f"{KEY}.json", "responses.jsonl"]
+    )
+    assert (ResponseCache(tmp_path).get(KEY), ResponseCache(tmp_path).get("other")) == ("newer", "new")
+
+
+def test_line_separators_and_control_characters_round_trip(tmp_path):
+    """Only b"\\n" ends a log line: replies holding the separators that
+    str.splitlines also splits on, a carriage return or a NUL come back
+    whole."""
+    texts = {
+        "ls": "a\u2028b",
+        "ps": "a\u2029b",
+        "nel": "a\u0085b",
+        "cr": "a\rb\r\n",
+        "nul": "a\x00b",
+        "fs": "a\x1c\x1d\x1eb\x0b\x0c",
+        "lf": "a\nb\n",
+    }
+    cache = ResponseCache(tmp_path)
+    for key, text in texts.items():
+        cache.put(key, text)
+    reread = ResponseCache(tmp_path)
+    assert {key: reread.get(key) for key in texts} == texts
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.text(), st.text(), max_size=4))
+def test_any_utf8_text_round_trips(entries):
+    with tempfile.TemporaryDirectory() as directory:
+        cache = ResponseCache(directory)
+        for key, text in entries.items():
+            cache.put(key, text)
+        reread = ResponseCache(directory)
+        assert {key: reread.get(key) for key in entries} == entries
+
+
+_WRITER = """
+import sys
+from caploc.modelgate import ResponseCache
+
+directory, name, n = sys.argv[1], sys.argv[2], int(sys.argv[3])
+cache = ResponseCache(directory)
+for i in range(n):
+    cache.put(f"{name}{i}", f"{name} reply {i} " * 50)
+"""
+
+_READER = """
+import sys
+from caploc.modelgate import ResponseCache
+
+directory, n = sys.argv[1], int(sys.argv[2])
+cache = ResponseCache(directory)
+missed = [f"{name}{i}" for name in "ab" for i in range(n)
+          if cache.get(f"{name}{i}") != f"{name} reply {i} " * 50]
+print(len(missed))
+"""
+
+
+def test_processes_share_a_cache_directory(tmp_path):
+    """Two processes appending to one log at once lose no line; a third
+    reads every entry back. A cache built before a put elsewhere does not
+    see it."""
+    n = 300
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    early = ResponseCache(tmp_path)
+    writers = [
+        subprocess.Popen([sys.executable, "-c", _WRITER, str(tmp_path), name, str(n)], env=env)
+        for name in "ab"
+    ]
+    assert [w.wait(timeout=60) for w in writers] == [0, 0]
+    reader = subprocess.run(
+        [sys.executable, "-c", _READER, str(tmp_path), str(n)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (reader.returncode, reader.stdout, reader.stderr) == (0, "0\n", "")
+    assert len(log_of(tmp_path).read_bytes().split(b"\n")) == 2 * n + 1
+    assert early.get("a0") is None
+
+
+def test_threads_share_a_cache(tmp_path):
+    """Threads putting into one cache at once lose no entry and no line."""
+    n_threads, per_thread = 8, 50
+    cache = ResponseCache(tmp_path)
+    barrier = threading.Barrier(n_threads)
+
+    def worker(t):
+        barrier.wait()
+        for i in range(per_thread):
+            cache.put(f"{t}-{i}", f"reply {t} {i} " * 20)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    want = {f"{t}-{i}": f"reply {t} {i} " * 20 for t in range(n_threads) for i in range(per_thread)}
+    reread = ResponseCache(tmp_path)
+    assert {key: reread.get(key) for key in want} == want == {key: cache.get(key) for key in want}
+    assert log_of(tmp_path).read_bytes().count(b"\n") == len(want)
+
+
+def test_cache_without_a_directory_lives_in_memory(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cache = ResponseCache(None)
+    backend = ScriptedBackend([ScriptRule(purpose="detect", responses=["once"])])
+    gate = ModelGate(backend, cache=cache)
+    assert [gate.complete(make_req()).cache_hit for _ in range(2)] == [False, True]
+    assert len(backend.requests) == 1
     assert list(tmp_path.iterdir()) == []
 
 
