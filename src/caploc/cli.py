@@ -14,6 +14,7 @@ import logging
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
+from urllib.parse import quote
 
 from .corpus import (
     BenchmarkSample,
@@ -158,8 +159,7 @@ def _build_gate(eff: dict) -> ModelGate:
         )
     else:
         raise _UsageError("no backend configured (use --script or --base-url)")
-    cache = ResponseCache(eff["cache"]) if eff.get("cache") else None
-    return ModelGate(backend, cache=cache)
+    return ModelGate(backend, cache=ResponseCache(eff.get("cache") or None))
 
 
 def _script_rules(path: str) -> list[ScriptRule]:
@@ -282,13 +282,15 @@ def cmd_inject(args: argparse.Namespace) -> int:
         audit_dir.mkdir(parents=True, exist_ok=True)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     outcomes, failed = build_synthetic(clean, _injection_config(eff), gate, eff["image_root"])
+    save_dataset([o.sample for o in outcomes], args.out)
     if audit_dir:
         for outcome in outcomes:
-            (audit_dir / f"{outcome.sample.id}.json").write_text(
+            # one path component: "/" and "%" are escaped, so "../x" stays inside
+            name = quote(outcome.sample.id, safe="")
+            (audit_dir / f"{name}.json").write_text(
                 json.dumps(outcome.state.audit, ensure_ascii=False, indent=2, default=list),
                 encoding="utf-8",
             )
-    save_dataset([o.sample for o in outcomes], args.out)
     print(f"wrote {len(outcomes)} synthetic samples to {args.out} ({len(failed)} failed)")
     return 0
 

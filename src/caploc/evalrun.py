@@ -56,7 +56,6 @@ from .modelgate import (
     ModelGate,
     ModelRequest,
     Purpose,
-    ResponseCache,
 )
 from .tagproto import align_to_reference, parse_tags
 from .text import TOKENIZER_VERSION, split_sentences, tokenize
@@ -472,11 +471,8 @@ def sweep_rounds(
     locator on it through the ordinary evaluation path, with its report card
     in sweep_k<K>_<model>/, and write the rows to sweep.json in
     eval_cfg.out_dir. A sample that fails at any round is left out at every
-    K. A gate without a cache gets one in memory for the sweep, so a
-    prompt repeated across K (a caption with nothing reverted reads the same
-    at K = 1 and 2) is sent once. A bad K, or an empty or repeated K or
-    model list, raises ValueError naming rounds or models before any model
-    call."""
+    K. A bad K, or an empty or repeated K or model list, raises ValueError
+    naming rounds or models before any model call."""
     for key, values in (("rounds", ks), ("models", detector_models)):
         if not values:
             raise ValueError(f"{key}: the list is empty")
@@ -485,8 +481,6 @@ def sweep_rounds(
             raise ValueError(f"{key}: {repeated[0]!r} is listed more than once")
     dc_replace(inj_cfg, rounds=min(ks))  # raises if any K is bad
     cfg = dc_replace(inj_cfg, rounds=max(ks))
-    if gate.cache is None:
-        gate = ModelGate(gate.backend, ResponseCache(None), gate.retry, gate.sleep)
     clean = load_dataset(clean_dataset)
     out_dir = Path(eval_cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

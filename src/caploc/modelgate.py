@@ -15,6 +15,7 @@ import os
 import re
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -346,17 +347,14 @@ class RetryPolicy:
         return min(self.base_delay * (2 ** (attempt - 1)), self.max_delay)
 
 
-class _InFlight:
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.response: ModelResponse | None = None
-        self.error: BaseException | None = None
-
-
 class ModelGate:
-    """Front door for model calls: cache lookup, in-flight de-duplication,
-    retry loop, cache write-back. A reply that is not valid UTF-8 raises
-    BackendError without a retry and is not cached."""
+    """Front door for model calls. Under one lock, complete() looks the
+    request up in the cache and among the calls in flight: a cached reply
+    answers it, an identical call in flight is joined and its outcome,
+    reply or error, shared; otherwise the request is sent, with retries,
+    and its reply cached. A gate built without a cache keeps replies in
+    memory. A reply that is not valid UTF-8 raises BackendError without a
+    retry and is not cached."""
 
     def __init__(
         self,
@@ -366,43 +364,35 @@ class ModelGate:
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.backend = backend
-        self.cache = cache
+        self.cache = ResponseCache(None) if cache is None else cache
         self.retry = retry or RetryPolicy()
         self.sleep = sleep
         self._lock = threading.Lock()
-        self._inflight: dict[str, _InFlight] = {}
+        self._inflight: dict[str, Future[str]] = {}
 
     def complete(self, req: ModelRequest) -> ModelResponse:
         key = cache_key(req)
-        if self.cache is not None:
-            cached = self.cache.get(key)
-            if cached is not None:
-                return ModelResponse(text=cached, cache_hit=True, attempts=0)
         with self._lock:
+            cached = self.cache.get(key)
             flight = self._inflight.get(key)
-            owner = flight is None
+            owner = cached is None and flight is None
             if owner:
-                flight = _InFlight()
-                self._inflight[key] = flight
+                flight = self._inflight[key] = Future()
+        if cached is not None:
+            return ModelResponse(text=cached, cache_hit=True, attempts=0)
         if not owner:
-            flight.done.wait()
-            if flight.error is not None:
-                raise flight.error
-            assert flight.response is not None
-            return ModelResponse(text=flight.response.text, cache_hit=True, attempts=0)
+            return ModelResponse(text=flight.result(), cache_hit=True, attempts=0)
         try:
             response = self._call(req)
-            if self.cache is not None:
-                self.cache.put(key, response.text)
-            flight.response = response
+            self.cache.put(key, response.text)
+            flight.set_result(response.text)
             return response
         except BaseException as exc:
-            flight.error = exc
+            flight.set_exception(exc)
             raise
         finally:
             with self._lock:
                 self._inflight.pop(key, None)
-            flight.done.set()
 
     def _call(self, req: ModelRequest) -> ModelResponse:
         last: BaseException | None = None

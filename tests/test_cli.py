@@ -559,6 +559,89 @@ class TestInject:
         (backend,) = backends
         assert backend.requests == []
 
+    def test_audit_file_name_is_one_component_inside_the_audit_directory(
+        self, tmp_path, capsys
+    ):
+        """An id holding "/" or "../" names one file inside --audit, escaped
+        as a URL path segment; an id of letters, digits, "-", "_" and "."
+        keeps its name. The dataset is written before the audit files, so an
+        audit file that cannot be written still leaves it."""
+        ids = ["gui/0001", "../escape", "c.1-x_Y"]
+        clean = [
+            BenchmarkSample(id=i, image="", domain="gui", caption="a red car.", gold_spans=[])
+            for i in ids
+        ]
+        dataset = write_dataset(tmp_path, clean, name="clean.jsonl")
+        rules = [{"purpose": "inject", "responses": [f"a {TAG}blue{END} car."] * 4}]
+        script = write_script(tmp_path, rules)
+        out, audit = tmp_path / "syn.jsonl", tmp_path / "run" / "audit"
+        argv = ["inject", "--dataset", str(dataset), "--script", str(script), "--rounds", "0"]
+        argv += ["--no-include-image", "--out", str(out), "--audit", str(audit)]
+        assert main(argv) == 0
+        assert [s.id for s in load_dataset(out)] == ids
+        names = sorted(p.name for p in audit.iterdir())
+        assert names == ["..%2Fescape.json", "c.1-x_Y.json", "gui%2F0001.json"]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["audit"]
+        (entry,) = json.loads((audit / "gui%2F0001.json").read_text(encoding="utf-8"))
+        assert entry["phase"] == "inject"
+
+        too_long = "x" * 300  # its audit file name is longer than a file system allows
+        long_sample = BenchmarkSample(
+            id=too_long, image="", domain="gui", caption="a red car.", gold_spans=[]
+        )
+        dataset = write_dataset(tmp_path, [long_sample], name="long.jsonl")
+        out.unlink()
+        argv[2] = str(dataset)
+        assert main(argv) == 1
+        assert "error:" in capsys.readouterr().err
+        assert [s.id for s in load_dataset(out)] == [too_long]
+
+    def test_inject_without_cache_sends_what_a_cold_cache_run_sends(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """Without --cache, inject answers a repeated prompt (a detect
+        round after one that reverted nothing) from memory: on perfbench's
+        injector and detector script (seed 3001, 40 samples) it sends the
+        130 requests a cold --cache run sends, at K = 2 and at K = 3, and
+        writes the same dataset and audit files."""
+        gen = perfbench_gen()
+        script = gen.InjectScript(3001, 40)
+        clean = tmp_path / "clean.jsonl"
+        header = {
+            "format": corpus.FORMAT_NAME,
+            "version": corpus.FORMAT_VERSION,
+            "tokenizer": corpus.TOKENIZER_VERSION,
+        }
+        gen.write_jsonl(clean, [header] + script.clean)
+        rules = [
+            ScriptRule(purpose="inject", responder=lambda r: script.inject_reply(r.user)),
+            ScriptRule(purpose="detect", responder=lambda r: script.detect_reply(r.user)),
+        ]
+        made = []
+
+        class Responding(ScriptedBackend):
+            def __init__(self, _):
+                super().__init__(rules)
+                made.append(self)
+
+        monkeypatch.setattr(cli, "ScriptedBackend", Responding)
+        for k in ("2", "3"):
+            runs = {}
+            for name, extra in (("plain", []), ("cached", ["--cache", str(tmp_path / k)])):
+                out = tmp_path / f"{name}{k}"
+                argv = ["inject", "--dataset", str(clean), "--no-include-image"]
+                argv += ["--script", str(write_script(tmp_path, [])), "--rounds", k]
+                argv += ["--out", str(out / "syn.jsonl"), "--audit", str(out / "audit")]
+                assert main([*argv, *extra]) == 0
+                files = sorted(out.rglob("*.json*"))
+                runs[name] = (
+                    len(made[-1].requests),
+                    [(p.relative_to(out), p.read_bytes()) for p in files],
+                )
+            assert runs["plain"][0] == runs["cached"][0] == 130
+            assert runs["plain"][1] == runs["cached"][1]
+            assert len(runs["plain"][1]) == 41
+
     def test_out_directory_is_created(self, tmp_path, capsys):
         dataset = self.clean_dataset(tmp_path)
         script = inject_script(tmp_path)

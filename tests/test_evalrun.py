@@ -178,6 +178,23 @@ class TestEvaluateDataset:
         assert a == b
         assert transcripts.read_bytes() == serial_transcripts
 
+    def test_shared_caption_is_sent_once_without_a_cache(self, tmp_path):
+        """Two samples with one caption make one request at any width: the
+        second is answered by the gate's in-memory cache or joins the call
+        in flight, and the transcripts do not depend on which."""
+        twins = [dc_replace(sample_set()[0], id=i) for i in ("a", "b")]
+        transcripts = []
+        for width in (1, 4):
+            dataset = write_dataset(tmp_path, twins)
+            out = tmp_path / f"out{width}"
+            cfg = EvalConfig(dataset=dataset, model="locator", out_dir=out, width=width)
+            gate, backend = make_gate([ScriptRule(purpose="evaluate", responder=eval_responder)])
+            report = evaluate_dataset(cfg, gate)
+            assert len(backend.requests) == 1
+            assert (len(report.samples), report.skipped) == (2, [])
+            transcripts.append((out / "transcripts.jsonl").read_bytes())
+        assert transcripts[0] == transcripts[1]
+
     def test_backend_failure_skips_sample(self, tmp_path):
         dataset = write_dataset(tmp_path)
         cfg = EvalConfig(dataset=dataset, model="locator", out_dir=tmp_path / "out")

@@ -11,6 +11,7 @@ import pytest
 import requests
 from hypothesis import given, settings, strategies as st
 
+from caploc import modelgate
 from caploc.modelgate import (
     BackendError,
     HttpBackend,
@@ -556,6 +557,123 @@ def test_inflight_dedup():
         t.join()
     assert backend.calls == 1
     assert {r.text for r in results} == {"slow answer"}
+
+
+def test_request_missing_the_cache_while_its_twin_finishes_is_sent_once():
+    """A request that misses the cache while an identical one is answered
+    and leaves flight is not sent again: the cache lookup and the in-flight
+    lookup are one step. Thread A is held inside the cache lookup, after its
+    miss, until B's complete returns, or for at most a second when the
+    lookup holds the gate's lock and B cannot get past it."""
+    backend = ScriptedBackend([ScriptRule(purpose="detect", responder=lambda req: "once")])
+    gate = ModelGate(backend, cache=ResponseCache(None))
+    get = gate.cache.get
+    a_inside, b_done = threading.Event(), threading.Event()
+
+    def holding_get(key):
+        cached = get(key)
+        if not a_inside.is_set():  # only A calls get before B starts
+            a_inside.set()
+            b_done.wait(timeout=1)
+        return cached
+
+    gate.cache.get = holding_get
+    texts = []
+
+    def run(done):
+        texts.append(gate.complete(make_req()).text)
+        done.set()
+
+    a = threading.Thread(target=run, args=(threading.Event(),))
+    a.start()
+    assert a_inside.wait(timeout=5)
+    b = threading.Thread(target=run, args=(b_done,))
+    b.start()
+    for t in (a, b):
+        t.join(timeout=10)
+    assert not a.is_alive() and not b.is_alive()
+    assert texts == ["once", "once"]
+    assert len(backend.requests) == 1
+
+
+def test_threads_send_each_distinct_request_once():
+    """Threads racing over a few distinct requests, with thread switches
+    forced often, send each one once and all get its reply."""
+    backend = ScriptedBackend([ScriptRule(purpose="detect", responder=lambda req: req.user)])
+    gate = ModelGate(backend)
+    n_threads, n_users, per_thread = 8, 5, 200
+    barrier = threading.Barrier(n_threads)
+    wrong = []
+
+    def worker(t):
+        barrier.wait()
+        for i in range(per_thread):
+            user = f"u{(i * 7 + t) % n_users}"
+            if gate.complete(make_req(user=user)).text != user:
+                wrong.append(user)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(n_threads)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+    assert sorted(r.user for r in backend.requests) == [f"u{i}" for i in range(n_users)]
+
+
+def test_joined_call_raises_the_owners_error(monkeypatch):
+    """A request identical to one in flight waits for it and raises the
+    error its call raised; the backend is called once, and the failed
+    request is not remembered, so the next one is sent again."""
+    joined = threading.Event()
+
+    class WatchedFuture(modelgate.Future):
+        def result(self, timeout=None):
+            joined.set()
+            return super().result(timeout)
+
+    monkeypatch.setattr(modelgate, "Future", WatchedFuture)
+
+    class FailingAfterJoin:
+        def __init__(self):
+            self.calls = 0
+            self.entered = threading.Event()
+
+        def send(self, req):
+            self.calls += 1
+            self.entered.set()
+            joined.wait(timeout=5)
+            raise BackendError("HTTP 401: bad key")
+
+    backend = FailingAfterJoin()
+    gate = ModelGate(backend)
+    errors = []
+
+    def run():
+        try:
+            gate.complete(make_req())
+        except BackendError as exc:
+            errors.append(exc)
+
+    a = threading.Thread(target=run)
+    a.start()
+    assert backend.entered.wait(timeout=5)
+    b = threading.Thread(target=run)
+    b.start()
+    for t in (a, b):
+        t.join(timeout=10)
+    assert not a.is_alive() and not b.is_alive()
+    assert len(errors) == 2 and errors[0] is errors[1]
+    assert backend.calls == 1
+    with pytest.raises(BackendError, match="401"):
+        gate.complete(make_req())
+    assert backend.calls == 2
 
 
 def test_retry_delay_capped():
