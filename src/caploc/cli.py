@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -273,6 +274,30 @@ def cmd_annotate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _audit_name(sample_id: str) -> str:
+    """The audit file name of a sample: one path component, since "/" and
+    "%" are escaped, so "../x" stays inside the audit directory."""
+    return quote(sample_id, safe="") + ".json"
+
+
+def _check_audit_names(audit_dir: Path, samples: list[BenchmarkSample]) -> None:
+    """Refuse, before any model call, an id whose audit file name is longer
+    than the file system allows (255 bytes where it cannot say)."""
+    try:
+        limit = os.pathconf(audit_dir, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):
+        limit = 255
+    if limit < 0:  # the file system sets no limit
+        return
+    for sample in samples:
+        size = len(_audit_name(sample.id).encode())
+        if size > limit:
+            raise ValueError(
+                f"--audit: sample id {sample.id!r} needs an audit file name of "
+                f"{size} bytes, more than the {limit} {audit_dir} allows"
+            )
+
+
 def cmd_inject(args: argparse.Namespace) -> int:
     eff = _effective(args, {**_INJECT_KEYS, **_GATE_KEYS})
     gate = _build_gate(eff)
@@ -280,14 +305,13 @@ def cmd_inject(args: argparse.Namespace) -> int:
     audit_dir = Path(args.audit) if args.audit else None
     if audit_dir:
         audit_dir.mkdir(parents=True, exist_ok=True)
+        _check_audit_names(audit_dir, clean)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     outcomes, failed = build_synthetic(clean, _injection_config(eff), gate, eff["image_root"])
     save_dataset([o.sample for o in outcomes], args.out)
     if audit_dir:
         for outcome in outcomes:
-            # one path component: "/" and "%" are escaped, so "../x" stays inside
-            name = quote(outcome.sample.id, safe="")
-            (audit_dir / f"{name}.json").write_text(
+            (audit_dir / _audit_name(outcome.sample.id)).write_text(
                 json.dumps(outcome.state.audit, ensure_ascii=False, indent=2, default=list),
                 encoding="utf-8",
             )

@@ -10,23 +10,27 @@ the corrector added with no counterpart) anchor to the preceding token so the
 mark stays token-indexable.
 
 The diff is exact. It keeps the common prefix, and two bit-parallel passes
-(Hyyro 2004) over the rest give the LCS length of every prefix and suffix
-of either side, the values Hirschberg's (1975) divide and conquer splits
-on. From them it finds the forced keeps, token pairs that every LCS
-alignment keeps, and splits there. Each segment between forced keeps is
-diffed on its own by a dynamic program filled only on the diagonals an
-optimal alignment can reach (Myers 1986). Local edits in a long caption
-leave short segments, so such a diff costs about 2m big-int steps and
-O(m + n) Python steps. An output with little in common with its reference
-has no forced keeps; with D the number of tokens not kept on either side,
-it costs about O(m + n + (m+n)*D) instead of O(m*n).
+(Hyyro 2004) over the rest, one forward and one reversed, record where the
+LCS of either side's prefixes and suffixes steps up, the values
+Hirschberg's (1975) divide and conquer splits on. From them it finds the
+forced keeps, token pairs that every LCS alignment keeps, and splits there.
+Each run of other keeps is diffed on its own by a dynamic program filled
+only on the diagonals an optimal alignment can reach (Myers 1986). The
+reference's bit masks are built once and reused, and the reversed pass
+starts after the common suffix. Local edits in a long caption leave short
+runs, so diffing a reply against its clean caption costs about 2m big-int
+steps and O(m + n) Python steps. An output with little in common with its
+reference has no forced keeps; with D the number of tokens not kept on
+either side, it costs about O(m + n + (m+n)*D) instead of O(m*n).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from functools import lru_cache
+from itertools import chain, compress, count
+from operator import ne, or_
 
 from .corpus import Dimension, HallucinationSpan
 from .text import TokenizedCaption
@@ -57,7 +61,7 @@ class EditScript:
             i0, j0 = i, j
 
 
-def runs(indices: set[int]) -> list[tuple[int, int]]:
+def runs(indices: Iterable[int]) -> list[tuple[int, int]]:
     """The maximal runs [a, b) of consecutive integers in indices, in order."""
     out: list[tuple[int, int]] = []
     for i in sorted(indices):
@@ -71,60 +75,55 @@ def runs(indices: set[int]) -> list[tuple[int, int]]:
 _NEG = -(1 << 60)
 
 
-def _prefix_lcs(a: Sequence[str], b: Sequence[str]) -> tuple[list[int], list[int]]:
-    """[LCS(a[:i], b) for i in 0..len(a)] and [LCS(a, b[:j]) for j in 0..len(b)].
+@lru_cache(maxsize=4)
+def _masks(texts: tuple[str, ...]) -> tuple[dict[str, int], dict[str, int]]:
+    """The forward and reversed bit masks of a reference: bit j of the
+    forward mask of a word is set where texts[j] is that word, and bit j of
+    its reversed mask where texts[-1 - j] is. Built once per reference, so
+    the injector's replies to one clean caption share them; every caller
+    gets the same two dicts and only reads them."""
+    last = len(texts) - 1
+    fwd: dict[str, int] = {}
+    rev: dict[str, int] = {}
+    for j, text in enumerate(texts):
+        fwd[text] = fwd.get(text, 0) | (1 << j)
+        rev[text] = rev.get(text, 0) | (1 << (last - j))
+    return fwd, rev
+
+
+def _keep_steps(
+    tokens: Iterable[tuple[int, str]], masks: dict[str, int], v: int, full: int
+) -> tuple[list[int], int]:
+    """The indices of the a tokens at which LCS(a[:i], b) steps up, and the
+    final row, given (index, token) pairs of a in order and the masks of b.
 
     Bit-parallel row recurrence (Allison & Dix 1986; Hyyro 2004): bit j of
     v is set while b[j] is not yet matched, and each a token advances the
-    whole row in a few big-int operations. After a[:i] the zero bits of v
-    count LCS(a[:i], b); after all of a, the zero bits below bit j count
-    LCS(a, b[:j]).
+    whole row in a few big-int operations. full holds the bits of the b
+    tokens the row spans, one run of them; v never holds a bit outside it,
+    so the masks' other bits take no part. v starts at full, less the bits
+    of b tokens already matched. LCS(a[:i], b), the zero bits of v within
+    full, steps up exactly when v + u carries out of full's top bit. After
+    all of a, those zero bits are where LCS(a, b[:j]) steps up.
     """
-    masks: dict[str, int] = {}
-    for j, text in enumerate(b):
-        masks[text] = masks.get(text, 0) | (1 << j)
-    n = len(b)
-    full = (1 << n) - 1
-    v = full
-    rows = [0]
-    for text in a:
+    steps: list[int] = []
+    for i, text in tokens:
         mask = masks.get(text)
         if mask:
             u = v & mask
-            v = ((v + u) | (v - u)) & full
-        rows.append(n - v.bit_count())
-    # the matched (zero) bits of v as a 0/1 string, bit 0 first
-    matched = bin((full ^ v) | (1 << n))[:2:-1]
-    return rows, [0, *accumulate(map(int, matched))]
+            w = v + u
+            if w > full:
+                steps.append(i)
+            v = (w | (v - u)) & full
+    return steps, v
 
 
-def _lcs_profiles(
-    a: Sequence[str], b: Sequence[str]
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """LCS(a[:i], b), LCS(a[i:], b), LCS(a, b[:j]) and LCS(a, b[j:]) for
-    every i and j, from one forward and one reversed bit-parallel pass."""
-    rows, cols = _prefix_lcs(a, b)
-    rev_rows, rev_cols = _prefix_lcs(a[::-1], b[::-1])
-    return rows, rev_rows[::-1], cols, rev_cols[::-1]
+_BIT = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _forced(before: list[int], after: list[int], total: int) -> dict[int, int]:
-    """k -> x for each token x that every LCS alignment keeps as its keep
-    number k (from 0), given the LCS lengths before and after each cut.
-
-    An LCS alignment keeps `total` tokens: at most before[x] of them ahead
-    of cut x and at most after[x] behind it. So where before[x] + after[x]
-    == total (the cut is pinned) it keeps exactly before[x] ahead. Two
-    pinned cuts one token apart whose counts differ by one force that token.
-    """
-    pinned = [x + y == total for x, y in zip(before, after)]
-    return {
-        k: x
-        for x, (k, k_next, pin, pin_next) in enumerate(
-            zip(before, before[1:], pinned, pinned[1:])
-        )
-        if pin and pin_next and k != k_next
-    }
+def _set_bits(bits: str, start: int) -> list[int]:
+    """start + t for each "1" at position t of a string of 0s and 1s."""
+    return list(compress(count(start), bits.encode().translate(_BIT)))
 
 
 def _band_keeps(gt: Sequence[str], ct: Sequence[str], kept: int) -> list[tuple[int, int]]:
@@ -137,10 +136,19 @@ def _band_keeps(gt: Sequence[str], ct: Sequence[str], kept: int) -> list[tuple[i
     m-kept]; only that band is filled. Banded values never exceed the true
     ones and equal them on every optimal path, so the traceback takes the
     same steps as over the full table. It stops at the last keep.
+
+    Most runs are a replaced word or two between equal tokens, and need no
+    table. After a keep, a common prefix of p tokens is kept outright, as
+    in diff_tokens. If the last kept - p tokens of both sides agree, they
+    are the other keeps: one gap block before them is the only alignment
+    of the rest with that many keeps and a single block, and none has no
+    block.
     """
-    if not kept:
-        return []
     m, n = len(gt), len(ct)
+    p = next(compress(count(), map(ne, gt, ct)), min(m, n))
+    rest = kept - p
+    if gt[m - rest :] == ct[n - rest :]:
+        return [*zip(range(p), range(p)), *zip(range(m - rest, m), range(n - rest, n))]
     w = m + n + 2  # one kept token outweighs any possible block count
     lo, hi = m - kept, n - kept  # the band is -hi <= i - j <= lo
     rct = ct[::-1]
@@ -217,45 +225,74 @@ def diff_tokens(g: TokenizedCaption, c: TokenizedCaption) -> EditScript:
     The common prefix is kept outright: a keep is always optimal there and
     preferred first, and every value is a suffix value, so the rest diffs
     alone. (A common suffix cannot be trimmed that way: the forward
-    tie-break reads the suffix.) Two bit-parallel passes over the rest give
-    the LCS length of every prefix and suffix of either side (the values
-    Hirschberg's divide and conquer splits on), and from them the forced
-    keeps: token pairs that every LCS alignment keeps. Block counts add up
-    across a keep, and every optimal path runs through a forced keep, so
-    the traceback's first-equal choices on each side of one depend only on
-    that side: the segments between forced keeps are diffed on their own
-    by the banded dynamic program (_band_keeps) and joined with keeps.
+    tie-break reads the suffix.) A forward bit-parallel pass over the rest
+    gives the earliest g and c index of each keep number k (where LCS of
+    the prefixes steps up to k + 1), and a reversed pass the latest (where
+    LCS of the suffixes does). The reversed pass starts after the common
+    suffix, whose row it knows: after s equal tokens the LCS has stepped up
+    at each, and just the first s c tokens of the reversed rest are
+    matched. Every LCS alignment makes its
+    keep k between the earliest and the latest index on each side, so a
+    keep whose two indices agree on both sides is forced: every LCS
+    alignment keeps that pair. Block counts add up across a keep, and every
+    optimal path runs through a forced keep, so the traceback's first-equal
+    choices on each side of one depend only on that side: each run of keeps
+    that are not forced is diffed on its own between its forced neighbours
+    by the banded dynamic program (_band_keeps).
 
-    Cost: 2m big-int steps on n-bit integers and O(m + n) Python steps for
-    the profiles, plus about (a+b)*d band cells for each segment of a and
-    b tokens with d of them not kept. Local edits in a long caption leave
-    small segments; an output that shares little with its reference has no
-    forced keeps and fills one band of about (m+n)*D cells, with D the
-    tokens not kept on either side.
+    c is the reference that many outputs are diffed against, such as the
+    clean caption of every injector reply. Its bit masks are built once per
+    token texts and kept in a small bounded memo (_masks).
+
+    Cost, with m and n the token counts of g and c, p the common prefix
+    and s the common suffix of the rest: one big-int step on (n - p)-bit
+    integers for each of the m - p g tokens after the prefix and each of
+    the m - p - s before the suffix; a few C-level scans of both sides; and
+    O(m + n) Python steps for the keeps. Each run of keeps that are not
+    forced adds about (a+b)*d band cells for a and b tokens with d of them
+    not kept, or none when it is one replaced block between equal tokens.
+    Local edits in a long caption leave small runs; an output that shares
+    little with its reference has no forced keeps and fills one band of
+    about (m+n)*D cells, with D the tokens not kept on either side. A memo
+    miss adds O(n) big-int steps to build the masks.
     """
-    p = 0
-    for gp, cp in zip(g.texts, c.texts):
-        if gp != cp:
-            break
-        p += 1
-    gt, ct = g.texts[p:], c.texts[p:]
+    gt, ct = g.texts, c.texts
     m, n = len(gt), len(ct)
-    rows_before, rows_after, cols_before, cols_after = _lcs_profiles(gt, ct)
-    g_forced = _forced(rows_before, rows_after, rows_before[m])
-    c_forced = _forced(cols_before, cols_after, rows_before[m])
+    # the common prefix, then the common suffix of the rest, each ending at
+    # the first unequal pair found by a C-level scan
+    p = next(compress(count(), map(ne, gt, ct)), min(m, n))
+    s = next(compress(count(), map(ne, reversed(gt[p:]), reversed(ct[p:]))), min(m, n) - p)
+    fwd, rev = _masks(ct)
+    width = n - p
+    full, top = (1 << width) - 1, (2 << width) - 1
 
-    # the prefix, then each segment's keeps and the forced keep that closes
-    # it, in g order; (m, n) closes the last segment and is no keep
-    kept = dict(zip(range(p), range(p)))
-    pairs = [(i, c_forced[k]) for k, i in g_forced.items() if k in c_forced]
-    for (i0, j0), (i, j) in zip([(-1, -1), *pairs], [*pairs, (m, n)]):
-        i0, j0 = i0 + 1, j0 + 1
-        if i > i0 or j > j0:
-            segment = _band_keeps(gt[i0:i], ct[j0:j], rows_before[i] - rows_before[i0])
-            kept.update((p + i0 + a, p + j0 + b) for a, b in segment)
-        kept[p + i] = p + j
-    del kept[p + m]
-    return EditScript(kept=kept, g_len=p + m, c_len=p + n)
+    # the forward row spans bits [p, n) of c's masks, the reversed row bits
+    # [0, n - p) of its reversed masks, with the suffix's s bits matched
+    early_g, v = _keep_steps(enumerate(gt[p:], p), fwd, full << p, full << p)
+    early_c = _set_bits(bin(top ^ (v >> p))[:2:-1], p)
+    late, v = _keep_steps(
+        zip(range(m - 1 - s, p - 1, -1), reversed(gt[p : m - s])),
+        rev,
+        full ^ ((1 << s) - 1),
+        full,
+    )
+    late_g = late[::-1] + list(range(m - s, m))
+    late_c = _set_bits(bin(top ^ v)[3:], p)
+
+    # keep k's pair; a run [a, b) of keeps that are not forced is replaced
+    # by its band's keeps between forced keeps a - 1 and b
+    gk, ck = early_g, early_c
+    if early_g != late_g or early_c != late_c:
+        unequal = map(or_, map(ne, early_g, late_g), map(ne, early_c, late_c))
+        total = len(gk)
+        for a, b in runs(compress(count(), unequal)):
+            i0, j0 = (gk[a - 1] + 1, ck[a - 1] + 1) if a else (p, p)
+            i1, j1 = (gk[b], ck[b]) if b < total else (m, n)
+            segment = _band_keeps(gt[i0:i1], ct[j0:j1], b - a)
+            gk[a:b] = [i0 + i for i, _ in segment]
+            ck[a:b] = [j0 + j for _, j in segment]
+    kept = dict(zip(chain(range(p), gk), chain(range(p), ck)))
+    return EditScript(kept=kept, g_len=m, c_len=n)
 
 
 def extract_gold_spans(script: EditScript) -> list[HallucinationSpan]:

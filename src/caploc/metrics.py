@@ -60,21 +60,10 @@ def token_counts(gold: set[int], pred: set[int]) -> TokenCounts:
     return TokenCounts(len(gold & pred), len(pred), len(gold))
 
 
-def token_metrics(gold: set[int], pred: set[int], n: int | None = None) -> PRF:
-    """Precision, recall and F1 over hallucinated token index sets."""
-    if n is not None:
-        bad = [i for i in gold | pred if not 0 <= i < n]
-        if bad:
-            raise ValueError(f"token_metrics: indices {sorted(bad)} outside [0, {n})")
-    return token_counts(gold, pred).prf()
-
-
 @dataclass(frozen=True)
 class SentenceScore:
     prf: PRF
     counts: TokenCounts
-    gold_labels: tuple[bool, ...]
-    pred_labels: tuple[bool, ...]
 
 
 def sentence_metrics(
@@ -97,12 +86,7 @@ def sentence_metrics(
     gold_hit = {bisect_right(ends, i) for i in gold}
     pred_hit = {bisect_right(ends, i) for i in pred}
     counts = TokenCounts(len(gold_hit & pred_hit), len(pred_hit), len(gold_hit))
-    return SentenceScore(
-        prf=counts.prf(),
-        counts=counts,
-        gold_labels=tuple(k in gold_hit for k in range(len(ends))),
-        pred_labels=tuple(k in pred_hit for k in range(len(ends))),
-    )
+    return SentenceScore(prf=counts.prf(), counts=counts)
 
 
 @dataclass(frozen=True)

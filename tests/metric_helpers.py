@@ -1,0 +1,23 @@
+"""Test-side scoring views that the scoring pipeline itself never builds."""
+
+from __future__ import annotations
+
+from caploc.metrics import PRF, token_counts
+from caploc.text import SentenceIndex
+
+
+def token_metrics(gold: set[int], pred: set[int], n: int | None = None) -> PRF:
+    """Precision, recall and F1 over hallucinated token index sets, with
+    every index checked against [0, n) when n is given."""
+    if n is not None:
+        bad = [i for i in gold | pred if not 0 <= i < n]
+        if bad:
+            raise ValueError(f"token_metrics: indices {sorted(bad)} outside [0, {n})")
+    return token_counts(gold, pred).prf()
+
+
+def sentence_labels(indices: set[int], sentences: SentenceIndex) -> tuple[bool, ...]:
+    """Whether each sentence holds one of the token indices, in order."""
+    return tuple(
+        any(s.token_start <= i < s.token_end for i in indices) for s in sentences.sentences
+    )

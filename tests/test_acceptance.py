@@ -33,10 +33,11 @@ from caploc.inject import (
     inject_round,
     run_adversarial,
 )
-from caploc.metrics import sentence_metrics, spearman, token_metrics
+from caploc.metrics import TokenCounts, sentence_metrics, spearman
 from caploc.modelgate import ModelGate, ResponseCache, ScriptRule, ScriptedBackend
 from caploc.tagproto import align_to_reference, parse_tags, serialize_tags
 from caploc.text import split_sentences, tokenize
+from metric_helpers import sentence_labels, token_metrics
 
 TAG = "<HALLUCINATION>"
 END = "</HALLUCINATION>"
@@ -106,10 +107,14 @@ def test_criterion_02():
         gold = {i for i in range(n) if rng.random() < 0.25}
         pred = {i for i in range(n) if rng.random() < 0.25}
         score = sentence_metrics(gold, pred, si)
-        for s, got_g, got_p in zip(si.sentences, score.gold_labels, score.pred_labels):
-            want_g = any(i in gold for i in range(s.token_start, s.token_end))
-            want_p = any(i in pred for i in range(s.token_start, s.token_end))
-            assert (got_g, got_p) == (want_g, want_p), caption
+        got = sentence_labels(gold, si), sentence_labels(pred, si)
+        want_g, want_p = (
+            [any(i in hit for i in range(s.token_start, s.token_end)) for s in si.sentences]
+            for hit in (gold, pred)
+        )
+        assert got == (tuple(want_g), tuple(want_p)), caption
+        both = sum(g and p for g, p in zip(want_g, want_p))
+        assert score.counts == TokenCounts(both, sum(want_p), sum(want_g)), caption
 
 
 @criterion(3, "diff annotation recovers 100% of substitution corruptions on 500 captions")

@@ -564,8 +564,7 @@ class TestInject:
     ):
         """An id holding "/" or "../" names one file inside --audit, escaped
         as a URL path segment; an id of letters, digits, "-", "_" and "."
-        keeps its name. The dataset is written before the audit files, so an
-        audit file that cannot be written still leaves it."""
+        keeps its name."""
         ids = ["gui/0001", "../escape", "c.1-x_Y"]
         clean = [
             BenchmarkSample(id=i, image="", domain="gui", caption="a red car.", gold_spans=[])
@@ -585,16 +584,39 @@ class TestInject:
         (entry,) = json.loads((audit / "gui%2F0001.json").read_text(encoding="utf-8"))
         assert entry["phase"] == "inject"
 
-        too_long = "x" * 300  # its audit file name is longer than a file system allows
-        long_sample = BenchmarkSample(
-            id=too_long, image="", domain="gui", caption="a red car.", gold_spans=[]
-        )
-        dataset = write_dataset(tmp_path, [long_sample], name="long.jsonl")
-        out.unlink()
-        argv[2] = str(dataset)
+    @pytest.mark.parametrize("too_long", ["x" * 300, "é" * 50], ids=["ascii", "escaped"])
+    def test_too_long_audit_file_name_exits_before_any_model_call(
+        self, tmp_path, capsys, backends, too_long
+    ):
+        """An id whose escaped audit file name is longer than the file
+        system allows (escaping makes each byte of "é" three) exits 1 naming
+        the id, with no model call and no --out file."""
+        ids = ["c1", too_long]
+        clean = [
+            BenchmarkSample(id=i, image="", domain="gui", caption="a red car.", gold_spans=[])
+            for i in ids
+        ]
+        dataset = write_dataset(tmp_path, clean, name="clean.jsonl")
+        rules = [{"purpose": "inject", "responses": [f"a {TAG}blue{END} car."] * 4}]
+        script = write_script(tmp_path, rules)
+        out, audit = tmp_path / "syn.jsonl", tmp_path / "audit"
+        argv = ["inject", "--dataset", str(dataset), "--script", str(script), "--rounds", "0"]
+        argv += ["--no-include-image", "--out", str(out), "--audit", str(audit)]
         assert main(argv) == 1
-        assert "error:" in capsys.readouterr().err
-        assert [s.id for s in load_dataset(out)] == [too_long]
+        err = capsys.readouterr().err
+        assert err.startswith("error: --audit: sample id ") and repr(too_long) in err
+        (backend,) = backends
+        assert backend.requests == []
+        assert not out.exists()
+        assert list(audit.iterdir()) == []
+
+        # five of its characters fit
+        clean[1] = BenchmarkSample(
+            id=too_long[:5], image="", domain="gui", caption="a red car.", gold_spans=[]
+        )
+        dataset = write_dataset(tmp_path, clean, name="clean.jsonl")
+        assert main(argv) == 0
+        assert [s.id for s in load_dataset(out)] == ["c1", too_long[:5]]
 
     def test_inject_without_cache_sends_what_a_cold_cache_run_sends(
         self, tmp_path, capsys, monkeypatch

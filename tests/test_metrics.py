@@ -14,9 +14,9 @@ from caploc.metrics import (
     sentence_metrics,
     spearman,
     token_counts,
-    token_metrics,
 )
 from caploc.text import split_sentences, tokenize
+from metric_helpers import sentence_labels, token_metrics
 
 
 def test_token_counts_invariants():
@@ -83,8 +83,9 @@ TWO_SENT = split_sentences(tokenize("The car is red. A bird flies."))
 def test_sentence_disjoint_hits():
     score = sentence_metrics({1}, {6}, TWO_SENT)
     assert (score.prf.p, score.prf.r, score.prf.f1) == (0.0, 0.0, 0.0)
-    assert score.gold_labels == (True, False)
-    assert score.pred_labels == (False, True)
+    assert score.counts == TokenCounts(0, 1, 1)
+    assert sentence_labels({1}, TWO_SENT) == (True, False)
+    assert sentence_labels({6}, TWO_SENT) == (False, True)
 
 
 def test_sentence_equal_sets():
@@ -119,8 +120,11 @@ def test_sentence_token_consistency_property():
         n = si.sentences[-1].token_end
         gold = {i for i in range(n) if rng.random() < 0.2}
         score = sentence_metrics(gold, gold, si)
-        for s, label in zip(si.sentences, score.gold_labels):
+        labels = sentence_labels(gold, si)
+        for s, label in zip(si.sentences, labels):
             assert label == bool(set(s.token_indices) & gold)
+        hit = sum(labels)
+        assert score.counts == TokenCounts(hit, hit, hit)
         assert (score.prf.p, score.prf.r, score.prf.f1) == (1.0, 1.0, 1.0)
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace as dc_replace
 from hypothesis import example, given, settings, strategies as st
 
 from caploc.corpus import DIMENSION_VALUES, BenchmarkSample, Dimension, HallucinationSpan
-from caploc.diffannot import _lcs_profiles, diff_tokens
+from caploc.diffannot import _keep_steps, _masks, diff_tokens
 from caploc.inject import (
     InjectedSpan,
     InjectionConfig,
@@ -56,6 +56,7 @@ from caploc.text import (
     split_sentences,
     tokenize,
 )
+from metric_helpers import sentence_labels
 
 logger = logging.getLogger(__name__)
 
@@ -397,8 +398,9 @@ def oracle_split_sentences(tc: TokenizedCaption) -> SentenceIndex:
 
 def oracle_sentence_metrics(
     gold: set[int], pred: set[int], sentences: SentenceIndex
-) -> SentenceScore:
-    """Sentence labels from one token set per sentence."""
+) -> tuple[SentenceScore, tuple[bool, ...], tuple[bool, ...]]:
+    """The score and the gold and predicted sentence labels, from one token
+    set per sentence."""
     n = sentences.sentences[-1].token_end if len(sentences) else 0
     bad = [i for i in gold | pred if not 0 <= i < n]
     if bad:
@@ -413,12 +415,7 @@ def oracle_sentence_metrics(
         pred_labels.append(bool(idx & pred))
     tp = sum(1 for g, p in zip(gold_labels, pred_labels) if g and p)
     counts = TokenCounts(tp, sum(pred_labels), sum(gold_labels))
-    return SentenceScore(
-        prf=counts.prf(),
-        counts=counts,
-        gold_labels=tuple(gold_labels),
-        pred_labels=tuple(pred_labels),
-    )
+    return SentenceScore(prf=counts.prf(), counts=counts), tuple(gold_labels), tuple(pred_labels)
 
 
 def oracle_parse_injector_response(
@@ -859,14 +856,45 @@ def test_keep_chain_and_gaps_partition_both_sides(pair):
     assert all(h0 > g1 and d0 > c1 for (_, g1, _, c1), (h0, _, d0, _) in zip(gaps, gaps[1:]))
 
 
+def steps_up(profile: list[int]) -> list[int]:
+    """The indices x where profile[x + 1] > profile[x]."""
+    return [x for x, (a, b) in enumerate(zip(profile, profile[1:])) if b > a]
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_lcs_length_matches_plain_dp(data):
+    """_keep_steps' steps and final row, forward and reversed over a window
+    b[p:] of b's masks, are where the plain tables' LCS profiles step up;
+    s tokens equal to the window's first s leave the row diff_tokens skips
+    the common suffix with."""
     # up to 70 tokens, so the bit rows cross machine-word and int-digit edges
     word = st.sampled_from(data.draw(st.sampled_from(DIFF_VOCABS)))
     a = data.draw(st.lists(word, max_size=70))
     b = data.draw(st.lists(word, max_size=70))
-    assert _lcs_profiles(a, b) == oracle_lcs_profiles(a, b)
+    p = data.draw(st.integers(0, len(b)))
+    rows, rows_after, cols, cols_after = oracle_lcs_profiles(a, b[p:])
+    fwd, rev = _masks(tuple(b))
+    m, n = len(a), len(b) - p
+    full = (1 << n) - 1
+
+    steps, v = _keep_steps(enumerate(a), fwd, full << p, full << p)
+    assert steps == steps_up(rows)
+    assert v >> p << p == v and v <= full << p
+    assert [y for y in range(n) if not v >> (p + y) & 1] == steps_up(cols)
+
+    # reversed: bit y of the row is b[len(b) - 1 - y], so b[p + x] is bit n - 1 - x
+    steps, v = _keep_steps(zip(range(m - 1, -1, -1), reversed(a)), rev, full, full)
+    assert steps[::-1] == [x for x, (u, w) in enumerate(zip(rows_after, rows_after[1:])) if u > w]
+    assert v <= full
+    lost = [x for x, (u, w) in enumerate(zip(cols_after, cols_after[1:])) if u > w]
+    assert [x for x in range(n) if not v >> (n - 1 - x) & 1] == lost
+
+    s = data.draw(st.integers(0, n))
+    assert _keep_steps(enumerate(b[p : p + s]), fwd, full << p, full << p) == (
+        list(range(s)),
+        (full ^ ((1 << s) - 1)) << p,
+    )
 
 
 @settings(max_examples=200, deadline=None)
@@ -972,8 +1000,14 @@ def sentence_cases(draw) -> tuple[str, set[int], set[int]]:
     return text, draw(st.sets(index, max_size=6)), draw(st.sets(index, max_size=6))
 
 
+def labeled_sentence_metrics(gold, pred, sentences):
+    """sentence_metrics' score with the test-side sentence labels."""
+    score = sentence_metrics(gold, pred, sentences)
+    return score, sentence_labels(gold, sentences), sentence_labels(pred, sentences)
+
+
 def sentence_outcome(score, case):
-    """The SentenceScore of a case, or the message of its ValueError."""
+    """The score and labels of a case, or the message of its ValueError."""
     text, gold, pred = case
     try:
         return score(gold, pred, split_sentences(tokenize(text)))
@@ -991,7 +1025,7 @@ def sentence_outcome(score, case):
 def test_sentence_metrics_matches_oracle(case):
     """Labels, counts and P/R/F1 agree, and so does the error for an index
     outside the caption, on an empty caption too."""
-    assert sentence_outcome(sentence_metrics, case) == sentence_outcome(
+    assert sentence_outcome(labeled_sentence_metrics, case) == sentence_outcome(
         oracle_sentence_metrics, case
     )
 
