@@ -11,11 +11,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
-import os
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
-from urllib.parse import quote
 
 from .corpus import (
     BenchmarkSample,
@@ -34,9 +32,11 @@ from .evalrun import (
     EvalConfig,
     EvalReport,
     build_synthetic,
+    check_file_names,
     correlate_settings,
     emit_report,
     evaluate_dataset,
+    path_component,
     render_report_table,
     render_sweep_table,
     score_transcripts,
@@ -275,27 +275,9 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 
 def _audit_name(sample_id: str) -> str:
-    """The audit file name of a sample: one path component, since "/" and
-    "%" are escaped, so "../x" stays inside the audit directory."""
-    return quote(sample_id, safe="") + ".json"
-
-
-def _check_audit_names(audit_dir: Path, samples: list[BenchmarkSample]) -> None:
-    """Refuse, before any model call, an id whose audit file name is longer
-    than the file system allows (255 bytes where it cannot say)."""
-    try:
-        limit = os.pathconf(audit_dir, "PC_NAME_MAX")
-    except (AttributeError, OSError, ValueError):
-        limit = 255
-    if limit < 0:  # the file system sets no limit
-        return
-    for sample in samples:
-        size = len(_audit_name(sample.id).encode())
-        if size > limit:
-            raise ValueError(
-                f"--audit: sample id {sample.id!r} needs an audit file name of "
-                f"{size} bytes, more than the {limit} {audit_dir} allows"
-            )
+    """The audit file name of a sample, one path component inside the audit
+    directory."""
+    return path_component(sample_id) + ".json"
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
@@ -305,7 +287,8 @@ def cmd_inject(args: argparse.Namespace) -> int:
     audit_dir = Path(args.audit) if args.audit else None
     if audit_dir:
         audit_dir.mkdir(parents=True, exist_ok=True)
-        _check_audit_names(audit_dir, clean)
+        names = ((f"--audit: sample id {s.id!r}", _audit_name(s.id)) for s in clean)
+        check_file_names(audit_dir, names)
     Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     outcomes, failed = build_synthetic(clean, _injection_config(eff), gate, eff["image_root"])
     save_dataset([o.sample for o in outcomes], args.out)

@@ -12,11 +12,14 @@ import concurrent.futures
 import hashlib
 import json
 import logging
+import math
+import os
 import threading
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, replace as dc_replace
 from pathlib import Path
+from urllib.parse import quote
 
 from . import __version__
 from .corpus import (
@@ -117,31 +120,19 @@ class EvalReport:
 
     @classmethod
     def from_dict(cls, data: dict) -> EvalReport:
-        """Rebuild a report from its to_dict() form, re-aggregating the card
-        from the per-sample rows.
+        """Rebuild a report from its to_dict() form, its card made from the
+        per-sample rows by card_from_rows, as a live run makes it.
 
-        Raises ValueError when a key is missing or holds the wrong type.
+        Raises ValueError when a key is missing or holds the wrong type (a
+        coverage outside [0, 1] included), or card_from_rows refuses a row.
         """
         try:
-            scores = [
-                SampleScore(
-                    sample_id=row["id"],
-                    domain=row["domain"],
-                    token=TokenCounts(**row["token"]),
-                    sentence=TokenCounts(**row["sentence"]),
-                    dimensions={
-                        d: RecallCounts(v["hit"], v["total"])
-                        for d, v in row["dimensions"].items()
-                    },
-                    faithful=row["faithful"],
-                )
-                for row in data["samples"]
-            ]
+            card = card_from_rows(data["samples"])
             report = cls(
                 model=data["model"],
                 dataset_sha256=data["dataset_sha256"],
                 coverage=data["coverage"],
-                card=aggregate(scores),
+                card=card,
                 samples=data["samples"],
                 skipped=data.get("skipped", []),
                 tool_versions=data.get("tool_versions", {}),
@@ -153,6 +144,7 @@ class EvalReport:
             isinstance(report.model, str)
             and isinstance(report.dataset_sha256, str)
             and _is_number(report.coverage)
+            and 0 <= report.coverage <= 1
         ):
             raise ValueError("malformed report: model, dataset_sha256 or coverage has the wrong type")
         return report
@@ -189,25 +181,24 @@ def build_prompt(sample: BenchmarkSample, cfg: EvalConfig) -> ModelRequest:
     user = fill_template(load_template("evaluate"), caption=sample.caption)
     return ModelRequest(
         model=cfg.model,
-        system="",
         user=user,
         purpose=Purpose.EVALUATE.value,
         image=image,
     )
 
 
-def score_sample(sample: BenchmarkSample, raw: str, strict: bool) -> tuple[SampleScore, dict]:
+def score_sample(sample: BenchmarkSample, raw: str, strict: bool) -> dict:
     """Score one raw model output against the sample's gold spans: parse the
     tags, align the marks to the caption's tokens and count. This is the
     single per-output scoring path.
 
-    Returns the score and its report row. With strict, an unfaithful output
-    scores as an empty prediction.
+    Returns the sample's report row, the one per-sample score record. With
+    strict, an unfaithful output scores as an empty prediction.
     """
     # the caption's one tokenize call comes first: perfbench's per-sample
     # clock (workloads.sample_clock) starts each sample there
     tc = tokenize(sample.caption)
-    si = split_sentences(tc)
+    ends = split_sentences(tc)
     parsed = parse_tags(raw)
     pred = align_to_reference(parsed.stripped, parsed.marked_ranges, tc)
     indices = set(pred.indices)
@@ -216,38 +207,46 @@ def score_sample(sample: BenchmarkSample, raw: str, strict: bool) -> tuple[Sampl
     gold = set()
     for span in sample.gold_spans:
         gold.update(range(span.start, span.end))
-    tok = token_counts(gold, indices)
-    sen = sentence_metrics(gold, indices, si).counts
     dims = dimension_counts(sample.gold_spans, indices)
-    score = SampleScore(
-        sample_id=sample.id,
-        domain=sample.domain,
-        token=tok,
-        sentence=sen,
-        dimensions=dims,
-        faithful=pred.faithful,
-    )
-    row = {
+    return {
         "id": sample.id,
         "domain": sample.domain,
-        "token": {
-            "intersection": tok.intersection,
-            "predicted": tok.predicted,
-            "gold": tok.gold,
-        },
-        "sentence": {
-            "intersection": sen.intersection,
-            "predicted": sen.predicted,
-            "gold": sen.gold,
-        },
-        "dimensions": {
-            d: {"hit": rc.hit, "total": rc.total} for d, rc in sorted(dims.items())
-        },
+        "token": token_counts(gold, indices).to_dict(),
+        "sentence": sentence_metrics(gold, indices, ends).to_dict(),
+        "dimensions": {d: rc.to_dict() for d, rc in sorted(dims.items())},
         "faithful": pred.faithful,
         "alignment_coverage": pred.alignment_coverage,
         "parse_status": parsed.status.value,
     }
-    return score, row
+
+
+def card_from_rows(rows: list[dict]) -> ScoreCard:
+    """The score card of report rows as score_sample writes them: the one
+    way a card is made, live (score_outputs) or read back (from_dict).
+
+    A row whose id or domain is no string, whose faithful is no bool, or
+    whose counts TokenCounts or RecallCounts refuse raises ValueError naming
+    the row; a missing key raises KeyError, a row of the wrong shape TypeError.
+    """
+    scores: list[SampleScore] = []
+    for i, row in enumerate(rows):
+        try:
+            score = SampleScore(
+                sample_id=row["id"],
+                domain=row["domain"],
+                token=TokenCounts(**row["token"]),
+                sentence=TokenCounts(**row["sentence"]),
+                dimensions={d: RecallCounts(**rc) for d, rc in row["dimensions"].items()},
+                faithful=row["faithful"],
+            )
+            if not (isinstance(score.sample_id, str) and isinstance(score.domain, str)):
+                raise ValueError("id or domain is not a string")
+            if type(score.faithful) is not bool:
+                raise ValueError(f"faithful is {score.faithful!r}, not a boolean")
+        except ValueError as exc:
+            raise ValueError(f"sample row {i}: {exc}") from None
+        scores.append(score)
+    return aggregate(scores)
 
 
 def score_outputs(
@@ -260,20 +259,17 @@ def score_outputs(
     Samples without an output are skipped and excluded from denominators. In
     strict mode an unfaithful output scores as an empty prediction.
     """
-    scores: list[SampleScore] = []
     rows: list[dict] = []
     skipped: list[str] = []
     for sample in samples:
         output = outputs.get(sample.id)
         if output is None:
             skipped.append(sample.id)
-            continue
-        score, row = score_sample(sample, output, cfg.strict)
-        scores.append(score)
-        rows.append(row)
-    if not scores:
+        else:
+            rows.append(score_sample(sample, output, cfg.strict))
+    if not rows:
         raise ValueError("score_outputs: no samples could be scored")
-    return aggregate(scores), rows, skipped
+    return card_from_rows(rows), rows, skipped
 
 
 def write_transcripts(path: str | Path, rows: Iterable[tuple[str, str]]) -> None:
@@ -395,7 +391,8 @@ def correlate_settings(
 
 
 def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """Whether a decoded JSON value is a finite number: no bool, NaN or ±Infinity."""
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 def _token_scores_by_model(kind: str, reports: list[dict]) -> dict[str, dict]:
@@ -413,7 +410,8 @@ def _token_scores_by_model(kind: str, reports: list[dict]) -> dict[str, dict]:
             ) from exc
         if not isinstance(model, str) or not all(_is_number(v) for v in scores.values()):
             raise ValueError(
-                f"correlate_settings: {kind} report {i}: model or token scores have the wrong type"
+                f"correlate_settings: {kind} report {i}: model is not a string "
+                "or a token score is not a finite number"
             )
         if model in position:
             raise ValueError(
@@ -423,6 +421,31 @@ def _token_scores_by_model(kind: str, reports: list[dict]) -> dict[str, dict]:
         position[model] = i
         out[model] = scores
     return out
+
+
+def path_component(text: str) -> str:
+    """text as one file name: all but letters, digits and "-_.~" is escaped
+    as in a URL, "/" and "%" too, so "../x" names no other directory."""
+    return quote(text, safe="")
+
+
+def check_file_names(directory: Path, names: Iterable[tuple[str, str]]) -> None:
+    """Refuse, before any model call, a (what, name) pair whose file name is
+    longer than the file system allows in directory (255 bytes where it
+    cannot say): raise ValueError naming what needs it."""
+    try:
+        limit = os.pathconf(directory, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):
+        limit = 255
+    if limit < 0:  # the file system sets no limit
+        return
+    for what, name in names:
+        size = len(name.encode())
+        if size > limit:
+            raise ValueError(
+                f"{what} needs a file name of {size} bytes, "
+                f"more than the {limit} {directory} allows"
+            )
 
 
 def build_synthetic(
@@ -484,6 +507,8 @@ def sweep_rounds(
     clean = load_dataset(clean_dataset)
     out_dir = Path(eval_cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    dirs = {(k, m): f"sweep_k{k}_{path_component(m)}" for k in ks for m in detector_models}
+    check_file_names(out_dir, ((f"models: {m!r}", name) for (_, m), name in dirs.items()))
     outcomes = build_synthetic(clean, cfg, gate, eval_cfg.image_root)[0]
     rows: list[SweepRow] = []
     for k in ks:
@@ -494,7 +519,7 @@ def sweep_rounds(
                 eval_cfg,
                 dataset=dataset_path,
                 model=model,
-                out_dir=out_dir / f"sweep_k{k}_{model}",
+                out_dir=out_dir / dirs[k, model],
             )
             report = evaluate_dataset(model_cfg, gate)
             emit_report(report, model_cfg.out_dir)

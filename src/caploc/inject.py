@@ -303,7 +303,6 @@ def inject_round(
         response = gate.complete(
             ModelRequest(
                 model=cfg.injector_model,
-                system="",
                 user=user,
                 purpose=Purpose.INJECT.value,
                 image=image if cfg.include_image else None,
@@ -333,7 +332,6 @@ def detect_round(
     prompt = fill_template(load_template("detect"), caption=state.current_text())
     request = ModelRequest(
         model=cfg.detector_model,
-        system="",
         user=prompt,
         purpose=Purpose.DETECT.value,
     )

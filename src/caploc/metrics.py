@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .corpus import HallucinationSpan
-from .text import SentenceIndex
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,15 @@ class PRF:
         return {"p": self.p, "r": self.r, "f1": self.f1}
 
 
+def _check_counts(name: str, *counts: object) -> None:
+    """Raise ValueError unless every count is an int of 0 or more (no bool)."""
+    for count in counts:
+        if type(count) is not int:
+            raise ValueError(f"{name}: count {count!r} is not an integer")
+        if count < 0:
+            raise ValueError(f"{name}: negative count")
+
+
 @dataclass(frozen=True)
 class TokenCounts:
     """Raw numerators and denominators behind a P/R pair."""
@@ -35,8 +44,7 @@ class TokenCounts:
     gold: int
 
     def __post_init__(self) -> None:
-        if min(self.intersection, self.predicted, self.gold) < 0:
-            raise ValueError("TokenCounts: negative count")
+        _check_counts("TokenCounts", self.intersection, self.predicted, self.gold)
         if self.intersection > min(self.predicted, self.gold):
             raise ValueError("TokenCounts: intersection exceeds a side")
 
@@ -46,6 +54,9 @@ class TokenCounts:
             self.predicted + other.predicted,
             self.gold + other.gold,
         )
+
+    def to_dict(self) -> dict:
+        return {"intersection": self.intersection, "predicted": self.predicted, "gold": self.gold}
 
     def prf(self) -> PRF:
         if self.predicted == 0 and self.gold == 0:
@@ -60,23 +71,14 @@ def token_counts(gold: set[int], pred: set[int]) -> TokenCounts:
     return TokenCounts(len(gold & pred), len(pred), len(gold))
 
 
-@dataclass(frozen=True)
-class SentenceScore:
-    prf: PRF
-    counts: TokenCounts
-
-
-def sentence_metrics(
-    gold: set[int], pred: set[int], sentences: SentenceIndex
-) -> SentenceScore:
-    """Sentence-level scores: a sentence counts as hallucinated when it
+def sentence_metrics(gold: set[int], pred: set[int], ends: Sequence[int]) -> TokenCounts:
+    """Sentence-level counts: a sentence counts as hallucinated when it
     contains at least one hallucinated token.
 
-    The sentences tile the token range [0, n) in order, as split_sentences
-    builds them, so token i belongs to the first sentence ending after it,
-    found by bisection over the sentence ends.
+    ends are the sentences' end token indices, as split_sentences returns
+    them: the sentences tile the token range [0, n) in order, so token i
+    belongs to the first sentence ending after it, found by bisection.
     """
-    ends = [s.token_end for s in sentences.sentences]
     n = ends[-1] if ends else 0
     bad = [i for i in gold | pred if not 0 <= i < n]
     if bad:
@@ -85,8 +87,7 @@ def sentence_metrics(
         )
     gold_hit = {bisect_right(ends, i) for i in gold}
     pred_hit = {bisect_right(ends, i) for i in pred}
-    counts = TokenCounts(len(gold_hit & pred_hit), len(pred_hit), len(gold_hit))
-    return SentenceScore(prf=counts.prf(), counts=counts)
+    return TokenCounts(len(gold_hit & pred_hit), len(pred_hit), len(gold_hit))
 
 
 @dataclass(frozen=True)
@@ -94,8 +95,16 @@ class RecallCounts:
     hit: int
     total: int
 
+    def __post_init__(self) -> None:
+        _check_counts("RecallCounts", self.hit, self.total)
+        if self.hit > self.total:
+            raise ValueError("RecallCounts: hit exceeds total")
+
     def __add__(self, other: RecallCounts) -> RecallCounts:
         return RecallCounts(self.hit + other.hit, self.total + other.total)
+
+    def to_dict(self) -> dict:
+        return {"hit": self.hit, "total": self.total}
 
 
 def dimension_counts(

@@ -30,10 +30,11 @@ class Purpose(str, Enum):
     EVALUATE = "evaluate"
 
 
-@dataclass(frozen=True)
-class Sampling:
-    temperature: float = 0.0
-    max_tokens: int = 4096
+# every request is sent greedily with one length cap and an empty system
+# message; the cache key still names them, so existing caches stay valid
+_TEMPERATURE = 0.0
+_MAX_TOKENS = 4096
+_HTTP_TIMEOUT_S = 120.0
 
 
 @dataclass(frozen=True)
@@ -45,11 +46,9 @@ class ImageAttachment:
 @dataclass(frozen=True)
 class ModelRequest:
     model: str
-    system: str
     user: str
     purpose: str
     image: ImageAttachment | None = None
-    sampling: Sampling = Sampling()
 
 
 @dataclass(frozen=True)
@@ -90,13 +89,10 @@ def cache_key(req: ModelRequest) -> str:
         }
     payload = {
         "model": req.model,
-        "system": req.system,
+        "system": "",
         "user": req.user,
         "image": image,
-        "sampling": {
-            "temperature": req.sampling.temperature,
-            "max_tokens": req.sampling.max_tokens,
-        },
+        "sampling": {"temperature": _TEMPERATURE, "max_tokens": _MAX_TOKENS},
         "purpose": req.purpose,
     }
     blob = json.dumps(payload, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
@@ -259,7 +255,6 @@ class HttpBackend:
         self,
         base_url: str,
         api_key_env: str = "CAPLOC_API_KEY",
-        timeout: float = 120.0,
         session: requests.Session | None = None,
     ):
         try:
@@ -270,7 +265,6 @@ class HttpBackend:
             ) from exc
         self.base_url = base_url.rstrip("/")
         self.api_key_env = api_key_env
-        self.timeout = timeout
         self.session = session or requests.Session()
 
     def send(self, req: ModelRequest) -> str:
@@ -294,15 +288,15 @@ class HttpBackend:
         body = {
             "model": req.model,
             "messages": [
-                {"role": "system", "content": [{"type": "text", "text": req.system}]},
+                {"role": "system", "content": [{"type": "text", "text": ""}]},
                 {"role": "user", "content": user_content},
             ],
-            "temperature": req.sampling.temperature,
-            "max_tokens": req.sampling.max_tokens,
+            "temperature": _TEMPERATURE,
+            "max_tokens": _MAX_TOKENS,
         }
         try:
             resp = self.session.post(
-                self.base_url, json=body, headers=headers, timeout=self.timeout
+                self.base_url, json=body, headers=headers, timeout=_HTTP_TIMEOUT_S
             )
         except (requests.ConnectionError, requests.Timeout) as exc:
             raise RetryableBackendError(f"transport failure: {exc}") from exc

@@ -28,9 +28,7 @@ starts, ends), taken straight from the split with no object per token: a
 long caption has hundreds of tokens, and the readers only slice texts and
 bisect the offsets. Its tokens property builds the row view, one Token
 NamedTuple per token, on first use, for callers outside the package; no
-module of the package reads it. Sentence is a NamedTuple: a caption has
-dozens of them, and tuples are much cheaper to build than frozen dataclass
-instances.
+module of the package reads it.
 """
 
 from __future__ import annotations
@@ -39,8 +37,8 @@ import functools
 import re
 import unicodedata
 from bisect import bisect_left
-from dataclasses import dataclass, field
-from itertools import accumulate, pairwise, repeat
+from dataclasses import dataclass
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 TOKENIZER_VERSION = "dvb-tok/1"
@@ -91,25 +89,6 @@ class TokenizedCaption:
         return tuple(map(tuple.__new__, repeat(Token), rows))
 
 
-class Sentence(NamedTuple):
-    """A sentence as the contiguous token index range it owns."""
-
-    token_start: int
-    token_end: int
-
-    @property
-    def token_indices(self) -> range:
-        return range(self.token_start, self.token_end)
-
-
-@dataclass(frozen=True)
-class SentenceIndex:
-    sentences: tuple[Sentence, ...] = field(default_factory=tuple)
-
-    def __len__(self) -> int:
-        return len(self.sentences)
-
-
 def _split(text: str) -> tuple[str, list[str]]:
     """(probe, parts): the probe cut into [gap, token, gap, ..., token, gap].
 
@@ -147,22 +126,23 @@ def tokenize(text: str) -> TokenizedCaption:
     return TokenizedCaption(text, texts, starts, ends)
 
 
-def split_sentences(tc: TokenizedCaption) -> SentenceIndex:
-    """Segment a tokenized caption into sentences.
+def split_sentences(tc: TokenizedCaption) -> tuple[int, ...]:
+    """Segment a tokenized caption into sentences, returned as the end token
+    index of each, in order: with those ends e, sentence i is the tokens
+    [e[i - 1], e[i]), the first starts at 0 and the last ends at len(tc).
 
     A boundary falls after a token ending with '.', '!' or '?' when the
     source continues with whitespace and an uppercase letter, or ends there.
     Trailing material without a terminator forms a final sentence.
     """
     ends = tc.ends
-    if not ends:
-        return SentenceIndex()
     # a terminator followed by whitespace or the end is the last character
     # of a chunk, so it ends the token whose end offset is just past it
-    cuts = [0]
-    for m in _BOUNDARY_RE.finditer(tc.source):
-        if not m[1] or m[1].isupper():
-            cuts.append(bisect_left(ends, m.end()) + 1)
-    if cuts[-1] < len(ends):
+    cuts = [
+        bisect_left(ends, m.end()) + 1
+        for m in _BOUNDARY_RE.finditer(tc.source)
+        if not m[1] or m[1].isupper()
+    ]
+    if ends and (not cuts or cuts[-1] < len(ends)):
         cuts.append(len(ends))
-    return SentenceIndex(tuple(Sentence(start, end) for start, end in pairwise(cuts)))
+    return tuple(cuts)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from caploc.metrics import PRF, token_counts
-from caploc.text import SentenceIndex
 
 
 def token_metrics(gold: set[int], pred: set[int], n: int | None = None) -> PRF:
@@ -16,8 +15,9 @@ def token_metrics(gold: set[int], pred: set[int], n: int | None = None) -> PRF:
     return token_counts(gold, pred).prf()
 
 
-def sentence_labels(indices: set[int], sentences: SentenceIndex) -> tuple[bool, ...]:
-    """Whether each sentence holds one of the token indices, in order."""
+def sentence_labels(indices: set[int], ends: tuple[int, ...]) -> tuple[bool, ...]:
+    """Whether each sentence, given by the end indices split_sentences
+    returns, holds one of the token indices, in order."""
     return tuple(
-        any(s.token_start <= i < s.token_end for i in indices) for s in sentences.sentences
+        any(start <= i < end for i in indices) for start, end in zip((0, *ends), ends)
     )

@@ -102,19 +102,19 @@ def test_criterion_02():
             sentences.append(" ".join(words) + rng.choice(".!?"))
         caption = " ".join(sentences)
         tc = tokenize(caption)
-        si = split_sentences(tc)
+        ends = split_sentences(tc)
         n = len(tc.tokens)
         gold = {i for i in range(n) if rng.random() < 0.25}
         pred = {i for i in range(n) if rng.random() < 0.25}
-        score = sentence_metrics(gold, pred, si)
-        got = sentence_labels(gold, si), sentence_labels(pred, si)
+        counts = sentence_metrics(gold, pred, ends)
+        got = sentence_labels(gold, ends), sentence_labels(pred, ends)
         want_g, want_p = (
-            [any(i in hit for i in range(s.token_start, s.token_end)) for s in si.sentences]
+            [any(i in hit for i in range(start, end)) for start, end in zip((0, *ends), ends)]
             for hit in (gold, pred)
         )
         assert got == (tuple(want_g), tuple(want_p)), caption
         both = sum(g and p for g, p in zip(want_g, want_p))
-        assert score.counts == TokenCounts(both, sum(want_p), sum(want_g)), caption
+        assert counts == TokenCounts(both, sum(want_p), sum(want_g)), caption
 
 
 @criterion(3, "diff annotation recovers 100% of substitution corruptions on 500 captions")

@@ -785,6 +785,49 @@ class TestSweepRounds:
         assert not out.exists()
 
 
+    def test_model_names_one_directory_inside_out(self, tmp_path, capsys):
+        """Each sweep_k<K>_<model>/ is one path component inside --out, the
+        model escaped as an audit file name is: a "/" or "../" in a model
+        nests no directory and writes nothing outside --out."""
+        clean = write_dataset(tmp_path, base_samples()[:1], name="clean.jsonl")
+        rules = [
+            {"purpose": "inject", "responses": [f"a {TAG}blue{END} car parked near the gate."]},
+            {"purpose": "detect", "responses": ["No issues found."]},
+            {"purpose": "evaluate", "responses": ["a blue car parked near the gate."] * 2},
+        ]
+        out = tmp_path / "run" / "out"
+        argv = ["sweep", "--dataset", str(clean), "--script", str(write_script(tmp_path, rules))]
+        argv += ["--rounds", "0", "--models", "org/model,a/../../escaped", "--out", str(out)]
+        assert main(argv) == 0
+        dirs = ["sweep_k0_a%2F..%2F..%2Fescaped", "sweep_k0_org%2Fmodel"]
+        want = sorted([*dirs, "sweep.json", "sweep_k0.jsonl"])
+        assert sorted(p.name for p in out.iterdir()) == want
+        for name in dirs:
+            files = sorted(p.name for p in (out / name).iterdir())
+            assert files == ["report.json", "report.txt", "transcripts.jsonl"]
+        assert sorted(p.name for p in (tmp_path / "run").iterdir()) == ["out"]
+        rows = json.loads((out / "sweep.json").read_text())
+        assert [r["model"] for r in rows] == ["org/model", "a/../../escaped"]
+
+    @pytest.mark.parametrize("too_long", ["x" * 300, "é" * 50], ids=["ascii", "escaped"])
+    def test_too_long_model_directory_name_exits_before_any_model_call(
+        self, tmp_path, capsys, backends, too_long
+    ):
+        """A model whose escaped directory name is longer than the file
+        system allows exits 1 naming models and the model, with no model
+        call and no file under --out."""
+        clean = write_dataset(tmp_path, base_samples(), name="clean.jsonl")
+        out = tmp_path / "out"
+        argv = ["sweep", "--dataset", str(clean), "--script", str(inject_script(tmp_path))]
+        argv += ["--rounds", "0,1", "--models", f"a,{too_long}", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: models: {too_long!r} needs a file name of ")
+        (backend,) = backends
+        assert backend.requests == []
+        assert list(out.iterdir()) == []
+
+
 class TestSweepAndReport:
     def test_sweep_table_and_file(self, tmp_path, capsys):
         clean = write_dataset(
@@ -1255,6 +1298,87 @@ MALFORMED_INPUT_FILES = {
         "report.json", '{"samples": 3}', ["report", "{file}"], ": malformed report: TypeError"
     ),
 }
+
+
+def scored_report(tmp_path) -> dict:
+    """The report.json score writes for base_samples(), each output a copy
+    of its caption."""
+    dataset = write_dataset(tmp_path, base_samples())
+    transcripts = tmp_path / "t.jsonl"
+    lines = [json.dumps({"id": s.id, "output": s.caption}) for s in base_samples()]
+    transcripts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "scored"
+    argv = ["score", "--dataset", str(dataset), "--transcripts", str(transcripts)]
+    assert main([*argv, "--out", str(out)]) == 0
+    return json.loads((out / "report.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("samples", 0, "faithful"), "no", "sample row 0: faithful is 'no', not a boolean"),
+        (("samples", 0, "faithful"), 1, "sample row 0: faithful is 1, not a boolean"),
+        (
+            ("samples", 0, "dimensions", "color"),
+            {"hit": 5, "total": 2},
+            "sample row 0: RecallCounts: hit exceeds total",
+        ),
+        (
+            ("samples", 0, "dimensions", "color"),
+            {"hit": -1, "total": 1},
+            "sample row 0: RecallCounts: negative count",
+        ),
+        (
+            ("samples", 0, "dimensions", "color"),
+            {"hit": 1.0, "total": 1},
+            "sample row 0: RecallCounts: count 1.0 is not an integer",
+        ),
+        (
+            ("samples", 0, "token", "intersection"),
+            True,
+            "sample row 0: TokenCounts: count True is not an integer",
+        ),
+        (
+            ("samples", 1, "sentence", "predicted"),
+            2.5,
+            "sample row 1: TokenCounts: count 2.5 is not an integer",
+        ),
+        (("samples", 1, "domain"), None, "sample row 1: id or domain is not a string"),
+        (("coverage",), float("nan"), "coverage has the wrong type"),
+        (("coverage",), float("-inf"), "coverage has the wrong type"),
+        (("coverage",), 5.0, "coverage has the wrong type"),
+    ],
+    ids=[
+        "faithful_string",
+        "faithful_number",
+        "hit_above_total",
+        "negative_hit",
+        "fractional_hit",
+        "boolean_intersection",
+        "fractional_predicted",
+        "null_domain",
+        "nan_coverage",
+        "infinite_coverage",
+        "coverage_above_one",
+    ],
+)
+def test_report_with_a_malformed_value_exits_1(tmp_path, capsys, path, value, message):
+    """report refuses a row value that no score writes, and a coverage that
+    is not a number in [0, 1], naming the file, rather than render a table."""
+    report = scored_report(tmp_path)
+    *parents, last = path
+    target = report
+    for key in parents:
+        target = target[key]
+    target[last] = value
+    file = tmp_path / "report.json"
+    # json.dumps writes NaN and Infinity, which json.loads reads back
+    file.write_text(json.dumps(report), encoding="utf-8")
+    capsys.readouterr()
+    assert main(["report", str(file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {file}: ") and message in captured.err
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUT_FILES))

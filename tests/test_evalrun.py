@@ -5,6 +5,7 @@ from __future__ import annotations
 import errno
 import json
 import logging
+import math
 import sys
 import threading
 import time
@@ -32,6 +33,7 @@ from caploc.evalrun import (
     MissingImageError,
     build_prompt,
     build_synthetic,
+    card_from_rows,
     correlate_settings,
     emit_report,
     evaluate_dataset,
@@ -225,12 +227,15 @@ class TestEvaluateDataset:
 class TestScoreSample:
     def test_parse_align_count_one_output(self):
         sample = sample_set()[0]
-        score, row = score_sample(sample, f"a {TAG}red{END} car parked near the gate.", False)
-        assert row["id"] == score.sample_id == "s1"
+        row = score_sample(sample, f"a {TAG}red{END} car parked near the gate.", False)
+        assert row["id"] == "s1"
         assert row["parse_status"] == "ok"
-        assert row["faithful"] and score.faithful
+        assert row["faithful"] is True
         assert row["token"] == {"intersection": 1, "predicted": 1, "gold": 1}
         assert row["dimensions"] == {"color": {"hit": 1, "total": 1}}
+        card = card_from_rows([row])
+        assert (card.sample_count, card.faithfulness_violation_rate) == (1, 0.0)
+        assert card.token.f1 == 1.0 and card.per_domain["nature"].token.f1 == 1.0
 
 
 class TestStrictMode:
@@ -603,8 +608,14 @@ class TestCorrelateSettings:
 
     @pytest.mark.parametrize(
         "bad",
-        [{"model": "b"}, {"model": "b", "overall": {"token": {"p": "1", "r": 1, "f1": 1}}}, [1]],
-        ids=["no_overall", "string_score", "not_an_object"],
+        [
+            {"model": "b"},
+            {"model": "b", "overall": {"token": {"p": "1", "r": 1, "f1": 1}}},
+            [1],
+            {"model": "b", "overall": {"token": {"p": math.nan, "r": 1, "f1": 1}}},
+            {"model": "b", "overall": {"token": {"p": 1, "r": 1, "f1": -math.inf}}},
+        ],
+        ids=["no_overall", "string_score", "not_an_object", "nan_score", "infinite_score"],
     )
     def test_malformed_report_raises_value_error(self, bad):
         with pytest.raises(ValueError, match="synthetic report 2"):

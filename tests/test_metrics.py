@@ -81,29 +81,30 @@ TWO_SENT = split_sentences(tokenize("The car is red. A bird flies."))
 
 
 def test_sentence_disjoint_hits():
-    score = sentence_metrics({1}, {6}, TWO_SENT)
-    assert (score.prf.p, score.prf.r, score.prf.f1) == (0.0, 0.0, 0.0)
-    assert score.counts == TokenCounts(0, 1, 1)
+    counts = sentence_metrics({1}, {6}, TWO_SENT)
+    prf = counts.prf()
+    assert (prf.p, prf.r, prf.f1) == (0.0, 0.0, 0.0)
+    assert counts == TokenCounts(0, 1, 1)
     assert sentence_labels({1}, TWO_SENT) == (True, False)
     assert sentence_labels({6}, TWO_SENT) == (False, True)
 
 
 def test_sentence_equal_sets():
-    score = sentence_metrics({1, 6}, {1, 6}, TWO_SENT)
-    assert (score.prf.p, score.prf.r, score.prf.f1) == (1.0, 1.0, 1.0)
+    prf = sentence_metrics({1, 6}, {1, 6}, TWO_SENT).prf()
+    assert (prf.p, prf.r, prf.f1) == (1.0, 1.0, 1.0)
 
 
 def test_sentence_overprediction():
-    score = sentence_metrics({1}, {1, 6}, TWO_SENT)
-    assert score.prf.p == 0.5
-    assert score.prf.r == 1.0
-    assert abs(score.prf.f1 - 2 / 3) < 1e-12
+    prf = sentence_metrics({1}, {1, 6}, TWO_SENT).prf()
+    assert prf.p == 0.5
+    assert prf.r == 1.0
+    assert abs(prf.f1 - 2 / 3) < 1e-12
 
 
 def test_sentence_any_token_marks_sentence():
-    score = sentence_metrics({0}, {4}, TWO_SENT)
+    prf = sentence_metrics({0}, {4}, TWO_SENT).prf()
     # different tokens, same sentence
-    assert score.prf.p == 1.0 and score.prf.r == 1.0
+    assert prf.p == 1.0 and prf.r == 1.0
 
 
 def test_sentence_out_of_range():
@@ -116,16 +117,17 @@ def test_sentence_token_consistency_property():
     for _ in range(200):
         n_sent = rng.randrange(1, 6)
         text = " ".join("Word here now." for _ in range(n_sent))
-        si = split_sentences(tokenize(text))
-        n = si.sentences[-1].token_end
+        ends = split_sentences(tokenize(text))
+        n = ends[-1]
         gold = {i for i in range(n) if rng.random() < 0.2}
-        score = sentence_metrics(gold, gold, si)
-        labels = sentence_labels(gold, si)
-        for s, label in zip(si.sentences, labels):
-            assert label == bool(set(s.token_indices) & gold)
+        counts = sentence_metrics(gold, gold, ends)
+        labels = sentence_labels(gold, ends)
+        for start, end, label in zip((0, *ends), ends, labels):
+            assert label == bool(set(range(start, end)) & gold)
         hit = sum(labels)
-        assert score.counts == TokenCounts(hit, hit, hit)
-        assert (score.prf.p, score.prf.r, score.prf.f1) == (1.0, 1.0, 1.0)
+        assert counts == TokenCounts(hit, hit, hit)
+        prf = counts.prf()
+        assert (prf.p, prf.r, prf.f1) == (1.0, 1.0, 1.0)
 
 
 def test_dimension_full_recall():

@@ -23,7 +23,6 @@ from caploc.modelgate import (
     ResponseCache,
     RetryPolicy,
     RetryableBackendError,
-    Sampling,
     ScriptExhaustedError,
     ScriptRule,
     ScriptedBackend,
@@ -32,7 +31,7 @@ from caploc.modelgate import (
 
 
 def make_req(**kw):
-    base = dict(model="m", system="sys", user="hello", purpose="detect")
+    base = dict(model="m", user="hello", purpose="detect")
     base.update(kw)
     return ModelRequest(**base)
 
@@ -143,15 +142,54 @@ def test_cache_key_sensitive_to_fields():
     assert cache_key(make_req(user="other")) != base
     assert cache_key(make_req(model="m2")) != base
     assert cache_key(make_req(purpose="inject")) != base
-    assert cache_key(make_req(sampling=Sampling(temperature=0.7))) != base
     assert cache_key(make_req(image=ImageAttachment(b"\x00\x01"))) != base
     assert cache_key(make_req(image=ImageAttachment(b"\x00\x02"))) != cache_key(
         make_req(image=ImageAttachment(b"\x00\x01"))
     )
 
 
-def test_temperature_defaults_to_zero():
-    assert Sampling().temperature == 0.0
+def test_cache_keys_are_pinned():
+    """A key's payload holds an empty system message and sampling (0.0,
+    4096), so caches written with those fields stay warm."""
+    assert cache_key(make_req()) == (
+        "36de1b1947a25e08e6ab79d1097ba9558c9f601a2d563c0fecf9ed49dfc8c301"
+    )
+    req = make_req(purpose="evaluate", image=ImageAttachment(b"png-bytes"))
+    assert cache_key(req) == "727f7af539ea5f80c13a176792555029e08efbb60627b34729b9f09e11d5dd46"
+
+
+def test_http_body_is_pinned():
+    """The HTTP body holds an empty system message, temperature 0.0 and
+    max_tokens 4096, and the post waits at most 120 s."""
+    posts = []
+
+    class Session:
+        def post(self, url, **kwargs):
+            posts.append((url, kwargs))
+            resp = requests.Response()
+            resp.status_code, resp._content = 200, b'{"text": "ok"}'
+            return resp
+
+    backend = HttpBackend("http://localhost:9/", session=Session())
+    assert backend.send(make_req(image=ImageAttachment(b"png-bytes"))) == "ok"
+    ((url, kwargs),) = posts
+    assert url == "http://localhost:9"
+    assert kwargs["timeout"] == 120.0
+    assert kwargs["json"] == {
+        "model": "m",
+        "messages": [
+            {"role": "system", "content": [{"type": "text", "text": ""}]},
+            {
+                "role": "user",
+                "content": [
+                    {"type": "text", "text": "hello"},
+                    {"type": "image", "media_type": "image/png", "data": "cG5nLWJ5dGVz"},
+                ],
+            },
+        ],
+        "temperature": 0.0,
+        "max_tokens": 4096,
+    }
 
 
 def test_scripted_single_reply():

@@ -36,7 +36,7 @@ from caploc.inject import (
     inject_round,
     run_adversarial,
 )
-from caploc.metrics import SentenceScore, TokenCounts, sentence_metrics
+from caploc.metrics import TokenCounts, sentence_metrics
 from caploc.modelgate import ModelGate, ModelRequest, Purpose, ScriptedBackend, ScriptRule
 from caploc.tagproto import (
     CLOSE_TAG,
@@ -48,8 +48,6 @@ from caploc.tagproto import (
     parse_tags,
 )
 from caploc.text import (
-    Sentence,
-    SentenceIndex,
     Token,
     TokenizedCaption,
     count_tokens,
@@ -382,26 +380,24 @@ def _oracle_is_boundary_after(tc: TokenizedCaption, token_index: int) -> bool:
     return saw_space and src[pos].isupper()
 
 
-def oracle_split_sentences(tc: TokenizedCaption) -> SentenceIndex:
-    if not tc.tokens:
-        return SentenceIndex()
-    sentences: list[Sentence] = []
+def oracle_split_sentences(tc: TokenizedCaption) -> tuple[int, ...]:
+    ends: list[int] = []
     start = 0
     for i in range(len(tc.tokens)):
         if _oracle_is_boundary_after(tc, i):
-            sentences.append(Sentence(token_start=start, token_end=i + 1))
+            ends.append(i + 1)
             start = i + 1
     if start < len(tc.tokens):
-        sentences.append(Sentence(token_start=start, token_end=len(tc.tokens)))
-    return SentenceIndex(tuple(sentences))
+        ends.append(len(tc.tokens))
+    return tuple(ends)
 
 
 def oracle_sentence_metrics(
-    gold: set[int], pred: set[int], sentences: SentenceIndex
-) -> tuple[SentenceScore, tuple[bool, ...], tuple[bool, ...]]:
-    """The score and the gold and predicted sentence labels, from one token
+    gold: set[int], pred: set[int], ends: tuple[int, ...]
+) -> tuple[TokenCounts, tuple[bool, ...], tuple[bool, ...]]:
+    """The counts and the gold and predicted sentence labels, from one token
     set per sentence."""
-    n = sentences.sentences[-1].token_end if len(sentences) else 0
+    n = ends[-1] if ends else 0
     bad = [i for i in gold | pred if not 0 <= i < n]
     if bad:
         raise ValueError(
@@ -409,13 +405,13 @@ def oracle_sentence_metrics(
         )
     gold_labels = []
     pred_labels = []
-    for s in sentences.sentences:
-        idx = set(s.token_indices)
+    for start, end in zip((0, *ends), ends):
+        idx = set(range(start, end))
         gold_labels.append(bool(idx & gold))
         pred_labels.append(bool(idx & pred))
     tp = sum(1 for g, p in zip(gold_labels, pred_labels) if g and p)
     counts = TokenCounts(tp, sum(pred_labels), sum(gold_labels))
-    return SentenceScore(prf=counts.prf(), counts=counts), tuple(gold_labels), tuple(pred_labels)
+    return counts, tuple(gold_labels), tuple(pred_labels)
 
 
 def oracle_parse_injector_response(
@@ -521,7 +517,6 @@ def oracle_inject_round(
     prompt = _injector_prompt(state, cfg)
     request = ModelRequest(
         model=cfg.injector_model,
-        system="",
         user=prompt,
         purpose=Purpose.INJECT.value,
         image=image if cfg.include_image else None,
@@ -1000,14 +995,14 @@ def sentence_cases(draw) -> tuple[str, set[int], set[int]]:
     return text, draw(st.sets(index, max_size=6)), draw(st.sets(index, max_size=6))
 
 
-def labeled_sentence_metrics(gold, pred, sentences):
-    """sentence_metrics' score with the test-side sentence labels."""
-    score = sentence_metrics(gold, pred, sentences)
-    return score, sentence_labels(gold, sentences), sentence_labels(pred, sentences)
+def labeled_sentence_metrics(gold, pred, ends):
+    """sentence_metrics' counts with the test-side sentence labels."""
+    counts = sentence_metrics(gold, pred, ends)
+    return counts, sentence_labels(gold, ends), sentence_labels(pred, ends)
 
 
 def sentence_outcome(score, case):
-    """The score and labels of a case, or the message of its ValueError."""
+    """The counts and labels of a case, or the message of its ValueError."""
     text, gold, pred = case
     try:
         return score(gold, pred, split_sentences(tokenize(text)))

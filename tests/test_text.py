@@ -23,7 +23,7 @@ def test_basic_sentence():
 def test_empty():
     tc = tokenize("")
     assert len(tc) == 0
-    assert split_sentences(tc).sentences == ()
+    assert split_sentences(tc) == ()
 
 
 def test_internal_punctuation_attached():
@@ -132,10 +132,11 @@ def test_sentence_partition_property():
     for _ in range(300):
         src = _random_text(rng)
         tc = tokenize(src)
-        si = split_sentences(tc)
+        ends = split_sentences(tc)
         covered = []
-        for s in si.sentences:
-            covered.extend(s.token_indices)
+        for start, end in zip((0, *ends), ends):
+            assert start < end
+            covered.extend(range(start, end))
         assert covered == list(range(len(tc)))
 
 
