@@ -396,30 +396,23 @@ def _is_number(value: object) -> bool:
 
 
 def _token_scores_by_model(kind: str, reports: list[dict]) -> dict[str, dict]:
-    """model -> overall token scores; a report that lacks them, or repeats a
-    model, raises a ValueError naming it by its position in the list."""
+    """model -> token scores of the card each report's rows make, as caploc
+    report reads them; a malformed report, or one that repeats a model,
+    raises a ValueError naming it by its position in the list."""
     out = {}
     position: dict[str, int] = {}
-    for i, report in enumerate(reports, 1):
+    for i, data in enumerate(reports, 1):
         try:
-            model, token = report["model"], report["overall"]["token"]
-            scores = {m: token[m] for m in ("p", "r", "f1")}
-        except (KeyError, TypeError) as exc:
+            report = EvalReport.from_dict(data)
+        except ValueError as exc:
+            raise ValueError(f"correlate_settings: {kind} report {i}: {exc}") from exc
+        if report.model in position:
             raise ValueError(
-                f"correlate_settings: {kind} report {i}: {type(exc).__name__}: {exc}"
-            ) from exc
-        if not isinstance(model, str) or not all(_is_number(v) for v in scores.values()):
-            raise ValueError(
-                f"correlate_settings: {kind} report {i}: model is not a string "
-                "or a token score is not a finite number"
+                f"correlate_settings: {kind} reports {position[report.model]} and {i} "
+                f"are both for model {report.model!r}"
             )
-        if model in position:
-            raise ValueError(
-                f"correlate_settings: {kind} reports {position[model]} and {i} "
-                f"are both for model {model!r}"
-            )
-        position[model] = i
-        out[model] = scores
+        position[report.model] = i
+        out[report.model] = report.card.token.to_dict()
     return out
 
 

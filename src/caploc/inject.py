@@ -8,15 +8,17 @@ replacement tokens. The working caption is always re-derived from the clean
 caption plus surviving spans, so untagged regions are token-identical to the
 clean caption by construction, and reverting a span is simply dropping it.
 
-A reply is the caption with its edits tagged. The keep chain of its diff
-against the clean caption takes each kept reply token to its clean token, and
-the two ends to each other. A maximal tagged run whose tokens are all kept is
-unchanged and dropped. Any other run becomes the clean tokens between its two
-neighbours if both are kept, no clean token is missing at either edge and no
-token holds a tag literal, and is reported otherwise, as are untagged edits and
-missing clean tokens. A reply with a problem is retried once with a reminder;
-the retry's aligned spans are kept, and the round fails only if the retry
-tagged text and none of it aligned.
+A reply is the caption with its edits tagged. Its diff against the clean
+caption gives the spans, by the rule that makes real gold from a caption and
+its correction (diffannot.extract_gold_spans): each gap, a block between two
+kept tokens, whose reply tokens are all tagged becomes one span over the
+gap's clean tokens, labelled by the position of the tagged run that holds it.
+A tagged word the diff keeps is unchanged and never gold. A gap with an
+untagged reply token, one with a tag literal, and clean tokens missing from
+the reply are problems. A reply with a problem is retried once with a
+reminder; the retry's spans are kept, and the round fails only if the retry
+tagged text and gave no span. max_spans counts tagged runs: the spans of the
+first max_spans runs that give one are kept.
 """
 
 from __future__ import annotations
@@ -104,10 +106,6 @@ class InjectedSpan:
     clean_end: int
     replacement: tuple[str, ...]
     dimension: str = Dimension.OTHER.value
-
-    @property
-    def identity(self) -> tuple:
-        return (self.clean_start, self.clean_end, self.replacement)
 
 
 @dataclass(frozen=True)
@@ -207,62 +205,42 @@ def _split_labels(response: str) -> tuple[str, list[str]]:
 def _parse_injector_response(
     response: str, clean: TokenizedCaption, cfg: InjectionConfig
 ) -> tuple[list[InjectedSpan], list[str], bool]:
-    """The clean-anchored spans of a tagged injector reply (see the module
-    docstring), the problems found, and whether the reply tagged anything.
-    A reply with no problems is a faithful one."""
+    """The clean-anchored spans of a tagged injector reply, one per gap of
+    its diff against the clean caption (see the module docstring), the
+    problems found, and whether the reply tagged anything. A reply with no
+    problems is a faithful one."""
     tagged_part, labels = _split_labels(response)
     parsed = parse_tags(tagged_part)
-    out_tc = tokenize(parsed.stripped)
-    marked = marked_token_indices(out_tc, parsed.marked_ranges)
-    script = diff_tokens(out_tc, clean)
+    out = tokenize(parsed.stripped)
+    marked = marked_token_indices(out, parsed.marked_ranges)
+    run_of = {g: i for i, (a, b) in enumerate(runs(marked)) for g in range(a, b)}
 
     problems: list[str] = []
-    inserts: set[int] = set()  # g positions an insert gap sits in front of
-    for g_start, g_end, c_start, c_end in script.gaps():
-        if g_start == g_end:
-            inserts.add(g_start)
+    found: list[tuple[int, InjectedSpan]] = []  # (index of its tagged run, span)
+    for g_start, g_end, c_start, c_end in diff_tokens(out, clean).gaps():
+        replacement = out.texts[g_start:g_end]
+        untagged = [g for g in range(g_start, g_end) if g not in marked]
+        if not replacement:
             problems.append(f"clean tokens [{c_start}, {c_end}) missing from the output")
+        elif untagged:
+            problems.append(f"untagged output tokens {untagged} differ from the clean caption")
+        elif any(OPEN_TAG in t or CLOSE_TAG in t for t in replacement):
+            problems.append(f"span [{g_start}, {g_end}) holds a tag literal")
         else:
-            untagged = [g for g in range(g_start, g_end) if g not in marked]
-            if untagged:
-                problems.append(f"untagged output tokens {untagged} differ from the clean caption")
+            run = run_of[g_start]
+            label = labels[run] if run < len(labels) else Dimension.OTHER.value
+            if label not in DIMENSION_VALUES:
+                logger.warning("unknown span label %r, using %r", label, Dimension.OTHER.value)
+                label = Dimension.OTHER.value
+            found.append((run, InjectedSpan(c_start, c_end, replacement, label)))
 
-    # a copy of the script's map, with the two ends aligned too
-    kept = {-1: -1, **script.kept, len(out_tc): len(clean)}
-    spans: list[InjectedSpan] = []
-    for a, b in runs(marked):
-        if all(g in kept for g in range(a, b)):
-            logger.info("dropping tagged span [%d, %d): text is unchanged", a, b)
-            continue
-        if a - 1 not in kept or b not in kept or a in inserts or b in inserts:
-            problems.append(f"span [{a}, {b}) does not align to the clean caption")
-            continue
-        replacement = out_tc.texts[a:b]
-        if any(OPEN_TAG in t or CLOSE_TAG in t for t in replacement):
-            problems.append(f"span [{a}, {b}) holds a tag literal")
-            continue
-        spans.append(
-            InjectedSpan(
-                clean_start=kept[a - 1] + 1,
-                clean_end=kept[b],
-                replacement=replacement,
-            )
-        )
-
-    if len(spans) > cfg.max_spans:
+    changed = sorted({run for run, _ in found})
+    if len(changed) > cfg.max_spans:
         logger.warning(
-            "injector produced %d spans; keeping the first %d", len(spans), cfg.max_spans
+            "injector changed %d tagged runs; keeping the first %d", len(changed), cfg.max_spans
         )
-        spans = spans[: cfg.max_spans]
-
-    labeled: list[InjectedSpan] = []
-    for i, s in enumerate(spans):
-        label = labels[i] if i < len(labels) else Dimension.OTHER.value
-        if label not in DIMENSION_VALUES:
-            logger.warning("unknown span label %r, using %r", label, Dimension.OTHER.value)
-            label = Dimension.OTHER.value
-        labeled.append(dc_replace(s, dimension=label))
-    return labeled, problems, bool(parsed.marked_ranges)
+        found = [(run, span) for run, span in found if run <= changed[cfg.max_spans - 1]]
+    return [span for _, span in found], problems, bool(parsed.marked_ranges)
 
 
 def _injector_prompt(state: InjectionState, cfg: InjectionConfig) -> str:
@@ -318,7 +296,7 @@ def inject_round(
         raise InjectionError(
             "injector produced no usable tagged spans after retry: " + "; ".join(problems)
         )
-    state.spans = sorted(spans, key=lambda s: (s.clean_start, s.clean_end))
+    state.spans = spans
     return state
 
 

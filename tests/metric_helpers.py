@@ -1,7 +1,9 @@
-"""Test-side scoring views that the scoring pipeline itself never builds."""
+"""Test-side scoring views that the scoring pipeline itself never builds,
+and reports built from given counts."""
 
 from __future__ import annotations
 
+from caploc.evalrun import EvalReport, card_from_rows
 from caploc.metrics import PRF, token_counts
 
 
@@ -21,3 +23,29 @@ def sentence_labels(indices: set[int], ends: tuple[int, ...]) -> tuple[bool, ...
     return tuple(
         any(start <= i < end for i in indices) for start, end in zip((0, *ends), ends)
     )
+
+
+def report_dict(model: str, intersection: int, predicted: int, gold: int) -> dict:
+    """The report.json of one scored sample whose token and sentence counts
+    are the given ones, as EvalReport.to_dict writes it."""
+    counts = {"intersection": intersection, "predicted": predicted, "gold": gold}
+    row = {
+        "id": "s",
+        "domain": "nature",
+        "token": counts,
+        "sentence": dict(counts),
+        "dimensions": {},
+        "faithful": True,
+        "alignment_coverage": 1.0,
+        "parse_status": "ok",
+    }
+    return EvalReport(
+        model=model,
+        dataset_sha256="0" * 64,
+        coverage=1.0,
+        card=card_from_rows([row]),
+        samples=[row],
+        skipped=[],
+        tool_versions={},
+        generated_at="",
+    ).to_dict()

@@ -254,10 +254,10 @@ def test_criterion_05():
             if not state.spans:
                 state.round += 1
                 continue
-            before = {s.identity for s in state.spans}
+            before = set(state.spans)
             detected = detect_round(state, cfg, gate)
             filter_detected(state, detected, cfg)
-            after = {s.identity for s in state.spans}
+            after = set(state.spans)
             assert after <= before, entry
 
 

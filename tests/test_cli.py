@@ -16,6 +16,7 @@ from caploc.cli import main
 from caploc.corpus import BenchmarkSample, HallucinationSpan, load_dataset, save_dataset
 from caploc.fixtures import build_fixture
 from caploc.modelgate import ScriptedBackend, ScriptRule
+from metric_helpers import report_dict
 
 TAG = "<HALLUCINATION>"
 END = "</HALLUCINATION>"
@@ -1393,18 +1394,16 @@ def test_malformed_input_file_exits_1(tmp_path, capsys, case):
 
 
 class TestCorrelate:
-    def write_report(self, tmp_path, name, model, p, r, f1):
+    def write_report(self, tmp_path, name, model, intersection, predicted, gold):
         path = tmp_path / name
-        path.write_text(
-            json.dumps({"model": model, "overall": {"token": {"p": p, "r": r, "f1": f1}}})
-        )
+        path.write_text(json.dumps(report_dict(model, intersection, predicted, gold)))
         return path
 
     def test_correlate_outputs_rho(self, tmp_path, capsys):
-        r1 = self.write_report(tmp_path, "r1.json", "a", 0.1, 0.2, 0.1)
-        r2 = self.write_report(tmp_path, "r2.json", "b", 0.8, 0.9, 0.7)
-        s1 = self.write_report(tmp_path, "s1.json", "a", 0.2, 0.9, 0.3)
-        s2 = self.write_report(tmp_path, "s2.json", "b", 0.9, 0.1, 0.8)
+        r1 = self.write_report(tmp_path, "r1.json", "a", 1, 10, 5)
+        r2 = self.write_report(tmp_path, "r2.json", "b", 8, 10, 9)
+        s1 = self.write_report(tmp_path, "s1.json", "a", 3, 15, 5)
+        s2 = self.write_report(tmp_path, "s2.json", "b", 9, 10, 18)
         code = main(
             ["correlate", "--real", f"{r1},{r2}", "--synthetic", f"{s1},{s2}"]
         )
@@ -1413,23 +1412,23 @@ class TestCorrelate:
         assert rho == {"p": 1.0, "r": -1.0, "f1": 1.0}
 
     def test_model_mismatch_exits_1(self, tmp_path, capsys):
-        r1 = self.write_report(tmp_path, "r1.json", "a", 0.1, 0.2, 0.1)
-        r2 = self.write_report(tmp_path, "r2.json", "b", 0.8, 0.9, 0.7)
-        s1 = self.write_report(tmp_path, "s1.json", "a", 0.2, 0.9, 0.3)
-        s2 = self.write_report(tmp_path, "s2.json", "c", 0.9, 0.1, 0.8)
+        r1 = self.write_report(tmp_path, "r1.json", "a", 1, 10, 5)
+        r2 = self.write_report(tmp_path, "r2.json", "b", 8, 10, 9)
+        s1 = self.write_report(tmp_path, "s1.json", "a", 3, 15, 5)
+        s2 = self.write_report(tmp_path, "s2.json", "c", 9, 10, 18)
         code = main(
             ["correlate", "--real", f"{r1},{r2}", "--synthetic", f"{s1},{s2}"]
         )
         assert code == 1
 
-    def test_report_without_overall_exits_1(self, tmp_path, capsys):
-        r1 = self.write_report(tmp_path, "r1.json", "a", 0.1, 0.2, 0.1)
-        r2 = self.write_report(tmp_path, "r2.json", "b", 0.8, 0.9, 0.7)
-        s1 = self.write_report(tmp_path, "s1.json", "a", 0.2, 0.9, 0.3)
+    def test_report_without_rows_exits_1(self, tmp_path, capsys):
+        r1 = self.write_report(tmp_path, "r1.json", "a", 1, 10, 5)
+        r2 = self.write_report(tmp_path, "r2.json", "b", 8, 10, 9)
+        s1 = self.write_report(tmp_path, "s1.json", "a", 3, 15, 5)
         s2 = tmp_path / "s2.json"
-        s2.write_text(json.dumps({"model": "b"}))
+        s2.write_text(json.dumps({"model": "b", "overall": {"token": {"p": 1, "r": 1, "f1": 1}}}))
         code = main(
             ["correlate", "--real", f"{r1},{r2}", "--synthetic", f"{s1},{s2}"]
         )
         assert code == 1
-        assert "synthetic report 2: KeyError: 'overall'" in capsys.readouterr().err
+        assert "synthetic report 2: malformed report: KeyError: 'samples'" in capsys.readouterr().err

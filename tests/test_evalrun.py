@@ -46,6 +46,7 @@ from caploc.evalrun import (
     sweep_rounds,
     write_transcripts,
 )
+from metric_helpers import report_dict
 
 TAG = "<HALLUCINATION>"
 END = "</HALLUCINATION>"
@@ -573,31 +574,44 @@ def normalized(path):
     return {**json.loads(path.read_text(encoding="utf-8")), "generated_at": ""}
 
 
+def edited_row(table: str, count: str, value) -> dict:
+    """A report for model "b" whose one row holds value as the given count."""
+    report = report_dict("b", 1, 1, 1)
+    report["samples"][0][table][count] = value
+    return report
+
+
 class TestCorrelateSettings:
-    def report(self, model, p, r, f1):
-        return {"model": model, "overall": {"token": {"p": p, "r": r, "f1": f1}}}
+    report = staticmethod(report_dict)
 
     def test_rank_agreement(self):
         real = [
-            self.report("m1", 0.2, 0.9, 0.1),
-            self.report("m2", 0.5, 0.5, 0.4),
-            self.report("m3", 0.9, 0.1, 0.8),
+            self.report("m1", 1, 10, 2),
+            self.report("m2", 3, 6, 5),
+            self.report("m3", 4, 5, 20),
         ]
         syn = [
-            self.report("m3", 0.7, 0.3, 0.9),
-            self.report("m1", 0.1, 0.8, 0.2),
-            self.report("m2", 0.4, 0.6, 0.5),
+            self.report("m3", 7, 9, 30),
+            self.report("m1", 1, 8, 2),
+            self.report("m2", 4, 8, 6),
         ]
         rho = correlate_settings(real, syn)
         assert rho == {"p": 1.0, "r": 1.0, "f1": 1.0}
 
     def test_reversed_ranks(self):
-        real = [self.report("a", 0.1, 0.5, 0.1), self.report("b", 0.9, 0.5, 0.9)]
-        syn = [self.report("a", 0.9, 0.5, 0.2), self.report("b", 0.1, 0.5, 0.7)]
+        # with r equal across models, f1 follows p
+        real = [self.report("a", 1, 10, 2), self.report("b", 9, 10, 18)]
+        syn = [self.report("a", 9, 10, 18), self.report("b", 1, 10, 2)]
         rho = correlate_settings(real, syn)
-        assert rho["p"] == -1.0
-        assert rho["r"] is None  # constant vector
-        assert rho["f1"] == 1.0
+        assert rho == {"p": -1.0, "r": None, "f1": -1.0}  # r is a constant vector
+
+    def test_scores_come_from_the_rows_not_the_overall_block(self):
+        # an edited overall block reads as its rows do, as caploc report reads it
+        real = [self.report("a", 0, 2, 2), self.report("b", 2, 2, 2)]
+        syn = [self.report("a", 0, 2, 2), self.report("b", 1, 2, 2)]
+        syn[0]["overall"]["token"] = {"p": 0.9, "r": 0.9, "f1": 0.9}
+        rho = correlate_settings(real, syn)
+        assert rho == {"p": 1.0, "r": 1.0, "f1": 1.0}
 
     def test_model_set_mismatch(self):
         with pytest.raises(ValueError, match="model sets differ"):
@@ -609,13 +623,13 @@ class TestCorrelateSettings:
     @pytest.mark.parametrize(
         "bad",
         [
-            {"model": "b"},
-            {"model": "b", "overall": {"token": {"p": "1", "r": 1, "f1": 1}}},
+            {"model": "b", "overall": {"token": {"p": 1, "r": 1, "f1": 1}}},
+            edited_row("token", "intersection", "1"),
             [1],
-            {"model": "b", "overall": {"token": {"p": math.nan, "r": 1, "f1": 1}}},
-            {"model": "b", "overall": {"token": {"p": 1, "r": 1, "f1": -math.inf}}},
+            edited_row("token", "predicted", math.nan),
+            edited_row("sentence", "gold", -math.inf),
         ],
-        ids=["no_overall", "string_score", "not_an_object", "nan_score", "infinite_score"],
+        ids=["no_rows", "string_score", "not_an_object", "nan_score", "infinite_score"],
     )
     def test_malformed_report_raises_value_error(self, bad):
         with pytest.raises(ValueError, match="synthetic report 2"):

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from caploc.corpus import BenchmarkSample, HallucinationSpan, validate_sample
 from caploc.inject import (
     _QUOTED_RE,
+    _parse_injector_response,
     DetectedSpan,
     InjectedSpan,
     InjectionConfig,
@@ -185,17 +186,51 @@ class TestInjectRound:
         with pytest.raises(InjectionError):
             inject_round("   ", CFG, gate)
 
+    def test_labels_follow_the_position_of_the_tagged_run(self):
+        # "red" is tagged but unchanged, so it gives no span; "two" is the
+        # second tagged run and takes the second label
+        gate, _ = make_gate(
+            [inject_rule(f"a {TAG}red{END} car near {TAG}two{END} gates.\nLABELS: color, number")]
+        )
+        state = inject_round("a red car near the gates.", CFG, gate)
+        assert state.spans == [InjectedSpan(4, 5, ("two",), "number")]
+
+    def test_unchanged_words_inside_a_tagged_run_are_not_gold(self):
+        gate, _ = make_gate([inject_rule(f"a {TAG}blue car{END} goes.\nLABELS: color")])
+        state = inject_round("a red car goes.", CFG, gate)
+        assert state.spans == [InjectedSpan(1, 2, ("blue",), "color")]
+
+    def test_one_run_may_give_several_spans_with_its_label(self):
+        cfg = InjectionConfig(max_spans=1, include_image=False)
+        gate, _ = make_gate(
+            [inject_rule(f"a {TAG}blue car with two{END} doors.\nLABELS: color")]
+        )
+        state = inject_round("a red car with four doors.", cfg, gate)
+        assert state.spans == [
+            InjectedSpan(1, 2, ("blue",), "color"),
+            InjectedSpan(4, 5, ("two",), "color"),
+        ]
+
     @pytest.mark.parametrize(
-        "reply",
-        [f"p {TAG}r X{END} s.", f"p {TAG}X q{END} s."],
-        ids=["clean_token_missing_at_left_edge", "clean_token_missing_at_right_edge"],
+        "reply, missing, kept, caption",
+        [
+            (f"p {TAG}r X{END} s.", "[1, 2)", InjectedSpan(3, 3, ("X",)), "p q r X s."),
+            (f"p {TAG}X q{END} s.", "[2, 3)", InjectedSpan(1, 1, ("X",)), "p X q r s."),
+        ],
+        ids=["left_edge", "right_edge"],
     )
-    def test_run_next_to_a_missing_clean_token_does_not_align(self, reply):
-        # the run's neighbours are kept, but a clean token is missing right
-        # at its edge: the run is reported, not stretched over the gap
-        gate, _ = make_gate([inject_rule(reply, reply)])
-        with pytest.raises(InjectionError, match=r"span \[1, 3\) does not align"):
-            inject_round("p q r s.", CFG, gate)
+    def test_missing_clean_token_beside_a_run_is_reported(self, reply, missing, kept, caption):
+        # a clean token is dropped right at the edge of a tagged run: the drop
+        # is a problem, so the reply is retried, and the run's inserted "X",
+        # a gap of its own, survives the salvage
+        spans, problems, _ = _parse_injector_response(reply, tokenize("p q r s."), CFG)
+        assert problems == [f"clean tokens {missing} missing from the output"]
+        assert spans == [kept]
+        gate, backend = make_gate([inject_rule(reply, reply)])
+        state = inject_round("p q r s.", CFG, gate)
+        assert len(backend.requests) == 2
+        assert state.spans == [kept]
+        assert state.current_text() == caption
 
 
 class TestDetectRound:

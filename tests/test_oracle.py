@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace as dc_replace
 from hypothesis import example, given, settings, strategies as st
 
 from caploc.corpus import DIMENSION_VALUES, BenchmarkSample, Dimension, HallucinationSpan
-from caploc.diffannot import _keep_steps, _masks, diff_tokens
+from caploc.diffannot import _keep_steps, _masks, diff_tokens, extract_gold_spans
 from caploc.inject import (
     InjectedSpan,
     InjectionConfig,
@@ -417,30 +417,15 @@ def oracle_sentence_metrics(
 def oracle_parse_injector_response(
     response: str, clean: TokenizedCaption, cfg: InjectionConfig, strict: bool
 ) -> tuple[list[InjectedSpan], list[str]]:
+    """Each replace or delete op whose output tokens are all tagged and hold
+    no tag literal becomes one span over its clean range, labelled by the
+    position of the tagged run that holds it; every other non-keep op is a
+    problem. Strict mode returns no spans when there is a problem."""
     tagged_part, labels = _split_labels(response)
     parsed = parse_tags(tagged_part)
     out_tc = tokenize(parsed.stripped)
     marked = marked_token_indices(out_tc, parsed.marked_ranges)
     script = oracle_diff_tokens(out_tc, clean)
-
-    problems: list[str] = []
-    op_at: list = [None] * len(out_tc)
-    insert_positions: set[int] = set()
-    for op in script.ops:
-        for g in range(op.g_start, op.g_end):
-            op_at[g] = op
-        if op.kind == INSERT:
-            insert_positions.add(op.g_start)
-            problems.append(
-                f"clean tokens [{op.c_start}, {op.c_end}) missing from the output"
-            )
-        elif op.kind in (REPLACE, DELETE):
-            untagged = [g for g in range(op.g_start, op.g_end) if g not in marked]
-            if untagged:
-                problems.append(f"untagged output tokens {untagged} differ from the clean caption")
-
-    if strict and problems:
-        return [], problems
 
     runs: list[tuple[int, int]] = []
     for idx in sorted(marked):
@@ -449,50 +434,42 @@ def oracle_parse_injector_response(
         else:
             runs.append((idx, idx + 1))
 
-    def c_position(g: int, end_side: bool) -> int:
-        op = op_at[g]
+    problems: list[str] = []
+    candidates: list[tuple[int, InjectedSpan]] = []
+    for op in script.ops:
         if op.kind == KEEP:
-            return op.c_start + (g - op.g_start) + (1 if end_side else 0)
-        return op.c_end if end_side else op.c_start
+            continue
+        if op.kind == INSERT:
+            problems.append(f"clean tokens [{op.c_start}, {op.c_end}) missing from the output")
+            continue
+        untagged = [g for g in range(op.g_start, op.g_end) if g not in marked]
+        texts = tuple(t.text for t in out_tc.tokens[op.g_start : op.g_end])
+        if untagged:
+            problems.append(f"untagged output tokens {untagged} differ from the clean caption")
+        elif any(OPEN_TAG in t or CLOSE_TAG in t for t in texts):
+            problems.append(f"span [{op.g_start}, {op.g_end}) holds a tag literal")
+        else:
+            run = next(i for i, (a, b) in enumerate(runs) if a <= op.g_start < b)
+            assert op.g_end <= runs[run][1]
+            candidates.append((run, InjectedSpan(op.c_start, op.c_end, texts)))
 
-    spans: list[InjectedSpan] = []
-    for a, b in runs:
-        ops_in_run = {id(op_at[g]): op_at[g] for g in range(a, b)}.values()
-        if all(op.kind == KEEP for op in ops_in_run):
-            logger.info("dropping tagged span [%d, %d): text is unchanged", a, b)
-            continue
-        partial = any(
-            op.kind != KEEP
-            and any(g not in marked for g in range(op.g_start, op.g_end))
-            for op in ops_in_run
-        )
-        boundary_insert = a in insert_positions or b in insert_positions
-        neighbors_kept = (a == 0 or op_at[a - 1].kind == KEEP) and (
-            b == len(out_tc) or op_at[b].kind == KEEP
-        )
-        if partial or boundary_insert or not neighbors_kept:
-            problems.append(f"span [{a}, {b}) does not align to the clean caption")
-            continue
-        if any(OPEN_TAG in t.text or CLOSE_TAG in t.text for t in out_tc.tokens[a:b]):
-            problems.append(f"span [{a}, {b}) holds a tag literal")
-            continue
-        spans.append(
-            InjectedSpan(
-                clean_start=c_position(a, end_side=False),
-                clean_end=c_position(b - 1, end_side=True),
-                replacement=tuple(t.text for t in out_tc.tokens[a:b]),
-            )
-        )
+    if strict and problems:
+        return [], problems
 
-    if len(spans) > cfg.max_spans:
+    changed_runs = sorted({run for run, _ in candidates})
+    if len(changed_runs) > cfg.max_spans:
         logger.warning(
-            "injector produced %d spans; keeping the first %d", len(spans), cfg.max_spans
+            "injector changed %d tagged runs; keeping the first %d",
+            len(changed_runs),
+            cfg.max_spans,
         )
-        spans = spans[: cfg.max_spans]
+    allowed = set(changed_runs[: cfg.max_spans])
 
     labeled: list[InjectedSpan] = []
-    for i, s in enumerate(spans):
-        label = labels[i] if i < len(labels) else Dimension.OTHER.value
+    for run, s in candidates:
+        if run not in allowed:
+            continue
+        label = labels[run] if run < len(labels) else Dimension.OTHER.value
         if label not in DIMENSION_VALUES:
             logger.warning("unknown span label %r, using %r", label, Dimension.OTHER.value)
             label = Dimension.OTHER.value
@@ -731,6 +708,26 @@ def planted_replies(draw, clean_words: list[str]) -> str:
     out = list(clean_words)
     for i in draw(st.sets(st.integers(0, len(out) - 1), min_size=1, max_size=2)):
         out[i] = f"{OPEN_TAG}{draw(st.sampled_from(['blue', 'green']))}{CLOSE_TAG}"
+    return " ".join(out)
+
+
+@st.composite
+def tagged_replies(draw, clean_words: list[str]) -> str:
+    """A reply that edits only inside its tags: each clean word kept, tagged
+    as it is, swapped or preceded by a word, all from INJECT_VOCAB, so one
+    tagged run may hold changed and unchanged words."""
+    words = st.sampled_from(INJECT_VOCAB)
+    items: list[tuple[str, bool]] = []  # (word, tagged)
+    for word in clean_words:
+        edit = draw(st.sampled_from(["keep", "keep", "tag", "swap", "insert"]))
+        if edit == "insert":
+            items.append((draw(words), True))
+        items.append((draw(words) if edit == "swap" else word, edit in ("tag", "swap")))
+    out: list[str] = []
+    for i, (word, tagged) in enumerate(items):
+        opens = tagged and (i == 0 or not items[i - 1][1])
+        closes = tagged and (i == len(items) - 1 or not items[i + 1][1])
+        out.append(f"{OPEN_TAG if opens else ''}{word}{CLOSE_TAG if closes else ''}")
     return " ".join(out)
 
 
@@ -1043,7 +1040,8 @@ def run_injection(inject, start, cfg, replies):
 def test_inject_round_matches_oracle(data):
     clean_words = data.draw(st.lists(st.sampled_from(INJECT_VOCAB), min_size=1, max_size=8))
     caption = " ".join(clean_words)
-    replies = [data.draw(injector_replies(clean_words)), data.draw(injector_replies(clean_words))]
+    reply = st.one_of(injector_replies(clean_words), tagged_replies(clean_words))
+    replies = [data.draw(reply), data.draw(reply)]
     cfg = InjectionConfig(max_spans=data.draw(st.integers(1, 3)), include_image=False)
     start = caption
     if data.draw(st.booleans()):
@@ -1095,7 +1093,12 @@ def adversarial_cases(draw):
     # at most one injection per round plus the first, each with a retry
     inject_replies = [
         draw(
-            st.one_of(st.just(caption), planted_replies(clean_words), injector_replies(clean_words))
+            st.one_of(
+                st.just(caption),
+                planted_replies(clean_words),
+                injector_replies(clean_words),
+                tagged_replies(clean_words),
+            )
         )
         for _ in range(2 * (k + 1))
     ]
@@ -1129,6 +1132,34 @@ def test_each_round_of_one_run_matches_an_oracle_run_of_that_many_rounds(case):
         )
         assert outcome.sample_after(r).to_dict() == want.sample.to_dict(), r
     assert outcome.sample == outcome.sample_after(cfg.rounds)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_synthetic_gold_of_a_faithful_reply_is_the_gold_annotate_marks(data):
+    """At K = 0 the gold of a reply with no problems marks exactly the tokens
+    that the diff of the synthetic caption against its clean caption marks,
+    the rule caploc annotate makes real gold by."""
+    clean_words = data.draw(st.lists(st.sampled_from(INJECT_VOCAB), min_size=1, max_size=8))
+    caption = " ".join(clean_words)
+    reply = data.draw(
+        st.one_of(
+            tagged_replies(clean_words), planted_replies(clean_words), injector_replies(clean_words)
+        )
+    )
+    cfg = InjectionConfig(rounds=0, max_spans=data.draw(st.integers(1, 3)), include_image=False)
+    clean = BenchmarkSample(id="s", image="", domain="nature", caption=caption, gold_spans=[])
+    try:
+        outcome = run_adversarial(clean, cfg, loop_gate([reply, reply], []))
+    except InjectionError:
+        return  # only a reply with a problem can fail
+    if [entry["phase"] for entry in outcome.state.audit] != ["inject"]:
+        return  # the reply had a problem and was retried
+    sample = outcome.sample
+    annotated = extract_gold_spans(diff_tokens(tokenize(sample.caption), tokenize(caption)))
+    assert {i for s in sample.gold_spans for i in range(s.start, s.end)} == {
+        i for s in annotated for i in range(s.start, s.end)
+    }
 
 
 def test_token_repr_and_fields_unchanged():
