@@ -96,7 +96,10 @@ class BenchmarkSample:
     clean_caption: str | None = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """asdict(self), built from the fields without its deep copy."""
+        spans = [{"start": s.start, "end": s.end, "dimension": s.dimension} for s in self.gold_spans]
+        return {"id": self.id, "image": self.image, "domain": self.domain, "caption": self.caption,
+                "gold_spans": spans, "variant": self.variant, "clean_caption": self.clean_caption}
 
     @classmethod
     def from_dict(cls, data: dict) -> BenchmarkSample:
@@ -216,8 +219,8 @@ def validate_sample(sample: BenchmarkSample) -> list[ValidationIssue]:
 
     # every whitespace chunk holds at least one token, so the chunk count
     # bounds the token count from below; the exact count is taken only for
-    # a span that does not fit within the bound
-    chunks = len(sample.caption.split())
+    # a span that does not fit within the bound, and the bound only for spans
+    chunks = len(sample.caption.split()) if sample.gold_spans else 0
     n = None
     prev_end = None
     prev_idx = None

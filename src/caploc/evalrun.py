@@ -44,7 +44,6 @@ from .inject import (
 )
 from .metrics import (
     RecallCounts,
-    SampleScore,
     ScoreCard,
     TokenCounts,
     aggregate,
@@ -228,25 +227,22 @@ def card_from_rows(rows: list[dict]) -> ScoreCard:
     whose counts TokenCounts or RecallCounts refuse raises ValueError naming
     the row; a missing key raises KeyError, a row of the wrong shape TypeError.
     """
-    scores: list[SampleScore] = []
     for i, row in enumerate(rows):
         try:
-            score = SampleScore(
-                sample_id=row["id"],
-                domain=row["domain"],
-                token=TokenCounts(**row["token"]),
-                sentence=TokenCounts(**row["sentence"]),
-                dimensions={d: RecallCounts(**rc) for d, rc in row["dimensions"].items()},
-                faithful=row["faithful"],
-            )
-            if not (isinstance(score.sample_id, str) and isinstance(score.domain, str)):
+            sample_id, domain = row["id"], row["domain"]
+            # built for their checks only: aggregate sums the rows themselves
+            TokenCounts(**row["token"])
+            TokenCounts(**row["sentence"])
+            for _, rc in row["dimensions"].items():
+                RecallCounts(**rc)
+            faithful = row["faithful"]
+            if not (isinstance(sample_id, str) and isinstance(domain, str)):
                 raise ValueError("id or domain is not a string")
-            if type(score.faithful) is not bool:
-                raise ValueError(f"faithful is {score.faithful!r}, not a boolean")
+            if type(faithful) is not bool:
+                raise ValueError(f"faithful is {faithful!r}, not a boolean")
         except ValueError as exc:
             raise ValueError(f"sample row {i}: {exc}") from None
-        scores.append(score)
-    return aggregate(scores)
+    return aggregate(rows)
 
 
 def score_outputs(

@@ -48,23 +48,21 @@ class TokenCounts:
         if self.intersection > min(self.predicted, self.gold):
             raise ValueError("TokenCounts: intersection exceeds a side")
 
-    def __add__(self, other: TokenCounts) -> TokenCounts:
-        return TokenCounts(
-            self.intersection + other.intersection,
-            self.predicted + other.predicted,
-            self.gold + other.gold,
-        )
-
     def to_dict(self) -> dict:
         return {"intersection": self.intersection, "predicted": self.predicted, "gold": self.gold}
 
     def prf(self) -> PRF:
-        if self.predicted == 0 and self.gold == 0:
-            return PRF(1.0, 1.0, 1.0)
-        p = self.intersection / self.predicted if self.predicted else 0.0
-        r = self.intersection / self.gold if self.gold else 0.0
-        f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
-        return PRF(p, r, f1)
+        return PRF(*_prf(self.intersection, self.predicted, self.gold))
+
+
+def _prf(intersection: int, predicted: int, gold: int) -> tuple[float, float, float]:
+    """(p, r, f1) of intersection, predicted and gold counts, by the empty-set
+    conventions."""
+    if predicted == 0 and gold == 0:
+        return 1.0, 1.0, 1.0
+    p = intersection / predicted if predicted else 0.0
+    r = intersection / gold if gold else 0.0
+    return p, r, 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
 def token_counts(gold: set[int], pred: set[int]) -> TokenCounts:
@@ -100,9 +98,6 @@ class RecallCounts:
         if self.hit > self.total:
             raise ValueError("RecallCounts: hit exceeds total")
 
-    def __add__(self, other: RecallCounts) -> RecallCounts:
-        return RecallCounts(self.hit + other.hit, self.total + other.total)
-
     def to_dict(self) -> dict:
         return {"hit": self.hit, "total": self.total}
 
@@ -112,24 +107,13 @@ def dimension_counts(
 ) -> dict[str, RecallCounts]:
     """Per-dimension hit/total token counts; only dimensions with gold tokens
     appear."""
-    out: dict[str, RecallCounts] = {}
+    sums: dict[str, list[int]] = {}
     for span in gold_spans:
-        tokens = set(range(span.start, span.end))
-        prev = out.get(span.dimension, RecallCounts(0, 0))
-        out[span.dimension] = prev + RecallCounts(len(tokens & pred), len(tokens))
-    return out
-
-
-@dataclass(frozen=True)
-class SampleScore:
-    """Everything scoring needs to remember about one sample."""
-
-    sample_id: str
-    domain: str
-    token: TokenCounts
-    sentence: TokenCounts
-    dimensions: dict[str, RecallCounts]
-    faithful: bool
+        tokens = range(span.start, span.end)
+        hit_total = sums.setdefault(span.dimension, [0, 0])
+        hit_total[0] += len(pred.intersection(tokens))
+        hit_total[1] += len(tokens)
+    return {d: RecallCounts(hit, total) for d, (hit, total) in sums.items()}
 
 
 @dataclass
@@ -163,45 +147,52 @@ class ScoreCard:
         return d
 
 
-def _mean_prf(values: list[PRF]) -> PRF:
-    n = len(values)
-    return PRF(
-        sum(v.p for v in values) / n,
-        sum(v.r for v in values) / n,
-        sum(v.f1 for v in values) / n,
-    )
+def _mean_prf(prfs: Sequence[tuple[float, float, float]]) -> PRF:
+    """The mean of per-row (p, r, f1), each summed in row order."""
+    return PRF(*(sum(column) / len(prfs) for column in zip(*prfs)))
 
 
-def _aggregate_flat(scores: list[SampleScore]) -> ScoreCard:
-    token_total = TokenCounts(0, 0, 0)
-    sentence_total = TokenCounts(0, 0, 0)
-    dims: dict[str, RecallCounts] = {}
-    for s in scores:
-        token_total = token_total + s.token
-        sentence_total = sentence_total + s.sentence
-        for dim, rc in s.dimensions.items():
-            dims[dim] = dims.get(dim, RecallCounts(0, 0)) + rc
-    violations = sum(1 for s in scores if not s.faithful)
+def _card(rows: list[tuple]) -> ScoreCard:
+    """The card of the per-row terms aggregate files under it."""
+    ti, tp, tg, si, sp, sg, unfaithful, token_prfs, sentence_prfs, dims = zip(*rows)
+    dim_sums: dict[str, list[int]] = {}
+    for row_dims in dims:
+        for dim, rc in row_dims.items():
+            hit_total = dim_sums.setdefault(dim, [0, 0])
+            hit_total[0] += rc["hit"]
+            hit_total[1] += rc["total"]
     return ScoreCard(
-        token=token_total.prf(),
-        sentence=sentence_total.prf(),
-        dimension_recall={d: rc.hit / rc.total for d, rc in dims.items() if rc.total},
-        faithfulness_violation_rate=violations / len(scores),
-        sample_count=len(scores),
-        macro_token=_mean_prf([s.token.prf() for s in scores]),
-        macro_sentence=_mean_prf([s.sentence.prf() for s in scores]),
+        token=PRF(*_prf(sum(ti), sum(tp), sum(tg))),
+        sentence=PRF(*_prf(sum(si), sum(sp), sum(sg))),
+        dimension_recall={d: hit / total for d, (hit, total) in dim_sums.items() if total},
+        faithfulness_violation_rate=sum(unfaithful) / len(rows),
+        sample_count=len(rows),
+        macro_token=_mean_prf(token_prfs),
+        macro_sentence=_mean_prf(sentence_prfs),
     )
 
 
-def aggregate(scores: list[SampleScore]) -> ScoreCard:
-    """Micro-aggregate sample scores, with per-domain sub-cards."""
-    if not scores:
+def aggregate(rows: list[dict]) -> ScoreCard:
+    """The card of report rows that evalrun.card_from_rows has checked, with
+    per-domain sub-cards. One pass files each row's counts and its token and
+    sentence PRFs under the overall card and its domain's; each card sums its
+    counts into its PRFs and averages the per-row PRFs in row order."""
+    if not rows:
         raise ValueError("aggregate: no samples")
-    card = _aggregate_flat(scores)
-    by_domain: dict[str, list[SampleScore]] = {}
-    for s in scores:
-        by_domain.setdefault(s.domain, []).append(s)
-    card.per_domain = {d: _aggregate_flat(group) for d, group in sorted(by_domain.items())}
+    everything: list[tuple] = []
+    by_domain: dict[str, list[tuple]] = {}
+    for row in rows:
+        t, s = row["token"], row["sentence"]
+        ti, tp, tg = t["intersection"], t["predicted"], t["gold"]
+        si, sp, sg = s["intersection"], s["predicted"], s["gold"]
+        terms = (
+            ti, tp, tg, si, sp, sg, not row["faithful"],
+            _prf(ti, tp, tg), _prf(si, sp, sg), row["dimensions"],
+        )
+        everything.append(terms)
+        by_domain.setdefault(row["domain"], []).append(terms)
+    card = _card(everything)
+    card.per_domain = {d: _card(group) for d, group in sorted(by_domain.items())}
     return card
 
 

@@ -19,9 +19,9 @@ punctuation, the split runs on a probe of the same length in which each such
 character is swapped for an ASCII one. count_tokens() only counts the parts;
 tokenize() keeps the token parts and their offsets.
 
-split_sentences() finds its candidate boundaries with one pattern over the
-source, a terminator followed by whitespace or the end, and looks at the
-next character only there.
+split_sentences() reads only the columns: a terminator at the end of a
+whitespace chunk is ASCII punctuation, so it is a token of its own, and the
+first character after the whitespace is the next token's first.
 
 A TokenizedCaption stores its tokens as three equal-length columns (texts,
 starts, ends), taken straight from the split with no object per token: a
@@ -36,9 +36,8 @@ from __future__ import annotations
 import functools
 import re
 import unicodedata
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, repeat
+from itertools import accumulate, compress, repeat
 from typing import NamedTuple
 
 TOKENIZER_VERSION = "dvb-tok/1"
@@ -53,9 +52,7 @@ _PROBE_PUNCT = "!"
 _P = re.escape(_ASCII_PUNCT)
 # re's \s and str.split() both split on exactly the str.isspace() characters
 _TOKEN_RE = re.compile(rf"([^\s{_P}](?:\S*[^\s{_P}])?|[{_P}])")
-# a terminator at the end of a chunk, with the next non-space character
-# (empty at the end of the text) captured
-_BOUNDARY_RE = re.compile(r"[.!?](?=\s|\Z)(?=\s*(.?))")
+_TERMINATORS = frozenset(".!?")
 
 
 class Token(NamedTuple):
@@ -131,18 +128,18 @@ def split_sentences(tc: TokenizedCaption) -> tuple[int, ...]:
     index of each, in order: with those ends e, sentence i is the tokens
     [e[i - 1], e[i]), the first starts at 0 and the last ends at len(tc).
 
-    A boundary falls after a token ending with '.', '!' or '?' when the
-    source continues with whitespace and an uppercase letter, or ends there.
-    Trailing material without a terminator forms a final sentence.
+    A boundary follows token i when texts[i] is '.', '!' or '?' and either
+    i is the last token or token i + 1 starts after a gap with a character
+    that isupper(). Trailing material without a terminator forms a final
+    sentence.
     """
-    ends = tc.ends
-    # a terminator followed by whitespace or the end is the last character
-    # of a chunk, so it ends the token whose end offset is just past it
+    texts, starts, ends = tc.texts, tc.starts, tc.ends
+    n = len(texts)
     cuts = [
-        bisect_left(ends, m.end()) + 1
-        for m in _BOUNDARY_RE.finditer(tc.source)
-        if not m[1] or m[1].isupper()
+        i + 1
+        for i in compress(range(n), map(_TERMINATORS.__contains__, texts))
+        if i + 1 == n or (starts[i + 1] > ends[i] and texts[i + 1][0].isupper())
     ]
-    if ends and (not cuts or cuts[-1] < len(ends)):
-        cuts.append(len(ends))
+    if n and (not cuts or cuts[-1] < n):
+        cuts.append(n)
     return tuple(cuts)

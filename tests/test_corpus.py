@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -60,6 +61,17 @@ def test_validate_rejects_tag_literals(fld):
     assert validate_sample(make_sample(**{fld: "A red <car> parked near the HALLUCINATION."})) == []
 
 
+def test_validate_without_spans_does_not_split_the_caption():
+    """The chunk bound serves only span checks: a clean caption, as every
+    input of inject is, is never split."""
+
+    class Unsplittable(str):
+        def split(self, *args, **kwargs):
+            raise AssertionError("caption was split")
+
+    assert validate_sample(make_sample(caption=Unsplittable("A red car."), gold_spans=[])) == []
+
+
 def test_validate_span_out_of_range():
     assert validate_sample(make_sample(gold_spans=[HallucinationSpan(5, 99)]))
 
@@ -93,6 +105,23 @@ def test_roundtrip(tmp_path):
     path2 = tmp_path / "again.jsonl"
     save_dataset(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "sample",
+    [
+        make_sample(),
+        make_sample(gold_spans=[], image=""),
+        make_sample(
+            gold_spans=[HallucinationSpan(0, 1, Dimension.OCR), HallucinationSpan(2, 4)],
+            variant="synthetic",
+            clean_caption="A car parked near the gate.",
+        ),
+    ],
+)
+def test_to_dict_is_asdict(sample):
+    """The same dict, keys in the same order, so saved bytes do not change."""
+    assert json.dumps(sample.to_dict()) == json.dumps(dataclasses.asdict(sample))
 
 
 def test_header_written(tmp_path):

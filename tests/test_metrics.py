@@ -7,7 +7,6 @@ from caploc.corpus import HallucinationSpan
 from caploc.metrics import (
     PRF,
     RecallCounts,
-    SampleScore,
     TokenCounts,
     aggregate,
     dimension_counts,
@@ -169,41 +168,45 @@ def test_dimension_decomposition_property():
         assert sum(rc.total for rc in counts.values()) == len(gold)
 
 
-def make_score(sid, domain, tok, faithful=True, dims=None):
-    return SampleScore(
-        sample_id=sid,
-        domain=domain,
-        token=TokenCounts(*tok),
-        sentence=TokenCounts(0, 0, 0),
-        dimensions=dims or {},
-        faithful=faithful,
-    )
+def make_row(sid, domain, tok, faithful=True, dims=None):
+    """A report row, as score_sample writes it, with the given token counts."""
+    intersection, predicted, gold = tok
+    return {
+        "id": sid,
+        "domain": domain,
+        "token": {"intersection": intersection, "predicted": predicted, "gold": gold},
+        "sentence": {"intersection": 0, "predicted": 0, "gold": 0},
+        "dimensions": dims or {},
+        "faithful": faithful,
+        "alignment_coverage": 1.0,
+        "parse_status": "ok",
+    }
 
 
 def test_aggregate_micro():
-    card = aggregate([make_score("a", "gui", (1, 2, 2)), make_score("b", "gui", (1, 2, 2))])
+    card = aggregate([make_row("a", "gui", (1, 2, 2)), make_row("b", "gui", (1, 2, 2))])
     assert card.token.p == 0.5
     assert card.sample_count == 2
 
 
 def test_aggregate_single_identity():
-    card = aggregate([make_score("a", "gui", (2, 3, 4))])
+    card = aggregate([make_row("a", "gui", (2, 3, 4))])
     single = TokenCounts(2, 3, 4).prf()
     assert card.token == single
     assert card.macro_token == single
 
 
 def test_aggregate_all_empty_convention():
-    card = aggregate([make_score("a", "gui", (0, 0, 0)), make_score("b", "chart", (0, 0, 0))])
+    card = aggregate([make_row("a", "gui", (0, 0, 0)), make_row("b", "chart", (0, 0, 0))])
     assert (card.token.p, card.token.r, card.token.f1) == (1.0, 1.0, 1.0)
 
 
 def test_aggregate_domains_and_dims():
     card = aggregate(
         [
-            make_score("a", "gui", (1, 1, 2), dims={"color": RecallCounts(1, 2)}),
-            make_score("b", "chart", (0, 1, 1), faithful=False,
-                       dims={"color": RecallCounts(0, 2), "ocr": RecallCounts(1, 1)}),
+            make_row("a", "gui", (1, 1, 2), dims={"color": {"hit": 1, "total": 2}}),
+            make_row("b", "chart", (0, 1, 1), faithful=False,
+                     dims={"color": {"hit": 0, "total": 2}, "ocr": {"hit": 1, "total": 1}}),
         ]
     )
     assert set(card.per_domain) == {"gui", "chart"}
@@ -213,7 +216,7 @@ def test_aggregate_domains_and_dims():
 
 
 def test_aggregate_micro_vs_macro_differ():
-    card = aggregate([make_score("a", "gui", (1, 1, 1)), make_score("b", "gui", (1, 3, 3))])
+    card = aggregate([make_row("a", "gui", (1, 1, 1)), make_row("b", "gui", (1, 3, 3))])
     assert card.token.p == 0.5
     assert card.macro_token.p == (1.0 + 1 / 3) / 2
 
@@ -224,15 +227,15 @@ def test_aggregate_empty_error():
 
 
 def test_aggregate_order_invariant():
-    scores = [make_score(f"s{i}", d, (i % 2, i % 3 + 1, 2)) for i, d in
-              enumerate(["gui", "chart", "gui", "movie"])]
-    a = aggregate(scores)
-    b = aggregate(list(reversed(scores)))
+    rows = [make_row(f"s{i}", d, (i % 2, i % 3 + 1, 2)) for i, d in
+            enumerate(["gui", "chart", "gui", "movie"])]
+    a = aggregate(rows)
+    b = aggregate(list(reversed(rows)))
     assert a.token == b.token and a.per_domain.keys() == b.per_domain.keys()
 
 
 def test_scorecard_to_dict():
-    card = aggregate([make_score("a", "gui", (1, 2, 2))])
+    card = aggregate([make_row("a", "gui", (1, 2, 2))])
     d = card.to_dict()
     assert d["token"]["p"] == 0.5
     assert "domains" in d and "gui" in d["domains"]

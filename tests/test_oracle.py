@@ -5,14 +5,15 @@ implementations they replaced, kept here as oracles.
 
 The oracles are the reference semantics: any speed-up or simplification of
 tokenize, split_sentences, sentence_metrics, diff_tokens, parse_tags,
-marked_token_indices, align_to_reference, inject_round or run_adversarial
-must agree with them on every token field, every sentence, every sentence
-score, every keep chain, every parse, every Prediction, and every injection
-state and error.
+marked_token_indices, align_to_reference, inject_round, run_adversarial or
+card_from_rows must agree with them on every token field, every sentence,
+every sentence score, every keep chain, every parse, every Prediction, every
+injection state and error, and every byte of a score card.
 """
 
 from __future__ import annotations
 
+import json
 import logging
 import re
 import sys
@@ -36,7 +37,8 @@ from caploc.inject import (
     inject_round,
     run_adversarial,
 )
-from caploc.metrics import TokenCounts, sentence_metrics
+from caploc.evalrun import card_from_rows
+from caploc.metrics import PRF, ScoreCard, TokenCounts, aggregate, sentence_metrics
 from caploc.modelgate import ModelGate, ModelRequest, Purpose, ScriptedBackend, ScriptRule
 from caploc.tagproto import (
     CLOSE_TAG,
@@ -412,6 +414,86 @@ def oracle_sentence_metrics(
     tp = sum(1 for g, p in zip(gold_labels, pred_labels) if g and p)
     counts = TokenCounts(tp, sum(pred_labels), sum(gold_labels))
     return counts, tuple(gold_labels), tuple(pred_labels)
+
+
+@dataclass(frozen=True)
+class OracleSampleScore:
+    """Everything scoring remembered about one sample, before cards were
+    made from the report rows themselves."""
+
+    sample_id: str
+    domain: str
+    token: tuple[int, int, int]
+    sentence: tuple[int, int, int]
+    dimensions: dict[str, tuple[int, int]]
+    faithful: bool
+
+
+def oracle_prf(counts: tuple[int, int, int]) -> PRF:
+    intersection, predicted, gold = counts
+    if predicted == 0 and gold == 0:
+        return PRF(1.0, 1.0, 1.0)
+    p = intersection / predicted if predicted else 0.0
+    r = intersection / gold if gold else 0.0
+    f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
+    return PRF(p, r, f1)
+
+
+def _oracle_add(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _oracle_mean_prf(values: list[PRF]) -> PRF:
+    n = len(values)
+    return PRF(
+        sum(v.p for v in values) / n,
+        sum(v.r for v in values) / n,
+        sum(v.f1 for v in values) / n,
+    )
+
+
+def _oracle_aggregate_flat(scores: list[OracleSampleScore]) -> ScoreCard:
+    token_total = (0, 0, 0)
+    sentence_total = (0, 0, 0)
+    dims: dict[str, tuple[int, int]] = {}
+    for s in scores:
+        token_total = _oracle_add(token_total, s.token)
+        sentence_total = _oracle_add(sentence_total, s.sentence)
+        for dim, rc in s.dimensions.items():
+            dims[dim] = _oracle_add(dims.get(dim, (0, 0)), rc)
+    violations = sum(1 for s in scores if not s.faithful)
+    return ScoreCard(
+        token=oracle_prf(token_total),
+        sentence=oracle_prf(sentence_total),
+        dimension_recall={d: hit / total for d, (hit, total) in dims.items() if total},
+        faithfulness_violation_rate=violations / len(scores),
+        sample_count=len(scores),
+        macro_token=_oracle_mean_prf([oracle_prf(s.token) for s in scores]),
+        macro_sentence=_oracle_mean_prf([oracle_prf(s.sentence) for s in scores]),
+    )
+
+
+def oracle_card(rows: list[dict]) -> ScoreCard:
+    """The card of valid report rows: one score object per row, summed
+    pairwise into the overall card and each domain's."""
+    counts = ("intersection", "predicted", "gold")
+    scores = [
+        OracleSampleScore(
+            sample_id=row["id"],
+            domain=row["domain"],
+            token=tuple(row["token"][k] for k in counts),
+            sentence=tuple(row["sentence"][k] for k in counts),
+            dimensions={d: (rc["hit"], rc["total"]) for d, rc in row["dimensions"].items()},
+            faithful=row["faithful"],
+        )
+        for row in rows
+    ]
+    card = _oracle_aggregate_flat(scores)
+    by_domain: dict[str, list[OracleSampleScore]] = {}
+    for s in scores:
+        by_domain.setdefault(s.domain, []).append(s)
+    card.per_domain = {d: _oracle_aggregate_flat(group) for d, group in sorted(by_domain.items())}
+    return card
 
 
 def oracle_parse_injector_response(
@@ -978,6 +1060,9 @@ def test_align_matches_oracle_on_edited_output(case, edit):
 
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(sentence_texts, token_texts))
+@example("a .B c. D")  # a terminator token with no gap before the next token
+@example("Hi! ¿Qué? Ya.\u3000Sí .")  # Unicode punctuation and whitespace
+@example("End.  \n")  # the last token, with whitespace after it
 def test_split_sentences_matches_oracle(text):
     tc = tokenize(text)
     assert split_sentences(tc) == oracle_split_sentences(tc)
@@ -1020,6 +1105,56 @@ def test_sentence_metrics_matches_oracle(case):
     assert sentence_outcome(labeled_sentence_metrics, case) == sentence_outcome(
         oracle_sentence_metrics, case
     )
+
+
+@st.composite
+def count_dicts(draw, names: tuple[str, ...]) -> dict[str, int]:
+    """Valid counts of a report row: the first no larger than the others."""
+    rest = [draw(st.integers(0, 9)) for _ in names[1:]]
+    return dict(zip(names, [draw(st.integers(0, min(rest))), *rest]))
+
+
+def zero_or(names: tuple[str, ...]):
+    return st.one_of(st.just(dict.fromkeys(names, 0)), count_dicts(names))
+
+
+@st.composite
+def report_rows(draw) -> list[dict]:
+    """Rows as score_sample writes them, over several domains and dimensions,
+    with all-zero counts common."""
+    token = zero_or(("intersection", "predicted", "gold"))
+    dimensions = st.dictionaries(
+        st.sampled_from(DIMENSION_VALUES), zero_or(("hit", "total")), max_size=3
+    )
+    return [
+        {
+            "id": f"s{i}",
+            "domain": draw(st.sampled_from(["gui", "chart", "nature", "movie"])),
+            "token": draw(token),
+            "sentence": draw(token),
+            "dimensions": draw(dimensions),
+            "faithful": draw(st.booleans()),
+            "alignment_coverage": 1.0,
+            "parse_status": "ok",
+        }
+        for i in range(draw(st.integers(1, 12)))
+    ]
+
+
+@settings(max_examples=500, deadline=None)
+@given(report_rows())
+def test_card_from_rows_matches_oracle(rows):
+    """Every count, rate and micro and macro float of the card and of each
+    domain's card, byte for byte in the card's JSON."""
+    assert json.dumps(card_from_rows(rows).to_dict()) == json.dumps(oracle_card(rows).to_dict())
+
+
+@settings(max_examples=100, deadline=None)
+@given(report_rows())
+def test_aggregate_takes_checked_report_rows(rows):
+    """aggregate takes the row dicts card_from_rows has checked, with no
+    per-sample score object in between."""
+    assert json.dumps(aggregate(rows).to_dict()) == json.dumps(oracle_card(rows).to_dict())
 
 
 def run_injection(inject, start, cfg, replies):
