@@ -16,6 +16,7 @@ import math
 import os
 import threading
 import time
+from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, replace as dc_replace
 from pathlib import Path
@@ -310,16 +311,21 @@ def _make_report(
     )
 
 
+_SAMPLE_ERRORS = (BackendError, InjectionError, MissingImageError)
+
+
 def run_samples(
     samples: list[BenchmarkSample], work: Callable[[BenchmarkSample], object], width: int
 ) -> list[tuple[BenchmarkSample, object]]:
     """(sample, work(sample)) per sample in input order, work running on
     `width` threads: the one per-sample loop of evaluation and injection.
     A BackendError, InjectionError or MissingImageError fails only its
-    sample, which is logged and gets None. Any other exception, a failed
-    cache write or KeyboardInterrupt included, stops the run: samples not
-    yet started do not run, and the exception propagates once the running
-    ones end."""
+    sample, which is logged and gets None; when every sample failed, a
+    ValueError names how many and the commonest exception type, with the
+    message of its first sample. Any other exception, a failed cache
+    write or KeyboardInterrupt included, stops the run: samples not yet
+    started do not run, and the exception propagates once the running ones
+    end."""
     stop = threading.Event()
 
     def run(sample: BenchmarkSample) -> object:
@@ -327,9 +333,9 @@ def run_samples(
             return None
         try:
             return work(sample)
-        except (BackendError, InjectionError, MissingImageError) as exc:
+        except _SAMPLE_ERRORS as exc:
             logger.warning("sample %s failed: %s", sample.id, exc)
-            return None
+            return exc
         except BaseException:
             stop.set()
             raise
@@ -337,7 +343,17 @@ def run_samples(
     with concurrent.futures.ThreadPoolExecutor(max_workers=width) as pool:
         # an exception raised here (a Ctrl-C while waiting, or one that
         # stopped a worker) cancels the samples not yet started
-        return list(zip(samples, pool.map(run, samples)))
+        results = list(zip(samples, pool.map(run, samples)))
+    failed = [(sample, exc) for sample, exc in results if isinstance(exc, _SAMPLE_ERRORS)]
+    if samples and len(failed) == len(samples):
+        # grouped by type, not by message: transport messages carry addresses
+        kind, count = Counter(type(exc) for _, exc in failed).most_common(1)[0]
+        sample, exc = next((s, e) for s, e in failed if type(e) is kind)
+        raise ValueError(
+            f"all {len(samples)} samples failed; {count} with {kind.__name__}, "
+            f"the first on sample {sample.id!r}: {exc}"
+        ) from exc
+    return [(sample, None if isinstance(r, _SAMPLE_ERRORS) else r) for sample, r in results]
 
 
 def evaluate_dataset(cfg: EvalConfig, gate: ModelGate) -> EvalReport:
@@ -446,7 +462,8 @@ def build_synthetic(
     """Run the adversarial loop on each clean sample, with its image when
     cfg.include_image. Returns the outcomes in input order and the ids of
     the samples whose injection failed, which are skipped with a warning;
-    raises InjectionError when every sample failed."""
+    raises ValueError when every sample failed (run_samples), and
+    InjectionError when there are none."""
 
     def inject(sample: BenchmarkSample) -> InjectionOutcome:
         image = load_image(sample.image, image_root) if cfg.include_image else None

@@ -1,4 +1,4 @@
-"""Deterministic, offset-preserving tokenization and sentence segmentation.
+r"""Deterministic, offset-preserving tokenization and sentence segmentation.
 
 Tokens are word-level: input is split on Unicode whitespace, then leading and
 trailing punctuation characters (Unicode categories P*) are detached as
@@ -11,13 +11,21 @@ token i's text is source[starts[i]:ends[i]].
 
 The rule is one compiled pattern: a token is either a core that starts and
 ends with a character that is neither whitespace nor punctuation, or a single
-punctuation character. Splitting text on that pattern with a capturing group
-(_split) gives its tokens and the gaps between them, alternating, so running
-sums of the part lengths are the token offsets. re has no category classes,
-so the pattern names ASCII punctuation only; when text holds other
-punctuation, the split runs on a probe of the same length in which each such
-character is swapped for an ASCII one. count_tokens() only counts the parts;
-tokenize() keeps the token parts and their offsets.
+punctuation character. With C that core class, the pattern is
+(\S(?<=C)\S*(?<=C)|\S): one non-space character that C accepts, then the
+longest run of non-space characters that still ends on one C accepts, else
+one non-space character, which is then punctuation. It has no optional
+group: the form [C](?:\S*[C])? compiles, as re.DEBUG shows, to sre's general
+REPEAT ... MAX_UNTIL loop around a REPEAT_ONE, run once per word, where this
+one is a REPEAT_ONE and two one-character ASSERTs, backtracking only over a
+word's trailing punctuation; the shared leading \S also lets the search skip
+whitespace on its prefix check. Splitting text on that pattern with a
+capturing group (_split) gives its tokens and the gaps between them,
+alternating, so running sums of the part lengths are the token offsets. re
+has no category classes, so the pattern names ASCII punctuation only; when
+text holds other punctuation, the split runs on a probe of the same length
+in which each such character is swapped for an ASCII one. count_tokens()
+only counts the parts; tokenize() keeps the token parts and their offsets.
 
 split_sentences() reads only the columns: a terminator at the end of a
 whitespace chunk is ASCII punctuation, so it is a token of its own, and the
@@ -51,7 +59,8 @@ _ASCII_SET = frozenset(map(chr, range(128)))
 _PROBE_PUNCT = "!"
 _P = re.escape(_ASCII_PUNCT)
 # re's \s and str.split() both split on exactly the str.isspace() characters
-_TOKEN_RE = re.compile(rf"([^\s{_P}](?:\S*[^\s{_P}])?|[{_P}])")
+_CORE = rf"[^\s{_P}]"
+_TOKEN_RE = re.compile(rf"(\S(?<={_CORE})\S*(?<={_CORE})|\S)")
 _TERMINATORS = frozenset(".!?")
 
 

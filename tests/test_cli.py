@@ -15,7 +15,7 @@ from caploc import cli, corpus, text
 from caploc.cli import main
 from caploc.corpus import BenchmarkSample, HallucinationSpan, load_dataset, save_dataset
 from caploc.fixtures import build_fixture
-from caploc.modelgate import ScriptedBackend, ScriptRule
+from caploc.modelgate import ModelGate, RetryableBackendError, ScriptedBackend, ScriptRule
 from metric_helpers import report_dict
 
 TAG = "<HALLUCINATION>"
@@ -684,6 +684,49 @@ class TestInject:
         assert f"File exists: '{blocker}'" in capsys.readouterr().err
         (backend,) = backends
         assert backend.requests == []
+
+
+class RefusingBackend:
+    """A backend that is down: every send fails with a transport error."""
+
+    def __init__(self):
+        self.sends = 0
+
+    def send(self, req):
+        self.sends += 1
+        raise RetryableBackendError("transport failure: connection refused")
+
+
+class TestEverySampleFailed:
+    """When every sample of a run fails, the run exits 1 with how many
+    failed and the commonest cause, whichever command ran it."""
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("evaluate", ["--model", "locator", "--out", "out"]),
+            ("inject", ["--no-include-image", "--rounds", "1", "--out", "syn.jsonl"]),
+        ],
+    )
+    def test_exit_names_the_count_and_the_cause(
+        self, tmp_path, capsys, monkeypatch, command, extra
+    ):
+        backend, waits = RefusingBackend(), []
+        gate = ModelGate(backend, sleep=waits.append)
+        monkeypatch.setattr(cli, "_build_gate", lambda eff: gate)
+        monkeypatch.chdir(tmp_path)
+        samples = [
+            BenchmarkSample(
+                id=f"s{i}", image="", domain="nature", caption=f"a red car {i}.", gold_spans=[]
+            )
+            for i in range(4)
+        ]
+        dataset = write_dataset(tmp_path, samples)
+        assert main([command, "--dataset", str(dataset), "--script", "unused.json", *extra]) == 1
+        err = capsys.readouterr().err
+        assert "all 4 samples failed; 4 with BackendError" in err
+        assert "connection refused" in err
+        assert backend.sends == 4 * 3 and len(waits) == 4 * 2
 
 
 class TestSweepRounds:

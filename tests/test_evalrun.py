@@ -20,6 +20,7 @@ from caploc import diffannot, text
 from caploc.corpus import BenchmarkSample, DatasetError, HallucinationSpan, save_dataset
 from caploc.inject import InjectionConfig, InjectionError
 from caploc.modelgate import (
+    BackendError,
     HttpBackend,
     ModelGate,
     ResponseCache,
@@ -529,6 +530,25 @@ class TestRunSamples:
             "sample s1 failed: unsalvageable reply",
             "sample s3 failed: img/s3.png",
         ]
+
+    def test_every_sample_failing_names_the_commonest_type(self):
+        """Failures group by exception type, not by message, and the error
+        quotes the first failure of the commonest type."""
+
+        def work(sample):
+            if sample.id == "s1":
+                raise InjectionError("unsalvageable reply")
+            raise BackendError(f"connection refused by the host of {sample.id}")
+
+        with pytest.raises(ValueError) as caught:
+            run_samples(sample_set(), work, 2)
+        assert str(caught.value) == (
+            "all 3 samples failed; 2 with BackendError, the first on sample 's2': "
+            "connection refused by the host of s2"
+        )
+
+    def test_no_samples_is_no_failure(self):
+        assert run_samples([], lambda sample: sample.caption, 2) == []
 
     @pytest.mark.parametrize("error", FATAL_ERRORS, ids=["oserror", "keyboard_interrupt"])
     # above width 1, the delay lets the failing worker stop the run while

@@ -1,14 +1,15 @@
-"""Differential tests of the tokenizer, the sentence splitter, the sentence
-labels, the token diff, the tag parser, the tag aligner, the injector's
-reply handling and the adversarial loop against the straightforward
-implementations they replaced, kept here as oracles.
+"""Differential tests of the token pattern, the tokenizer, the sentence
+splitter, the sentence labels, the token diff, the tag parser, the tag
+aligner, the injector's reply handling and the adversarial loop against the
+straightforward implementations they replaced, kept here as oracles.
 
 The oracles are the reference semantics: any speed-up or simplification of
-tokenize, split_sentences, sentence_metrics, diff_tokens, parse_tags,
-marked_token_indices, align_to_reference, inject_round, run_adversarial or
-card_from_rows must agree with them on every token field, every sentence,
-every sentence score, every keep chain, every parse, every Prediction, every
-injection state and error, and every byte of a score card.
+_TOKEN_RE, tokenize, split_sentences, sentence_metrics, diff_tokens,
+parse_tags, marked_token_indices, align_to_reference, inject_round,
+run_adversarial or card_from_rows must agree with them on every split part,
+every token field, every sentence, every sentence score, every keep chain,
+every parse, every Prediction, every injection state and error, and every
+byte of a score card.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from caploc.tagproto import (
     parse_tags,
 )
 from caploc.text import (
+    _TOKEN_RE,
     Token,
     TokenizedCaption,
     count_tokens,
@@ -106,6 +108,13 @@ class OracleCaption:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+
+# the token pattern before it lost its optional group: a core that starts
+# and ends with a character that is neither whitespace nor ASCII
+# punctuation, or one ASCII punctuation character
+_ORACLE_P = re.escape("".join(c for c in map(chr, range(128)) if _oracle_is_punct(c)))
+ORACLE_TOKEN_RE = re.compile(rf"([^\s{_ORACLE_P}](?:\S*[^\s{_ORACLE_P}])?|[{_ORACLE_P}])")
 
 
 def oracle_tokenize(text: str) -> OracleCaption:
@@ -678,6 +687,31 @@ any_caption = st.one_of(texts, captions)
 token_texts = st.one_of(st.text(st.sampled_from(CHARS + SURROGATES), max_size=60), captions)
 
 
+# strings for the token pattern, weighted toward punctuation: chunks made
+# only of punctuation, punctuation inside a word or at its ends, and any
+# mix; '_' is ASCII punctuation (Pc)
+SPLIT_PUNCT = st.sampled_from(
+    [c for c in map(chr, range(128)) if _oracle_is_punct(c)] + ["“", "”", "…", "—", "’", "。"]
+)
+SPLIT_SPACES = st.sampled_from([" ", "\x85", "\xa0", "\u2028", "\u3000"])
+SPLIT_CORE = st.sampled_from(list("aZé漢09") + ["$", "+", "^", "€", "°"])
+_cores = st.text(SPLIT_CORE, min_size=1, max_size=3)
+_puncts = st.text(SPLIT_PUNCT, min_size=1, max_size=3)
+split_chunks = st.one_of(
+    _puncts,
+    st.tuples(_cores, _puncts, _cores).map("".join),
+    st.tuples(_cores, _puncts).map("".join),
+    st.tuples(_puncts, _cores).map("".join),
+    st.text(st.one_of(SPLIT_PUNCT, SPLIT_PUNCT, SPLIT_CORE), min_size=1, max_size=8),
+)
+split_texts = st.one_of(
+    st.lists(
+        st.tuples(st.text(SPLIT_SPACES, max_size=2), split_chunks), max_size=12
+    ).map(lambda parts: "".join(gap + chunk for gap, chunk in parts)),
+    st.text(st.one_of(SPLIT_PUNCT, SPLIT_PUNCT, SPLIT_CORE, SPLIT_SPACES), max_size=40),
+)
+
+
 def token_fields(tc) -> list[tuple]:
     return [(t.text, t.char_start, t.char_end) for t in tc.tokens]
 
@@ -882,6 +916,18 @@ def test_tokenize_matches_oracle(text):
     assert token_fields(got) == token_fields(want)
     assert len(got.texts) == len(got.starts) == len(got.ends) == len(got) == len(want)
     assert count_tokens(text) == len(want)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(split_texts)
+@example("end.")
+@example("...")
+@example("“a.b”…")
+@example("x_y_")
+def test_token_pattern_splits_as_oracle(text):
+    """The token pattern with no optional group splits every string into
+    the parts of the pattern it replaced."""
+    assert _TOKEN_RE.split(text) == ORACLE_TOKEN_RE.split(text)
 
 
 @settings(max_examples=200, deadline=None)
