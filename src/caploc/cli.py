@@ -155,9 +155,7 @@ def _build_gate(eff: dict) -> ModelGate:
     if eff.get("script"):
         backend = ScriptedBackend(_script_rules(eff["script"]))
     elif eff.get("base_url"):
-        backend = HttpBackend(
-            eff["base_url"], api_key_env=eff.get("api_key_env") or "CAPLOC_API_KEY"
-        )
+        backend = HttpBackend(eff["base_url"], api_key_env=eff.get("api_key_env"))
     else:
         raise _UsageError("no backend configured (use --script or --base-url)")
     return ModelGate(backend, cache=ResponseCache(eff.get("cache") or None))
@@ -295,7 +293,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
     if audit_dir:
         for outcome in outcomes:
             (audit_dir / _audit_name(outcome.sample.id)).write_text(
-                json.dumps(outcome.state.audit, ensure_ascii=False, indent=2, default=list),
+                json.dumps(outcome.state.audit, ensure_ascii=False, indent=2),
                 encoding="utf-8",
             )
     print(f"wrote {len(outcomes)} synthetic samples to {args.out} ({len(failed)} failed)")

@@ -13,7 +13,6 @@ import json
 import logging
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field
-from enum import Enum
 from pathlib import Path
 
 from .text import TOKENIZER_VERSION, count_tokens
@@ -32,33 +31,15 @@ _SAMPLE_FIELDS = {"id", "image", "domain", "variant", "caption", "clean_caption"
 _SPAN_FIELDS = {"start", "end", "dimension"}
 
 
-class Domain(str, Enum):
-    """The five image domains covered by a benchmark."""
-
-    GUI = "gui"
-    NATURE = "nature"
-    CHART = "chart"
-    MOVIE = "movie"
-    POSTER = "poster"
-
-
-class Dimension(str, Enum):
-    """The ten hallucination categories, in canonical order."""
-
-    NUMBER = "number"
-    COLOR = "color"
-    CATEGORY = "category"
-    SHAPE = "shape"
-    MATERIAL = "material"
-    SPATIAL = "spatial"
-    OCR = "ocr"
-    SCENE = "scene"
-    CAMERA = "camera"
-    OTHER = "other"
-
-
-DOMAIN_VALUES = tuple(d.value for d in Domain)
-DIMENSION_VALUES = tuple(d.value for d in Dimension)
+# the five image domains covered by a benchmark
+DOMAIN_VALUES = ("gui", "nature", "chart", "movie", "poster")
+# the ten hallucination categories, in canonical order
+DIMENSION_VALUES = (
+    "number", "color", "category", "shape", "material",
+    "spatial", "ocr", "scene", "camera", "other",
+)
+# the category of a span that no label names
+OTHER = "other"
 
 
 class DatasetError(ValueError):
@@ -75,7 +56,7 @@ class HallucinationSpan:
 
     start: int
     end: int
-    dimension: str = Dimension.OTHER.value
+    dimension: str = OTHER
 
 
 @dataclass
@@ -127,9 +108,7 @@ class BenchmarkSample:
                 HallucinationSpan(
                     start=_field(raw, "start", int, f"gold_spans[{i}]."),
                     end=_field(raw, "end", int, f"gold_spans[{i}]."),
-                    dimension=_field(
-                        raw, "dimension", str, f"gold_spans[{i}].", Dimension.OTHER.value
-                    ),
+                    dimension=_field(raw, "dimension", str, f"gold_spans[{i}].", OTHER),
                 )
             )
         return cls(

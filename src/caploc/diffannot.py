@@ -32,7 +32,7 @@ from functools import lru_cache
 from itertools import chain, compress, count
 from operator import ne, or_
 
-from .corpus import Dimension, HallucinationSpan
+from .corpus import DIMENSION_VALUES, OTHER, HallucinationSpan
 from .text import TokenizedCaption
 
 
@@ -310,18 +310,19 @@ def extract_gold_spans(script: EditScript) -> list[HallucinationSpan]:
             marked.update(range(g_start, g_end))
         elif script.g_len > 0:
             marked.add(max(g_start - 1, 0))
-    return [HallucinationSpan(a, b, Dimension.OTHER.value) for a, b in runs(marked)]
+    return [HallucinationSpan(a, b, OTHER) for a, b in runs(marked)]
 
 
-def label_spans(
-    spans: list[HallucinationSpan], labels: list[Dimension | str]
-) -> list[HallucinationSpan]:
-    """Pair each span with its category, preserving order."""
+def label_spans(spans: list[HallucinationSpan], labels: list[str]) -> list[HallucinationSpan]:
+    """Pair each span with its category, preserving order; a label that is
+    no dimension raises ValueError naming it."""
     if len(spans) != len(labels):
         raise ValueError(
             f"label_spans: {len(spans)} spans but {len(labels)} labels"
         )
-    return [
-        HallucinationSpan(s.start, s.end, str(Dimension(label).value))
-        for s, label in zip(spans, labels)
-    ]
+    for label in labels:
+        if label not in DIMENSION_VALUES:
+            raise ValueError(
+                f"label_spans: unknown label {label!r}; expected one of {list(DIMENSION_VALUES)}"
+            )
+    return [HallucinationSpan(s.start, s.end, label) for s, label in zip(spans, labels)]

@@ -312,6 +312,9 @@ def _make_report(
 
 
 _SAMPLE_ERRORS = (BackendError, InjectionError, MissingImageError)
+# this many samples in a row failing with a BackendError means the backend
+# is down: the run stops rather than pay every later sample's retries
+_DEAD_BACKEND_STREAK = 8
 
 
 def run_samples(
@@ -322,23 +325,37 @@ def run_samples(
     A BackendError, InjectionError or MissingImageError fails only its
     sample, which is logged and gets None; when every sample failed, a
     ValueError names how many and the commonest exception type, with the
-    message of its first sample. Any other exception, a failed cache
-    write or KeyboardInterrupt included, stops the run: samples not yet
-    started do not run, and the exception propagates once the running ones
-    end."""
+    message of its first sample. When _DEAD_BACKEND_STREAK samples in a
+    row, in completion order, failed with a BackendError, a ValueError
+    naming the last stops the run. So does any other exception, a failed
+    cache write or KeyboardInterrupt included: samples not yet started do
+    not run, and the exception propagates once the running ones end."""
     stop = threading.Event()
+    lock = threading.Lock()
+    streak = 0
 
     def run(sample: BenchmarkSample) -> object:
+        nonlocal streak
         if stop.is_set():
             return None
         try:
-            return work(sample)
+            result = work(sample)
         except _SAMPLE_ERRORS as exc:
             logger.warning("sample %s failed: %s", sample.id, exc)
-            return exc
+            result = exc
         except BaseException:
             stop.set()
             raise
+        with lock:
+            streak = streak + 1 if isinstance(result, BackendError) else 0
+            if streak >= _DEAD_BACKEND_STREAK:
+                # set under the lock, so no later completion starts a sample
+                stop.set()
+                raise ValueError(
+                    f"{streak} samples in a row failed with a backend error; "
+                    f"the last on sample {sample.id!r}: {result}"
+                ) from result
+        return result
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=width) as pool:
         # an exception raised here (a Ctrl-C while waiting, or one that

@@ -29,7 +29,7 @@ import re
 from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 
-from .corpus import CLOSE_TAG, DIMENSION_VALUES, OPEN_TAG, BenchmarkSample, Dimension
+from .corpus import CLOSE_TAG, DIMENSION_VALUES, OPEN_TAG, OTHER, BenchmarkSample
 from .corpus import HallucinationSpan
 from .diffannot import diff_tokens, runs
 from .modelgate import ImageAttachment, ModelGate, ModelRequest, Purpose
@@ -105,7 +105,7 @@ class InjectedSpan:
     clean_start: int
     clean_end: int
     replacement: tuple[str, ...]
-    dimension: str = Dimension.OTHER.value
+    dimension: str = OTHER
 
 
 @dataclass(frozen=True)
@@ -228,10 +228,10 @@ def _parse_injector_response(
             problems.append(f"span [{g_start}, {g_end}) holds a tag literal")
         else:
             run = run_of[g_start]
-            label = labels[run] if run < len(labels) else Dimension.OTHER.value
+            label = labels[run] if run < len(labels) else OTHER
             if label not in DIMENSION_VALUES:
-                logger.warning("unknown span label %r, using %r", label, Dimension.OTHER.value)
-                label = Dimension.OTHER.value
+                logger.warning("unknown span label %r, using %r", label, OTHER)
+                label = OTHER
             found.append((run, InjectedSpan(c_start, c_end, replacement, label)))
 
     changed = sorted({run for run, _ in found})
@@ -255,7 +255,7 @@ def _injector_prompt(state: InjectionState, cfg: InjectionConfig) -> str:
 
 
 def inject_round(
-    clean_or_state: str | InjectionState,
+    state: InjectionState,
     cfg: InjectionConfig,
     gate: ModelGate,
     image: ImageAttachment | None = None,
@@ -267,14 +267,6 @@ def inject_round(
     unfaithful answer (edits outside the tags) is retried once with a
     reminder, then salvaged span by span.
     """
-    if isinstance(clean_or_state, InjectionState):
-        state = clean_or_state
-    else:
-        tc = tokenize(clean_or_state)
-        if not tc.texts:
-            raise InjectionError("inject_round: empty caption")
-        state = InjectionState(clean=tc)
-
     prompt = _injector_prompt(state, cfg)
     attempts = (("inject", prompt), ("inject_retry", prompt + _RETRY_REMINDER))
     for phase, user in attempts:
@@ -283,7 +275,7 @@ def inject_round(
                 model=cfg.injector_model,
                 user=user,
                 purpose=Purpose.INJECT.value,
-                image=image if cfg.include_image else None,
+                image=image,
             )
         )
         state.audit.append(
@@ -423,9 +415,13 @@ def run_adversarial(
     feedback-driven re-injection. rounds=0 means inject once and keep all.
 
     Zero survivors is not an error: the sample comes back with empty gold
-    spans, usable as a clean negative control.
+    spans, usable as a clean negative control. A caption with no token
+    raises InjectionError. image is attached to injector requests as given.
     """
-    state = inject_round(clean.caption, cfg, gate, image)
+    tc = tokenize(clean.caption)
+    if not tc.texts:
+        raise InjectionError("run_adversarial: empty caption")
+    state = inject_round(InjectionState(clean=tc), cfg, gate, image)
     spans_after = [state.spans]
     for _ in range(cfg.rounds):
         if state.reverted_last_round > 0:

@@ -35,6 +35,12 @@ class Purpose(str, Enum):
 _TEMPERATURE = 0.0
 _MAX_TOKENS = 4096
 _HTTP_TIMEOUT_S = 120.0
+# a request that fails with a retryable error is sent at most _ATTEMPTS
+# times, waiting _FIRST_WAIT_S, then twice that, before each resend; a
+# Retry-After in seconds sets the wait instead, up to _RETRY_AFTER_CAP_S
+_ATTEMPTS = 3
+_FIRST_WAIT_S = 0.5
+_RETRY_AFTER_CAP_S = 8.0
 
 
 @dataclass(frozen=True)
@@ -254,7 +260,7 @@ class HttpBackend:
     def __init__(
         self,
         base_url: str,
-        api_key_env: str = "CAPLOC_API_KEY",
+        api_key_env: str | None = None,
         session: requests.Session | None = None,
     ):
         try:
@@ -264,7 +270,7 @@ class HttpBackend:
                 f"the HTTP backend needs the 'requests' package, which cannot be imported: {exc}"
             ) from exc
         self.base_url = base_url.rstrip("/")
-        self.api_key_env = api_key_env
+        self.api_key_env = api_key_env or "CAPLOC_API_KEY"
         self.session = session or requests.Session()
 
     def send(self, req: ModelRequest) -> str:
@@ -331,16 +337,6 @@ def _retry_after_seconds(value: str | None) -> float | None:
     return float(value)
 
 
-@dataclass
-class RetryPolicy:
-    attempts: int = 3
-    base_delay: float = 0.5
-    max_delay: float = 8.0
-
-    def delay(self, attempt: int) -> float:
-        return min(self.base_delay * (2 ** (attempt - 1)), self.max_delay)
-
-
 class ModelGate:
     """Front door for model calls. Under one lock, complete() looks the
     request up in the cache and among the calls in flight: a cached reply
@@ -354,12 +350,10 @@ class ModelGate:
         self,
         backend,
         cache: ResponseCache | None = None,
-        retry: RetryPolicy | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ):
         self.backend = backend
         self.cache = ResponseCache(None) if cache is None else cache
-        self.retry = retry or RetryPolicy()
         self.sleep = sleep
         self._lock = threading.Lock()
         self._inflight: dict[str, Future[str]] = {}
@@ -390,7 +384,7 @@ class ModelGate:
 
     def _call(self, req: ModelRequest) -> ModelResponse:
         last: BaseException | None = None
-        for attempt in range(1, self.retry.attempts + 1):
+        for attempt in range(1, _ATTEMPTS + 1):
             try:
                 text = self.backend.send(req)
                 if not _is_utf8(text):
@@ -403,19 +397,19 @@ class ModelGate:
                 return ModelResponse(text=text, cache_hit=False, attempts=attempt)
             except RetryableBackendError as exc:
                 last = exc
-                if attempt < self.retry.attempts:
+                if attempt < _ATTEMPTS:
                     if exc.retry_after is None:
-                        wait = self.retry.delay(attempt)
+                        wait = _FIRST_WAIT_S * 2 ** (attempt - 1)
                     else:
-                        wait = min(exc.retry_after, self.retry.max_delay)
+                        wait = min(exc.retry_after, _RETRY_AFTER_CAP_S)
                     logger.warning(
                         "retryable failure (attempt %d/%d), backing off %.1fs: %s",
                         attempt,
-                        self.retry.attempts,
+                        _ATTEMPTS,
                         wait,
                         exc,
                     )
                     self.sleep(wait)
         raise BackendError(
-            f"backend failed after {self.retry.attempts} attempts: {last}"
+            f"backend failed after {_ATTEMPTS} attempts: {last}"
         ) from last

@@ -28,6 +28,7 @@ from caploc.evalrun import (
 from caploc.fixtures import HALLU_RATES, SAMPLES_PER_DOMAIN, build_fixture
 from caploc.inject import (
     InjectionConfig,
+    InjectionState,
     detect_round,
     filter_detected,
     inject_round,
@@ -247,7 +248,7 @@ def test_criterion_05():
         if entry["mode"] != 2:
             continue
         cfg = InjectionConfig(rounds=2, include_image=False)
-        state = inject_round(entry["caption"], cfg, gate)
+        state = inject_round(InjectionState(clean=tokenize(entry["caption"])), cfg, gate)
         for _ in range(1, cfg.rounds + 1):
             if state.round > 0 and state.reverted_last_round > 0:
                 state = inject_round(state, cfg, gate)

@@ -144,6 +144,21 @@ class TestUsageErrors:
         argv = ["score", "--dataset", str(dataset), "--transcripts", "t.jsonl"]
         assert main([*argv, "--image-root", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["evaluate"], "--model is required for evaluate"),
+            (["sweep", "--rounds", "0"], "--models is required for sweep"),
+        ],
+        ids=["evaluate_without_model", "sweep_without_models"],
+    )
+    def test_required_value_missing_exits_2(self, tmp_path, capsys, backends, argv, message):
+        dataset = write_dataset(tmp_path, base_samples())
+        script = write_script(tmp_path, [])
+        assert main([*argv, "--dataset", str(dataset), "--script", str(script)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert all(backend.requests == [] for backend in backends)
+
     def test_evaluate_without_backend(self, tmp_path, capsys):
         dataset = write_dataset(tmp_path, base_samples())
         code = main(["evaluate", "--dataset", str(dataset), "--model", "m"])
@@ -686,6 +701,27 @@ class TestInject:
         assert backend.requests == []
 
 
+def run_with_gate(tmp_path, monkeypatch, gate, command, extra, n):
+    """Exit code of one command over n samples "a red car <i>." on gate."""
+    monkeypatch.setattr(cli, "_build_gate", lambda eff: gate)
+    monkeypatch.chdir(tmp_path)
+    samples = [
+        BenchmarkSample(
+            id=f"s{i}", image="", domain="nature", caption=f"a red car {i}.", gold_spans=[]
+        )
+        for i in range(n)
+    ]
+    dataset = write_dataset(tmp_path, samples)
+    return main([command, "--dataset", str(dataset), "--script", "unused.json", *extra])
+
+
+# evaluate and inject, each run through run_with_gate
+GATED_RUNS = [
+    ("evaluate", ["--model", "locator", "--out", "out"]),
+    ("inject", ["--no-include-image", "--rounds", "1", "--out", "syn.jsonl"]),
+]
+
+
 class RefusingBackend:
     """A backend that is down: every send fails with a transport error."""
 
@@ -701,32 +737,69 @@ class TestEverySampleFailed:
     """When every sample of a run fails, the run exits 1 with how many
     failed and the commonest cause, whichever command ran it."""
 
-    @pytest.mark.parametrize(
-        "command, extra",
-        [
-            ("evaluate", ["--model", "locator", "--out", "out"]),
-            ("inject", ["--no-include-image", "--rounds", "1", "--out", "syn.jsonl"]),
-        ],
-    )
+    @pytest.mark.parametrize("command, extra", GATED_RUNS)
     def test_exit_names_the_count_and_the_cause(
         self, tmp_path, capsys, monkeypatch, command, extra
     ):
         backend, waits = RefusingBackend(), []
         gate = ModelGate(backend, sleep=waits.append)
-        monkeypatch.setattr(cli, "_build_gate", lambda eff: gate)
-        monkeypatch.chdir(tmp_path)
-        samples = [
-            BenchmarkSample(
-                id=f"s{i}", image="", domain="nature", caption=f"a red car {i}.", gold_spans=[]
-            )
-            for i in range(4)
-        ]
-        dataset = write_dataset(tmp_path, samples)
-        assert main([command, "--dataset", str(dataset), "--script", "unused.json", *extra]) == 1
+        assert run_with_gate(tmp_path, monkeypatch, gate, command, extra, 4) == 1
         err = capsys.readouterr().err
         assert "all 4 samples failed; 4 with BackendError" in err
         assert "connection refused" in err
         assert backend.sends == 4 * 3 and len(waits) == 4 * 2
+
+
+class TestDeadBackend:
+    """A run stops once 8 samples in a row failed with a backend error,
+    rather than pay every later sample's retries."""
+
+    @pytest.mark.parametrize("command, extra", GATED_RUNS)
+    def test_run_stops_after_8_failed_samples_in_a_row(
+        self, tmp_path, capsys, monkeypatch, command, extra
+    ):
+        backend, waits = RefusingBackend(), []
+        gate = ModelGate(backend, sleep=waits.append)
+        assert run_with_gate(tmp_path, monkeypatch, gate, command, extra, 40) == 1
+        err = capsys.readouterr().err
+        assert "error: 8 samples in a row failed with a backend error; the last on sample 's7'" in err
+        assert "transport failure: connection refused" in err
+        assert backend.sends == 8 * 3 and len(waits) == 8 * 2
+        assert not (tmp_path / "out" / "transcripts.jsonl").exists()
+        assert not (tmp_path / "syn.jsonl").exists()
+
+    def test_wider_run_sends_for_at_most_the_samples_in_flight_more(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        backend = RefusingBackend()
+        gate = ModelGate(backend, sleep=lambda s: None)
+        extra = ["--model", "locator", "--out", "out", "--width", "4"]
+        assert run_with_gate(tmp_path, monkeypatch, gate, "evaluate", extra, 40) == 1
+        assert "samples in a row failed with a backend error" in capsys.readouterr().err
+        assert 8 * 3 <= backend.sends <= (8 + 3) * 3
+
+    @pytest.mark.parametrize(
+        "fails",
+        [lambda i: i % 4 == 3, lambda i: i % 8 != 7],
+        ids=["every_4th", "7_in_a_row"],
+    )
+    def test_failures_between_successes_skip_only_their_samples(
+        self, tmp_path, capsys, monkeypatch, fails
+    ):
+        failing = [i for i in range(40) if fails(i)]
+
+        class PartlyDown:
+            def send(self, req):
+                if any(f"a red car {i}." in req.user for i in failing):
+                    raise RetryableBackendError("transport failure: connection refused")
+                return "a red car."
+
+        gate = ModelGate(PartlyDown(), sleep=lambda s: None)
+        extra = ["--model", "locator", "--out", "out"]
+        assert run_with_gate(tmp_path, monkeypatch, gate, "evaluate", extra, 40) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+        assert report["skipped"] == [f"s{i}" for i in failing]
+        assert len(report["samples"]) == 40 - len(failing)
 
 
 class TestSweepRounds:
@@ -1322,6 +1395,48 @@ MALFORMED_INPUT_FILES = {
         ["validate", "{file}"],
         ":2: caption holds a lone surrogate",
     ),
+    "dataset_empty_file": ("d.jsonl", "", ["validate", "{file}"], ": empty file"),
+    "dataset_unparseable_header": (
+        "d.jsonl", "{format: dvb-jsonl}\n", ["validate", "{file}"], ":1: unparseable header"
+    ),
+    "dataset_unsupported_version": (
+        "d.jsonl",
+        '{"format": "dvb-jsonl", "version": 2, "tokenizer": "dvb-tok/1"}\n',
+        ["validate", "{file}"],
+        ":1: unsupported format version 2",
+    ),
+    "dataset_empty_id": (
+        "d.jsonl",
+        '{"format": "dvb-jsonl", "version": 1, "tokenizer": "dvb-tok/1"}\n'
+        '{"id": "", "domain": "nature", "caption": "A red car."}',
+        ["validate", "{file}"],
+        ":2: invalid sample: sample '': id: empty id",
+    ),
+    "dataset_unknown_variant": (
+        "d.jsonl",
+        '{"format": "dvb-jsonl", "version": 1, "tokenizer": "dvb-tok/1"}\n'
+        '{"id": "s1", "domain": "nature", "caption": "A red car.", "variant": "mixed"}',
+        ["validate", "{file}"],
+        ":2: invalid sample: sample 's1': variant: unknown variant 'mixed'",
+    ),
+    "annotate_unknown_label": (
+        "pairs.jsonl",
+        '{"id": "p1", "caption": "a blue car.", "corrected": "a red car.", "labels": ["hue"]}',
+        ["annotate", "--pairs", "{file}", "--out", "{tmp}/o.jsonl"],
+        ":1: label_spans: unknown label 'hue'",
+    ),
+    "script_not_an_array": (
+        "script.json",
+        '{"purpose": "evaluate"}',
+        ["evaluate", "--dataset", "{dataset}", "--model", "m", "--script", "{file}"],
+        ": script is a JSON object, expected an array of rules",
+    ),
+    "script_responses_not_strings": (
+        "script.json",
+        '[{"purpose": "evaluate", "responses": ["a red car.", 3]}]',
+        ["evaluate", "--dataset", "{dataset}", "--model", "m", "--script", "{file}"],
+        ": rule 0: responses is not an array of strings",
+    ),
     "script_rule_not_an_object": (
         "script.json",
         '[{"purpose": "evaluate"}, 3]',
@@ -1434,6 +1549,30 @@ def test_malformed_input_file_exits_1(tmp_path, capsys, case):
     argv = [a.format(file=path, dataset=dataset, tmp=tmp_path) for a in argv]
     assert main(argv) == 1
     assert f"error: {path}{where}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("score", "error: score_outputs: no samples could be scored"),
+        ("inject", "error: no samples could be injected (0 failed)"),
+    ],
+)
+def test_run_with_no_sample_to_work_on_exits_1(tmp_path, capsys, backends, command, message):
+    """score with transcripts that name no sample of the dataset, and inject
+    on a dataset of a header alone."""
+    if command == "score":
+        dataset = write_dataset(tmp_path, base_samples())
+        transcripts = tmp_path / "t.jsonl"
+        transcripts.write_text('{"id": "elsewhere", "output": "a red car."}\n', encoding="utf-8")
+        argv = ["score", "--dataset", str(dataset), "--transcripts", str(transcripts)]
+    else:
+        dataset = write_dataset(tmp_path, [])
+        script = write_script(tmp_path, [])
+        argv = ["inject", "--dataset", str(dataset), "--script", str(script)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert message in capsys.readouterr().err
+    assert all(backend.requests == [] for backend in backends)
 
 
 class TestCorrelate:

@@ -41,6 +41,11 @@ def inject_rule(*responses):
 CFG = InjectionConfig(rounds=2, include_image=False)
 
 
+def fresh(caption):
+    """The state of a caption before its first injection round."""
+    return InjectionState(clean=tokenize(caption))
+
+
 def tagged_caption(state):
     """The current caption with each surviving span tagged."""
     spans = [
@@ -94,7 +99,7 @@ class TestConfig:
 class TestInjectRound:
     def test_substitution(self):
         gate, _ = make_gate([inject_rule(f"a {TAG}blue{END} car.\nLABELS: color")])
-        state = inject_round("a red car.", CFG, gate)
+        state = inject_round(fresh("a red car."), CFG, gate)
         assert state.spans == [
             InjectedSpan(clean_start=1, clean_end=2, replacement=("blue",), dimension="color")
         ]
@@ -103,7 +108,7 @@ class TestInjectRound:
 
     def test_echo_yields_no_spans(self):
         gate, _ = make_gate([inject_rule("a red car.")])
-        state = inject_round("a red car.", CFG, gate)
+        state = inject_round(fresh("a red car."), CFG, gate)
         assert state.spans == []
         assert state.current_text() == "a red car."
 
@@ -111,7 +116,7 @@ class TestInjectRound:
         gate, _ = make_gate(
             [inject_rule(f"a red car{TAG} with flames{END}.\nLABELS: scene")]
         )
-        state = inject_round("a red car.", CFG, gate)
+        state = inject_round(fresh("a red car."), CFG, gate)
         assert state.spans == [
             InjectedSpan(clean_start=3, clean_end=3, replacement=("with", "flames"), dimension="scene")
         ]
@@ -128,7 +133,7 @@ class TestInjectRound:
                 )
             ]
         )
-        state = inject_round("a red car.", CFG, gate)
+        state = inject_round(fresh("a red car."), CFG, gate)
         assert [s.replacement for s in state.spans] == [("blue",)]
         assert len(backend.requests) == 2
         assert "REMINDER" in backend.requests[1].user
@@ -139,7 +144,7 @@ class TestInjectRound:
         # after retry one edit stays untagged; the tagged one still lands
         bad = f"a {TAG}blue{END} car drives fast.\nLABELS: color"
         gate, _ = make_gate([inject_rule(bad, bad)])
-        state = inject_round("a red car goes fast.", CFG, gate)
+        state = inject_round(fresh("a red car goes fast."), CFG, gate)
         assert state.spans == [
             InjectedSpan(clean_start=1, clean_end=2, replacement=("blue",), dimension="color")
         ]
@@ -149,13 +154,13 @@ class TestInjectRound:
         bad = f"totally different {TAG}junk{END} text here now"
         gate, _ = make_gate([inject_rule(bad, bad)])
         with pytest.raises(InjectionError):
-            inject_round("a red car.", CFG, gate)
+            inject_round(fresh("a red car."), CFG, gate)
 
     def test_nested_tags_repaired(self):
         gate, _ = make_gate(
             [inject_rule(f"a {TAG}big {TAG}blue{END}{END} car.\nLABELS: color")]
         )
-        state = inject_round("a red car.", CFG, gate)
+        state = inject_round(fresh("a red car."), CFG, gate)
         assert state.spans == [
             InjectedSpan(clean_start=1, clean_end=2, replacement=("big", "blue"), dimension="color")
         ]
@@ -164,12 +169,12 @@ class TestInjectRound:
         gate, _ = make_gate(
             [inject_rule(f"a {TAG}blue{END} car near {TAG}two{END} gates.\nLABELS: color")]
         )
-        state = inject_round("a red car near the gates.", CFG, gate)
+        state = inject_round(fresh("a red car near the gates."), CFG, gate)
         assert [s.dimension for s in state.spans] == ["color", "other"]
 
     def test_unknown_label_becomes_other(self):
         gate, _ = make_gate([inject_rule(f"a {TAG}blue{END} car.\nLABELS: sparkle")])
-        state = inject_round("a red car.", CFG, gate)
+        state = inject_round(fresh("a red car."), CFG, gate)
         assert state.spans[0].dimension == "other"
 
     def test_max_spans_truncates(self):
@@ -177,14 +182,14 @@ class TestInjectRound:
         gate, _ = make_gate(
             [inject_rule(f"a {TAG}blue{END} car near {TAG}two{END} gates.\nLABELS: color, number")]
         )
-        state = inject_round("a red car near the gates.", cfg, gate)
+        state = inject_round(fresh("a red car near the gates."), cfg, gate)
         assert len(state.spans) == 1
         assert state.spans[0].replacement == ("blue",)
 
     def test_empty_caption_raises(self):
         gate, _ = make_gate([inject_rule("x")])
-        with pytest.raises(InjectionError):
-            inject_round("   ", CFG, gate)
+        with pytest.raises(InjectionError, match="empty caption"):
+            run_adversarial(BenchmarkSample("s", "", "nature", "   "), CFG, gate)
 
     def test_labels_follow_the_position_of_the_tagged_run(self):
         # "red" is tagged but unchanged, so it gives no span; "two" is the
@@ -192,12 +197,12 @@ class TestInjectRound:
         gate, _ = make_gate(
             [inject_rule(f"a {TAG}red{END} car near {TAG}two{END} gates.\nLABELS: color, number")]
         )
-        state = inject_round("a red car near the gates.", CFG, gate)
+        state = inject_round(fresh("a red car near the gates."), CFG, gate)
         assert state.spans == [InjectedSpan(4, 5, ("two",), "number")]
 
     def test_unchanged_words_inside_a_tagged_run_are_not_gold(self):
         gate, _ = make_gate([inject_rule(f"a {TAG}blue car{END} goes.\nLABELS: color")])
-        state = inject_round("a red car goes.", CFG, gate)
+        state = inject_round(fresh("a red car goes."), CFG, gate)
         assert state.spans == [InjectedSpan(1, 2, ("blue",), "color")]
 
     def test_one_run_may_give_several_spans_with_its_label(self):
@@ -205,7 +210,7 @@ class TestInjectRound:
         gate, _ = make_gate(
             [inject_rule(f"a {TAG}blue car with two{END} doors.\nLABELS: color")]
         )
-        state = inject_round("a red car with four doors.", cfg, gate)
+        state = inject_round(fresh("a red car with four doors."), cfg, gate)
         assert state.spans == [
             InjectedSpan(1, 2, ("blue",), "color"),
             InjectedSpan(4, 5, ("two",), "color"),
@@ -227,7 +232,7 @@ class TestInjectRound:
         assert problems == [f"clean tokens {missing} missing from the output"]
         assert spans == [kept]
         gate, backend = make_gate([inject_rule(reply, reply)])
-        state = inject_round("p q r s.", CFG, gate)
+        state = inject_round(fresh("p q r s."), CFG, gate)
         assert len(backend.requests) == 2
         assert state.spans == [kept]
         assert state.current_text() == caption

@@ -21,7 +21,6 @@ from caploc.modelgate import (
     ModelResponse,
     Purpose,
     ResponseCache,
-    RetryPolicy,
     RetryableBackendError,
     ScriptExhaustedError,
     ScriptRule,
@@ -121,16 +120,62 @@ class BusySession:
 )
 def test_retry_after_sets_the_backoff(status, header, wait):
     """429 and 503 replies wait the server's Retry-After seconds, capped at
-    max_delay; otherwise the policy's backoff applies."""
+    8 s; otherwise the first backoff wait, 0.5 s, applies."""
     sleeps = []
     gate = ModelGate(
         HttpBackend("http://localhost:9", session=BusySession(status, header)),
-        retry=RetryPolicy(attempts=3, base_delay=0.5, max_delay=8.0),
         sleep=sleeps.append,
     )
     response = gate.complete(make_req())
     assert (response.text, response.attempts) == ("ok", 2)
     assert sleeps == [wait]
+
+
+@pytest.mark.parametrize("status", [400, 401, 404, 422])
+def test_http_4xx_other_than_429_is_sent_once(status):
+    """A client error is no transient failure: the gate does not resend it,
+    though the next post would be answered."""
+    sleeps = []
+    gate = ModelGate(
+        HttpBackend("http://localhost:9", session=BusySession(status, "3")),
+        sleep=sleeps.append,
+    )
+    with pytest.raises(BackendError, match=f"HTTP {status}: busy") as info:
+        gate.complete(make_req())
+    assert not isinstance(info.value, RetryableBackendError)
+    assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "kwargs, env, headers",
+    [
+        ({}, {"CAPLOC_API_KEY": "secret"}, {"Authorization": "Bearer secret"}),
+        (
+            {"api_key_env": "OTHER_KEY"},
+            {"OTHER_KEY": "secret", "CAPLOC_API_KEY": "wrong"},
+            {"Authorization": "Bearer secret"},
+        ),
+        ({}, {"CAPLOC_API_KEY": ""}, {}),
+        ({}, {}, {}),
+    ],
+    ids=["default_variable", "named_variable", "empty", "unset"],
+)
+def test_http_bearer_token_only_when_its_variable_is_set(monkeypatch, kwargs, env, headers):
+    posts = []
+
+    class Session:
+        def post(self, url, **kwargs):
+            posts.append(kwargs["headers"])
+            resp = requests.Response()
+            resp.status_code, resp._content = 200, b'{"text": "ok"}'
+            return resp
+
+    for name in ("CAPLOC_API_KEY", "OTHER_KEY"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    assert HttpBackend("http://localhost:9", session=Session(), **kwargs).send(make_req()) == "ok"
+    assert posts == [headers]
 
 
 def test_cache_key_stable():
@@ -515,11 +560,7 @@ class FlakyBackend:
 def test_retry_until_success():
     sleeps = []
     backend = FlakyBackend(fail_times=2)
-    gate = ModelGate(
-        backend,
-        retry=RetryPolicy(attempts=3, base_delay=0.5),
-        sleep=sleeps.append,
-    )
+    gate = ModelGate(backend, sleep=sleeps.append)
     resp = gate.complete(make_req())
     assert resp.text == "recovered"
     assert resp.attempts == 3
@@ -528,10 +569,10 @@ def test_retry_until_success():
 
 def test_retry_exhausted():
     backend = FlakyBackend(fail_times=99)
-    gate = ModelGate(backend, retry=RetryPolicy(attempts=2, base_delay=0.0), sleep=lambda s: None)
-    with pytest.raises(BackendError, match="after 2 attempts"):
+    gate = ModelGate(backend, sleep=lambda s: None)
+    with pytest.raises(BackendError, match="after 3 attempts"):
         gate.complete(make_req())
-    assert backend.calls == 2
+    assert backend.calls == 3
 
 
 class FatalBackend:
@@ -547,7 +588,7 @@ class FatalBackend:
 
 def test_non_retryable_not_retried():
     backend = FatalBackend()
-    gate = ModelGate(backend, retry=RetryPolicy(attempts=3))
+    gate = ModelGate(backend)
     with pytest.raises(BackendError, match="401"):
         gate.complete(make_req())
     assert backend.calls == 1
@@ -712,13 +753,6 @@ def test_joined_call_raises_the_owners_error(monkeypatch):
     with pytest.raises(BackendError, match="401"):
         gate.complete(make_req())
     assert backend.calls == 2
-
-
-def test_retry_delay_capped():
-    policy = RetryPolicy(attempts=10, base_delay=1.0, max_delay=4.0)
-    assert policy.delay(1) == 1.0
-    assert policy.delay(3) == 4.0
-    assert policy.delay(9) == 4.0
 
 
 def test_purpose_enum_values():

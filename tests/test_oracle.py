@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace as dc_replace
 
 from hypothesis import example, given, settings, strategies as st
 
-from caploc.corpus import DIMENSION_VALUES, BenchmarkSample, Dimension, HallucinationSpan
+from caploc.corpus import DIMENSION_VALUES, OTHER, BenchmarkSample, HallucinationSpan
 from caploc.diffannot import _keep_steps, _masks, diff_tokens, extract_gold_spans
 from caploc.inject import (
     InjectedSpan,
@@ -560,10 +560,10 @@ def oracle_parse_injector_response(
     for run, s in candidates:
         if run not in allowed:
             continue
-        label = labels[run] if run < len(labels) else Dimension.OTHER.value
+        label = labels[run] if run < len(labels) else OTHER
         if label not in DIMENSION_VALUES:
-            logger.warning("unknown span label %r, using %r", label, Dimension.OTHER.value)
-            label = Dimension.OTHER.value
+            logger.warning("unknown span label %r, using %r", label, OTHER)
+            label = OTHER
         labeled.append(dc_replace(s, dimension=label))
     return labeled, problems
 
@@ -1207,8 +1207,8 @@ def run_injection(inject, start, cfg, replies):
     """(spans, audit, error message) of one inject call on a scripted gate
     that answers the first prompt and the retry with the given replies."""
     gate = ModelGate(ScriptedBackend([ScriptRule(purpose="inject", responses=list(replies))]))
-    if isinstance(start, InjectionState):  # inject_round mutates a state it is given
-        start = InjectionState(clean=start.clean, round=start.round, feedback=list(start.feedback))
+    # inject_round mutates the state it is given
+    start = InjectionState(clean=start.clean, round=start.round, feedback=list(start.feedback))
     try:
         state = inject(start, cfg, gate)
     except InjectionError as exc:
@@ -1224,7 +1224,7 @@ def test_inject_round_matches_oracle(data):
     reply = st.one_of(injector_replies(clean_words), tagged_replies(clean_words))
     replies = [data.draw(reply), data.draw(reply)]
     cfg = InjectionConfig(max_spans=data.draw(st.integers(1, 3)), include_image=False)
-    start = caption
+    start = InjectionState(clean=tokenize(caption))
     if data.draw(st.booleans()):
         start = InjectionState(
             clean=tokenize(caption), round=1, feedback=['Round 1: the phrase "x" was caught.']
