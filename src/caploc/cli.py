@@ -1,9 +1,9 @@
 """Command-line front end: one executable exposing the whole pipeline.
 
 Exit codes: 0 success, 1 validation or runtime failure, 2 usage error.
-Values resolve as flag > config file > built-in default; a JSON config file
-supplies the same keys the flags do. The defaults and value types of those
-keys are the ones EvalConfig and InjectionConfig declare.
+Values resolve as flag > config file > built-in default. A command's config
+keys (_KEYS) are those its flags set; their defaults and value types are the
+ones EvalConfig and InjectionConfig declare.
 """
 
 from __future__ import annotations
@@ -76,9 +76,16 @@ def _config(cls, eff: dict, **given):
     return cls(**{**{name_of[k]: v for k, v in eff.items() if k in name_of}, **given})
 
 
-_GATE_KEYS = dict.fromkeys(("script", "base_url", "api_key_env", "cache"))
-_EVAL_KEYS = {"model": None, **_defaults(EvalConfig)}
-_INJECT_KEYS = {**_defaults(InjectionConfig), "image_root": None}
+_GATE_KEYS = dict.fromkeys(("script", "base_url", "api_key_env", "cache", "image_root"))
+_RUN_KEYS = {**_defaults(EvalConfig), **_GATE_KEYS}  # evaluate's keys but model
+_INJECT_KEYS = {**_defaults(InjectionConfig), **_GATE_KEYS}
+# each command's config keys: those its flags set, and dimensions
+_KEYS = {
+    "inject": _INJECT_KEYS,
+    "evaluate": {"model": None, **_RUN_KEYS},
+    "score": {"model": None, "strict": _RUN_KEYS["strict"], "out": _RUN_KEYS["out"]},
+    "sweep": {**_INJECT_KEYS, **_RUN_KEYS, "models": None},
+}
 
 
 def _read_json(path: str | Path):
@@ -120,15 +127,16 @@ def _misfit(key: str, value, default, many: bool) -> str | None:
     return f"{key} is a JSON {_json_type(value)}, expected {expected}"
 
 
-def _effective(args: argparse.Namespace, keys: dict, many: tuple[str, ...] = ()) -> dict:
-    """Merge flag values over config-file values over the defaults in keys.
+def _effective(args: argparse.Namespace, many: tuple[str, ...] = ()) -> dict:
+    """Merge flag values over config-file values over the command's _KEYS.
 
     A config-file value that does not fit its key's default (_misfit; the
     keys in many may hold lists) raises ValueError naming the file and the
     key or array item.
     """
+    keys = _KEYS[args.command]
     file_values: dict = {}
-    if getattr(args, "config", None):
+    if args.config:
         file_values = _read_json(args.config)
         if not isinstance(file_values, dict):
             raise ValueError(
@@ -145,7 +153,7 @@ def _effective(args: argparse.Namespace, keys: dict, many: tuple[str, ...] = ())
     for key, default in keys.items():
         flag = getattr(args, key, None)
         eff[key] = flag if flag is not None else file_values.get(key, default)
-    if getattr(args, "verbose", False):
+    if args.verbose:
         for key in sorted(eff):
             print(f"{key} = {eff[key]}", file=sys.stderr)
     return eff
@@ -279,7 +287,7 @@ def _audit_name(sample_id: str) -> str:
 
 
 def cmd_inject(args: argparse.Namespace) -> int:
-    eff = _effective(args, {**_INJECT_KEYS, **_GATE_KEYS})
+    eff = _effective(args)
     gate = _build_gate(eff)
     clean = load_dataset(args.dataset)
     audit_dir = Path(args.audit) if args.audit else None
@@ -301,7 +309,7 @@ def cmd_inject(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    eff = _effective(args, {**_EVAL_KEYS, **_GATE_KEYS})
+    eff = _effective(args)
     if not eff["model"]:
         raise _UsageError("--model is required for evaluate")
     gate = _build_gate(eff)
@@ -313,7 +321,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    eff = _effective(args, _EVAL_KEYS)
+    eff = _effective(args)
     cfg = _config(EvalConfig, eff, dataset=args.dataset, model=eff["model"] or "offline")
     report = score_transcripts(cfg, args.transcripts)
     emit_report(report, cfg.out_dir)
@@ -322,11 +330,10 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    keys = {**_INJECT_KEYS, **_EVAL_KEYS, **_GATE_KEYS, "models": None}
-    eff = _effective(args, keys, many=("rounds", "models"))
-    gate = _build_gate(eff)
+    eff = _effective(args, many=("rounds", "models"))
     if not eff["models"]:
         raise _UsageError("--models is required for sweep")
+    gate = _build_gate(eff)
     models = _list(eff["models"])
     ks = _round_counts(eff["rounds"])
     # sweep_rounds sets the round count and each row's model
@@ -361,8 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Dense hallucination localization benchmark tools.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="JSON config file; flags override its values")
     common.add_argument("--verbose", "-v", action="store_true", help="echo effective config")
+
+    configp = argparse.ArgumentParser(add_help=False, parents=[common])
+    configp.add_argument("--config", help="JSON config file; flags override its values")
 
     gatep = argparse.ArgumentParser(add_help=False)
     gatep.add_argument("--script", help="scripted backend rules (JSON file)")
@@ -374,21 +383,17 @@ def build_parser() -> argparse.ArgumentParser:
     injectp = argparse.ArgumentParser(add_help=False)
     injectp.add_argument("--strategy", choices=["naive", "structured"])
     injectp.add_argument("--max-spans", type=int)
-    injectp.add_argument("--overlap", type=int)
     injectp.add_argument("--injector-model")
     injectp.add_argument("--detector-model")
-    injectp.add_argument(
-        "--include-image", action=argparse.BooleanOptionalAction, default=None
-    )
+    injectp.add_argument("--include-image", action=argparse.BooleanOptionalAction, default=None)
 
-    evalp = argparse.ArgumentParser(add_help=False)
-    evalp.add_argument("--model")
-    evalp.add_argument("--strict", action=argparse.BooleanOptionalAction, default=None)
-    evalp.add_argument("--width", type=int, help="parallel requests")
-    evalp.add_argument(
-        "--require-image", action=argparse.BooleanOptionalAction, default=None
-    )
-    evalp.add_argument("--out", help="output directory")
+    scorep = argparse.ArgumentParser(add_help=False)
+    scorep.add_argument("--strict", action=argparse.BooleanOptionalAction, default=None)
+    scorep.add_argument("--out", help="output directory")
+
+    runp = argparse.ArgumentParser(add_help=False)
+    runp.add_argument("--width", type=int, help="parallel requests")
+    runp.add_argument("--require-image", action=argparse.BooleanOptionalAction, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -408,26 +413,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_annotate)
 
-    p = sub.add_parser(
-        "inject", parents=[common, gatep, injectp], help="build a synthetic dataset"
-    )
+    p = sub.add_parser("inject", parents=[configp, gatep, injectp], help="build a synthetic dataset")
     p.add_argument("--dataset", required=True, help="clean-caption dataset")
     p.add_argument("--rounds", type=int, help="adversarial rounds K")
     p.add_argument("--out", required=True)
     p.add_argument("--audit", help="directory for per-sample audit logs")
     p.set_defaults(func=cmd_inject)
 
-    p = sub.add_parser("evaluate", parents=[common, gatep, evalp], help="run a model and score it")
+    p = sub.add_parser(
+        "evaluate", parents=[configp, gatep, scorep, runp], help="run a model and score it"
+    )
     p.add_argument("--dataset", required=True)
+    p.add_argument("--model")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("score", parents=[common, evalp], help="score saved transcripts")
+    p = sub.add_parser("score", parents=[configp, scorep], help="score saved transcripts")
     p.add_argument("--dataset", required=True)
     p.add_argument("--transcripts", required=True)
+    p.add_argument("--model")
     p.set_defaults(func=cmd_score)
 
+    # no abbreviations: --model, which sweep does not read, would abbreviate --models
+    sweep_parents = [configp, gatep, injectp, scorep, runp]
     p = sub.add_parser(
-        "sweep", parents=[common, gatep, injectp, evalp], help="round-count ablation table"
+        "sweep", parents=sweep_parents, allow_abbrev=False, help="round-count ablation table"
     )
     p.add_argument("--dataset", required=True, help="clean-caption dataset")
     p.add_argument("--rounds", help="comma-separated adversarial round counts K")

@@ -320,16 +320,18 @@ _DEAD_BACKEND_STREAK = 8
 def run_samples(
     samples: list[BenchmarkSample], work: Callable[[BenchmarkSample], object], width: int
 ) -> list[tuple[BenchmarkSample, object]]:
-    """(sample, work(sample)) per sample in input order, work running on
-    `width` threads: the one per-sample loop of evaluation and injection.
-    A BackendError, InjectionError or MissingImageError fails only its
-    sample, which is logged and gets None; when every sample failed, a
-    ValueError names how many and the commonest exception type, with the
-    message of its first sample. When _DEAD_BACKEND_STREAK samples in a
-    row, in completion order, failed with a BackendError, a ValueError
-    naming the last stops the run. So does any other exception, a failed
-    cache write or KeyboardInterrupt included: samples not yet started do
-    not run, and the exception propagates once the running ones end."""
+    """(sample, work(sample)) per sample in input order, work running on `width`
+    threads: the one per-sample loop of evaluation and injection. No samples
+    raise ValueError. A BackendError, InjectionError or MissingImageError fails
+    only its sample, which is logged and gets None; when every sample failed, a
+    ValueError names how many and the commonest exception type, with the message
+    of its first sample. When _DEAD_BACKEND_STREAK samples in a row, in
+    completion order, failed with a BackendError, a ValueError naming the last
+    stops the run. So does any other exception, a failed cache write or
+    KeyboardInterrupt included: samples not yet started do not run, and the
+    exception propagates once the running ones end."""
+    if not samples:
+        raise ValueError("the dataset holds no samples")
     stop = threading.Event()
     lock = threading.Lock()
     streak = 0
@@ -362,7 +364,7 @@ def run_samples(
         # stopped a worker) cancels the samples not yet started
         results = list(zip(samples, pool.map(run, samples)))
     failed = [(sample, exc) for sample, exc in results if isinstance(exc, _SAMPLE_ERRORS)]
-    if samples and len(failed) == len(samples):
+    if len(failed) == len(samples):
         # grouped by type, not by message: transport messages carry addresses
         kind, count = Counter(type(exc) for _, exc in failed).most_common(1)[0]
         sample, exc = next((s, e) for s, e in failed if type(e) is kind)
@@ -479,8 +481,8 @@ def build_synthetic(
     """Run the adversarial loop on each clean sample, with its image when
     cfg.include_image. Returns the outcomes in input order and the ids of
     the samples whose injection failed, which are skipped with a warning;
-    raises ValueError when every sample failed (run_samples), and
-    InjectionError when there are none."""
+    raises ValueError when there are none or every one failed
+    (run_samples)."""
 
     def inject(sample: BenchmarkSample) -> InjectionOutcome:
         image = load_image(sample.image, image_root) if cfg.include_image else None
@@ -489,8 +491,6 @@ def build_synthetic(
     results = run_samples(clean, inject, 1)
     outcomes = [outcome for _, outcome in results if outcome is not None]
     failed = [sample.id for sample, outcome in results if outcome is None]
-    if not outcomes:
-        raise InjectionError(f"no samples could be injected ({len(failed)} failed)")
     return outcomes, failed
 
 

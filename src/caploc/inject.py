@@ -75,7 +75,6 @@ class InjectionConfig:
     dimensions: tuple[str, ...] = DIMENSION_VALUES
     max_spans: int = 3
     strategy: str = "structured"
-    overlap: int = 1
     injector_model: str = "injector"
     detector_model: str = "detector"
     include_image: bool = True
@@ -87,8 +86,6 @@ class InjectionConfig:
             raise ValueError("InjectionConfig: max_spans must be >= 1")
         if self.strategy not in ("naive", "structured"):
             raise ValueError(f"InjectionConfig: unknown strategy {self.strategy!r}")
-        if self.overlap < 1:
-            raise ValueError("InjectionConfig: overlap must be >= 1")
         bad = [d for d in self.dimensions if d not in DIMENSION_VALUES]
         if bad:
             raise ValueError(f"InjectionConfig: unknown dimensions {bad}")
@@ -354,21 +351,15 @@ def _find_subsequence(haystack: list[str], needle: list[str]) -> list[int]:
     ]
 
 
-def filter_detected(
-    state: InjectionState, detected: list[DetectedSpan], cfg: InjectionConfig
-) -> InjectionState:
-    """Revert every injected span that shares at least cfg.overlap tokens with
-    a detected span, record feedback about what was caught and why, and end
-    the round. With nothing detected (or no spans) it only ends the round."""
+def filter_detected(state: InjectionState, detected: list[DetectedSpan]) -> InjectionState:
+    """Revert every injected span that shares a token with a detected span,
+    record feedback about what was caught and why, and end the round. With
+    nothing detected (or no spans) it only ends the round."""
     layout = state.span_layout()
     survivors: list[InjectedSpan] = []
     for (a, b), span in zip(layout, state.spans):
-        tokens = set(range(a, b))
-        hit = None
-        for d in detected:
-            if len(tokens & set(range(d.start, d.end))) >= cfg.overlap:
-                hit = d
-                break
+        # both ranges are non-empty, so they share a token iff they cross
+        hit = next((d for d in detected if a < d.end and d.start < b), None)
         if hit is None:
             survivors.append(span)
         else:
@@ -427,6 +418,6 @@ def run_adversarial(
         if state.reverted_last_round > 0:
             state = inject_round(state, cfg, gate, image)
         detected = detect_round(state, cfg, gate) if state.spans else []
-        state = filter_detected(state, detected, cfg)
+        state = filter_detected(state, detected)
         spans_after.append(state.spans)
     return InjectionOutcome(clean, state, spans_after)

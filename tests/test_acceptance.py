@@ -257,7 +257,7 @@ def test_criterion_05():
                 continue
             before = set(state.spans)
             detected = detect_round(state, cfg, gate)
-            filter_detected(state, detected, cfg)
+            filter_detected(state, detected)
             after = set(state.spans)
             assert after <= before, entry
 

@@ -15,6 +15,7 @@ from caploc import cli, corpus, text
 from caploc.cli import main
 from caploc.corpus import BenchmarkSample, HallucinationSpan, load_dataset, save_dataset
 from caploc.fixtures import build_fixture
+from caploc.inject import fill_template, load_template
 from caploc.modelgate import ModelGate, RetryableBackendError, ScriptedBackend, ScriptRule
 from metric_helpers import report_dict
 
@@ -147,17 +148,56 @@ class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["evaluate"], "--model is required for evaluate"),
+            (["evaluate", "--script", "{script}"], "--model is required for evaluate"),
+            (["sweep", "--rounds", "0", "--script", "{script}"], "--models is required for sweep"),
             (["sweep", "--rounds", "0"], "--models is required for sweep"),
+            (["sweep", "--script", "{tmp}/missing.json"], "--models is required for sweep"),
         ],
-        ids=["evaluate_without_model", "sweep_without_models"],
+        ids=[
+            "evaluate_without_model",
+            "sweep_without_models",
+            "sweep_without_models_or_backend",
+            "sweep_without_models_with_a_missing_script",
+        ],
     )
     def test_required_value_missing_exits_2(self, tmp_path, capsys, backends, argv, message):
+        """The missing value is named before the backend is built."""
         dataset = write_dataset(tmp_path, base_samples())
         script = write_script(tmp_path, [])
-        assert main([*argv, "--dataset", str(dataset), "--script", str(script)]) == 2
+        argv = [a.format(script=script, tmp=tmp_path) for a in argv]
+        assert main([*argv, "--dataset", str(dataset)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert all(backend.requests == [] for backend in backends)
+
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["score", "--dataset", "d.jsonl", "--transcripts", "t.jsonl"], ["--width", "2"]),
+            (["score", "--dataset", "d.jsonl", "--transcripts", "t.jsonl"], ["--require-image"]),
+            (["sweep", "--dataset", "d.jsonl", "--models", "a"], ["--model", "m"]),
+            (["inject", "--dataset", "d.jsonl", "--out", "o.jsonl"], ["--overlap", "1"]),
+            (["sweep", "--dataset", "d.jsonl", "--models", "a"], ["--overlap", "1"]),
+            (["validate", "d.jsonl"], ["--config", "c.json"]),
+            (["stats", "d.jsonl"], ["--config", "c.json"]),
+            (["annotate", "--pairs", "p.jsonl", "--out", "o.jsonl"], ["--config", "c.json"]),
+            (["correlate", "--real", "r.json", "--synthetic", "s.json"], ["--config", "c.json"]),
+            (["report", "r.json"], ["--config", "c.json"]),
+        ],
+        ids=lambda value: value[0].lstrip("-"),
+    )
+    def test_option_the_command_does_not_read_exits_2(self, capsys, argv, option):
+        assert main([*argv, *option]) == 2
+        assert f"unrecognized arguments: {option[0]}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(cli._KEYS))
+    def test_config_keys_are_the_options_the_command_reads(self, command):
+        """A command's config keys are its flags' destinations, but for
+        the config file, --verbose and the files it names, plus dimensions,
+        which has no flag."""
+        (sub,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+        named_files = {"dataset", "transcripts", "audit", *(["out"] if command == "inject" else [])}
+        dests = {a.dest for a in sub.choices[command]._actions} - {"help", "config", "verbose"}
+        assert dests - named_files == set(cli._KEYS[command]) - {"dimensions"}
 
     def test_evaluate_without_backend(self, tmp_path, capsys):
         dataset = write_dataset(tmp_path, base_samples())
@@ -326,13 +366,18 @@ def test_annotate_exits_0_or_1_on_any_pairs(tmp_path_factory, lines):
     assert main(["annotate", "--pairs", str(pairs), "--out", str(tmp / "o.jsonl")]) in (0, 1)
 
 
-_CONFIG_KEYS = sorted({**cli._EVAL_KEYS, **cli._INJECT_KEYS, **cli._GATE_KEYS, "models": None})
+_CONFIG_KEYS = sorted(set().union(*cli._KEYS.values()))
 
 
 def _configs_from(eff: dict, command: str) -> None:
     """The config objects `command` builds from its effective values, as
-    cmd_score, cmd_inject and cmd_sweep build them, without running it."""
-    if command == "score":
+    cmd_evaluate, cmd_score, cmd_inject and cmd_sweep build them, without
+    running it."""
+    if command == "evaluate":
+        if not eff["model"]:
+            raise cli._UsageError("--model is required for evaluate")
+        cli._config(cli.EvalConfig, eff, dataset="d.jsonl")
+    elif command == "score":
         cli._config(cli.EvalConfig, eff, dataset="d.jsonl", model=eff["model"] or "offline")
     elif command == "inject":
         cli._injection_config(eff)
@@ -347,22 +392,17 @@ def _configs_from(eff: dict, command: str) -> None:
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(["score", "inject", "sweep"]),
+    st.sampled_from(sorted(cli._KEYS)),
     st.dictionaries(st.sampled_from(_CONFIG_KEYS + ["unknown"]), json_values, max_size=5)
     | json_values,
 )
 def test_any_config_document_raises_only_value_or_usage_error(tmp_path_factory, command, doc):
     config = tmp_path_factory.mktemp("fuzz") / "config.json"
     config.write_text(json.dumps(doc), encoding="utf-8")
-    keys = {
-        "score": cli._EVAL_KEYS,
-        "inject": {**cli._INJECT_KEYS, **cli._GATE_KEYS},
-        "sweep": {**cli._INJECT_KEYS, **cli._EVAL_KEYS, **cli._GATE_KEYS, "models": None},
-    }[command]
-    args = argparse.Namespace(config=str(config), verbose=False)
+    args = argparse.Namespace(command=command, config=str(config), verbose=False)
     many = ("rounds", "models") if command == "sweep" else ()
     try:
-        _configs_from(cli._effective(args, keys, many=many), command)
+        _configs_from(cli._effective(args, many=many), command)
     except (ValueError, cli._UsageError):
         pass
 
@@ -469,6 +509,25 @@ class TestConfigFile:
         report = json.loads((tmp_path / "cfg_out" / "report.json").read_text())
         assert report["model"] == "from-flag"
 
+    def test_score_warns_about_the_evaluate_keys_it_does_not_read(self, tmp_path, capsys, caplog):
+        """One config file serves evaluate and score: score warns about the
+        keys only evaluate reads, whatever their values, and ignores them."""
+        dataset = write_dataset(tmp_path, base_samples())
+        transcripts = tmp_path / "t.jsonl"
+        lines = [json.dumps({"id": s.id, "output": s.caption}) for s in base_samples()]
+        transcripts.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        config = tmp_path / "config.json"
+        doc = {"model": "shared", "width": 0, "require_image": True, "image_root": "/nonexistent"}
+        config.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["score", "--dataset", str(dataset), "--transcripts", str(transcripts)]
+        assert main([*argv, "--config", str(config), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["model"] == "shared"
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings == [
+            "config keys not used by this subcommand: ['image_root', 'require_image', 'width']"
+        ]
+
     def test_verbose_echoes_effective_values(self, tmp_path, capsys):
         dataset = write_dataset(tmp_path, base_samples())
         script = write_script(tmp_path, eval_script_rules())
@@ -546,6 +605,30 @@ class TestInject:
         assert samples[0].clean_caption == "a red car parked near the gate."
         log = json.loads((audit / "c1.json").read_text())
         assert any(entry["phase"] == "detect" for entry in log)
+
+    def test_naive_strategy_prompts_with_the_naive_template(self, tmp_path, capsys):
+        """The rule answers only a prompt holding a phrase that only the
+        naive template has."""
+        dataset = self.clean_dataset(tmp_path)
+        reply = f"a red car parked near the {TAG}open{END} gate.\nLABELS: scene"
+        rules = [{"purpose": "inject", "contains": "Change a few words", "responses": [reply]}]
+        script = write_script(tmp_path, rules)
+        out = tmp_path / "synthetic.jsonl"
+        audit = tmp_path / "audit"
+        argv = ["inject", "--dataset", str(dataset), "--out", str(out), "--script", str(script)]
+        argv += ["--strategy", "naive", "--rounds", "0", "--no-include-image", "--audit", str(audit)]
+        assert main(argv) == 0
+        (sample,) = load_dataset(out)
+        assert sample.caption == "a red car parked near the open gate."
+        assert sample.gold_spans == [HallucinationSpan(6, 7, "scene")]
+        (entry,) = json.loads((audit / "c1.json").read_text())
+        assert entry["phase"] == "inject"
+        assert entry["prompt"] == fill_template(
+            load_template("inject_naive"),
+            caption="a red car parked near the gate.",
+            dimensions=", ".join(corpus.DIMENSION_VALUES),
+            feedback="None.",
+        )
 
     def test_reply_with_a_lone_surrogate_skips_its_sample(self, tmp_path, caplog):
         clean = [
@@ -1336,6 +1419,7 @@ MALFORMED_INPUT_FILES = {
             json.dumps({key: value}),
             {
                 "inject": ["inject", "--dataset", "{dataset}", "--out", "{tmp}/o.jsonl"],
+                "evaluate": ["evaluate", "--dataset", "{dataset}"],
                 "score": ["score", "--dataset", "{dataset}", "--transcripts", "t.jsonl"],
             }[command]
             + ["--config", "{file}"],
@@ -1344,7 +1428,7 @@ MALFORMED_INPUT_FILES = {
         for command, key, name, value, kind, expected in [
             ("inject", "rounds", "array", [1], "array", "int"),
             ("inject", "rounds", "null", None, "null", "int"),
-            ("score", "width", "null", None, "null", "int"),
+            ("evaluate", "width", "null", None, "null", "int"),
             ("score", "strict", "string", "false", "string", "bool"),
             ("inject", "include_image", "string", "false", "string", "bool"),
             ("inject", "max_spans", "fraction", 2.7, "number", "int"),
@@ -1555,12 +1639,14 @@ def test_malformed_input_file_exits_1(tmp_path, capsys, case):
     "command, message",
     [
         ("score", "error: score_outputs: no samples could be scored"),
-        ("inject", "error: no samples could be injected (0 failed)"),
+        ("inject", "error: the dataset holds no samples"),
+        ("evaluate", "error: the dataset holds no samples"),
+        ("sweep", "error: the dataset holds no samples"),
     ],
 )
 def test_run_with_no_sample_to_work_on_exits_1(tmp_path, capsys, backends, command, message):
-    """score with transcripts that name no sample of the dataset, and inject
-    on a dataset of a header alone."""
+    """score with transcripts that name no sample of the dataset, and
+    inject, evaluate and sweep on a dataset of a header alone."""
     if command == "score":
         dataset = write_dataset(tmp_path, base_samples())
         transcripts = tmp_path / "t.jsonl"
@@ -1569,7 +1655,8 @@ def test_run_with_no_sample_to_work_on_exits_1(tmp_path, capsys, backends, comma
     else:
         dataset = write_dataset(tmp_path, [])
         script = write_script(tmp_path, [])
-        argv = ["inject", "--dataset", str(dataset), "--script", str(script)]
+        argv = [command, "--dataset", str(dataset), "--script", str(script)]
+        argv += {"inject": [], "evaluate": ["--model", "m"], "sweep": ["--models", "m"]}[command]
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert message in capsys.readouterr().err
     assert all(backend.requests == [] for backend in backends)

@@ -547,8 +547,11 @@ class TestRunSamples:
             "connection refused by the host of s2"
         )
 
-    def test_no_samples_is_no_failure(self):
-        assert run_samples([], lambda sample: sample.caption, 2) == []
+    def test_no_samples_raises_before_any_work(self):
+        worked = []
+        with pytest.raises(ValueError, match="^the dataset holds no samples$"):
+            run_samples([], worked.append, 2)
+        assert worked == []
 
     @pytest.mark.parametrize("error", FATAL_ERRORS, ids=["oserror", "keyboard_interrupt"])
     # above width 1, the delay lets the failing worker stop the run while

@@ -87,8 +87,8 @@ class TestConfig:
             {"rounds": -1},
             {"max_spans": 0},
             {"strategy": "chaotic"},
-            {"overlap": 0},
             {"dimensions": ("color", "vibes")},
+            {"strategy": ""},
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -331,7 +331,7 @@ class TestFilterDetected:
     def test_overlap_reverts_only_hit_span(self):
         state = self.make_state()
         detected = [DetectedSpan(4, 5, "that", "looks wrong")]
-        filter_detected(state, detected, CFG)
+        filter_detected(state, detected)
         assert state.spans == [InjectedSpan(1, 2, ("blue",), "color")]
         assert state.reverted_last_round == 1
         assert state.round == 1
@@ -342,29 +342,37 @@ class TestFilterDetected:
     def test_wide_detection_reverts_both(self):
         state = self.make_state()
         detected = [DetectedSpan(0, 6, "a blue car near that gate", "rewrite")]
-        filter_detected(state, detected, CFG)
+        filter_detected(state, detected)
         assert state.spans == []
         assert state.reverted_last_round == 2
 
     def test_nothing_detected_keeps_all(self):
         state = self.make_state()
         before = list(state.spans)
-        filter_detected(state, [], CFG)
+        filter_detected(state, [])
         assert state.spans == before
         assert state.reverted_last_round == 0
         assert state.feedback == []
 
     def test_overlap_threshold(self):
-        cfg = InjectionConfig(overlap=2, include_image=False)
-        state = InjectionState(clean=tokenize("a red car near the gate."))
-        state.spans = [InjectedSpan(1, 3, ("big", "blue"), "color")]
-        # one shared token is below the threshold of two
-        filter_detected(state, [DetectedSpan(2, 4, "blue car", "")], cfg)
-        assert len(state.spans) == 1
-        state2 = InjectionState(clean=tokenize("a red car near the gate."))
-        state2.spans = [InjectedSpan(1, 3, ("big", "blue"), "color")]
-        filter_detected(state2, [DetectedSpan(1, 3, "big blue", "")], cfg)
-        assert state2.spans == []
+        def state():
+            # "a big blue near the gate.": the span is tokens [1, 3)
+            s = InjectionState(clean=tokenize("a red car near the gate."))
+            s.spans = [InjectedSpan(1, 3, ("big", "blue"), "color")]
+            return s
+
+        # ranges that only touch the span's edges keep it
+        kept = state()
+        edges = [DetectedSpan(0, 1, "a", ""), DetectedSpan(3, 5, "near the", "")]
+        filter_detected(kept, edges)
+        assert len(kept.spans) == 1
+        # one shared token reverts it
+        hit = state()
+        filter_detected(hit, [DetectedSpan(2, 4, "blue near", "")])
+        assert hit.spans == []
+        whole = state()
+        filter_detected(whole, [DetectedSpan(1, 3, "big blue", "")])
+        assert whole.spans == []
 
 
 def adversarial_rules():

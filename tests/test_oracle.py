@@ -642,7 +642,7 @@ def oracle_run_adversarial(
             state = oracle_inject_round(state, cfg, gate)
         if state.spans:
             detected = detect_round(state, cfg, gate)
-            state = filter_detected(state, detected, cfg)
+            state = filter_detected(state, detected)
         else:
             state.reverted_last_round = 0
             state.round += 1
