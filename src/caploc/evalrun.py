@@ -9,6 +9,7 @@ transcript file, so offline re-scoring reproduces a live run exactly.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import hashlib
 import json
 import logging
@@ -44,9 +45,7 @@ from .inject import (
     run_adversarial,
 )
 from .metrics import (
-    RecallCounts,
     ScoreCard,
-    TokenCounts,
     aggregate,
     dimension_counts,
     sentence_metrics,
@@ -121,13 +120,13 @@ class EvalReport:
     @classmethod
     def from_dict(cls, data: dict) -> EvalReport:
         """Rebuild a report from its to_dict() form, its card made from the
-        per-sample rows by card_from_rows, as a live run makes it.
+        per-sample rows by metrics.aggregate, as a live run makes it.
 
         Raises ValueError when a key is missing or holds the wrong type (a
-        coverage outside [0, 1] included), or card_from_rows refuses a row.
+        coverage outside [0, 1] included), or aggregate refuses a row.
         """
         try:
-            card = card_from_rows(data["samples"])
+            card = aggregate(data["samples"])
             report = cls(
                 model=data["model"],
                 dataset_sha256=data["dataset_sha256"],
@@ -207,43 +206,16 @@ def score_sample(sample: BenchmarkSample, raw: str, strict: bool) -> dict:
     gold = set()
     for span in sample.gold_spans:
         gold.update(range(span.start, span.end))
-    dims = dimension_counts(sample.gold_spans, indices)
     return {
         "id": sample.id,
         "domain": sample.domain,
-        "token": token_counts(gold, indices).to_dict(),
-        "sentence": sentence_metrics(gold, indices, ends).to_dict(),
-        "dimensions": {d: rc.to_dict() for d, rc in sorted(dims.items())},
+        "token": token_counts(gold, indices),
+        "sentence": sentence_metrics(gold, indices, ends),
+        "dimensions": dimension_counts(sample.gold_spans, indices),
         "faithful": pred.faithful,
         "alignment_coverage": pred.alignment_coverage,
-        "parse_status": parsed.status.value,
+        "parse_status": parsed.status,
     }
-
-
-def card_from_rows(rows: list[dict]) -> ScoreCard:
-    """The score card of report rows as score_sample writes them: the one
-    way a card is made, live (score_outputs) or read back (from_dict).
-
-    A row whose id or domain is no string, whose faithful is no bool, or
-    whose counts TokenCounts or RecallCounts refuse raises ValueError naming
-    the row; a missing key raises KeyError, a row of the wrong shape TypeError.
-    """
-    for i, row in enumerate(rows):
-        try:
-            sample_id, domain = row["id"], row["domain"]
-            # built for their checks only: aggregate sums the rows themselves
-            TokenCounts(**row["token"])
-            TokenCounts(**row["sentence"])
-            for _, rc in row["dimensions"].items():
-                RecallCounts(**rc)
-            faithful = row["faithful"]
-            if not (isinstance(sample_id, str) and isinstance(domain, str)):
-                raise ValueError("id or domain is not a string")
-            if type(faithful) is not bool:
-                raise ValueError(f"faithful is {faithful!r}, not a boolean")
-        except ValueError as exc:
-            raise ValueError(f"sample row {i}: {exc}") from None
-    return aggregate(rows)
 
 
 def score_outputs(
@@ -266,7 +238,7 @@ def score_outputs(
             rows.append(score_sample(sample, output, cfg.strict))
     if not rows:
         raise ValueError("score_outputs: no samples could be scored")
-    return card_from_rows(rows), rows, skipped
+    return aggregate(rows), rows, skipped
 
 
 def write_transcripts(path: str | Path, rows: Iterable[tuple[str, str]]) -> None:
@@ -380,13 +352,23 @@ def evaluate_dataset(cfg: EvalConfig, gate: ModelGate) -> EvalReport:
 
     Failed requests become skipped rows rather than aborting the run; with a
     warm cache no request leaves the process and the report is reproducible.
+    The output directory is made before the first request, so an unusable one
+    fails first; a run that raises removes it again if this call made it and
+    it is still empty.
     """
     samples = load_dataset(cfg.dataset)
     out_dir = Path(cfg.out_dir)
+    made = not out_dir.is_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
-    fetched = run_samples(
-        samples, lambda sample: gate.complete(build_prompt(sample, cfg)).text, cfg.width
-    )
+    try:
+        fetched = run_samples(
+            samples, lambda sample: gate.complete(build_prompt(sample, cfg)).text, cfg.width
+        )
+    except BaseException:
+        if made:
+            with contextlib.suppress(OSError):  # no longer empty
+                os.rmdir(out_dir)
+        raise
     outputs = {sample.id: text for sample, text in fetched if text is not None}
     write_transcripts(out_dir / "transcripts.jsonl", outputs.items())
     return _make_report(cfg, samples, outputs)

@@ -26,35 +26,6 @@ class PRF:
         return {"p": self.p, "r": self.r, "f1": self.f1}
 
 
-def _check_counts(name: str, *counts: object) -> None:
-    """Raise ValueError unless every count is an int of 0 or more (no bool)."""
-    for count in counts:
-        if type(count) is not int:
-            raise ValueError(f"{name}: count {count!r} is not an integer")
-        if count < 0:
-            raise ValueError(f"{name}: negative count")
-
-
-@dataclass(frozen=True)
-class TokenCounts:
-    """Raw numerators and denominators behind a P/R pair."""
-
-    intersection: int
-    predicted: int
-    gold: int
-
-    def __post_init__(self) -> None:
-        _check_counts("TokenCounts", self.intersection, self.predicted, self.gold)
-        if self.intersection > min(self.predicted, self.gold):
-            raise ValueError("TokenCounts: intersection exceeds a side")
-
-    def to_dict(self) -> dict:
-        return {"intersection": self.intersection, "predicted": self.predicted, "gold": self.gold}
-
-    def prf(self) -> PRF:
-        return PRF(*_prf(self.intersection, self.predicted, self.gold))
-
-
 def _prf(intersection: int, predicted: int, gold: int) -> tuple[float, float, float]:
     """(p, r, f1) of intersection, predicted and gold counts, by the empty-set
     conventions."""
@@ -65,13 +36,14 @@ def _prf(intersection: int, predicted: int, gold: int) -> tuple[float, float, fl
     return p, r, 2 * p * r / (p + r) if p + r > 0 else 0.0
 
 
-def token_counts(gold: set[int], pred: set[int]) -> TokenCounts:
-    return TokenCounts(len(gold & pred), len(pred), len(gold))
+def token_counts(gold: set[int], pred: set[int]) -> dict[str, int]:
+    """A report row's token counts: the sizes of gold & pred, pred and gold."""
+    return {"intersection": len(gold & pred), "predicted": len(pred), "gold": len(gold)}
 
 
-def sentence_metrics(gold: set[int], pred: set[int], ends: Sequence[int]) -> TokenCounts:
-    """Sentence-level counts: a sentence counts as hallucinated when it
-    contains at least one hallucinated token.
+def sentence_metrics(gold: set[int], pred: set[int], ends: Sequence[int]) -> dict[str, int]:
+    """Sentence-level counts, in token_counts' form: a sentence counts as
+    hallucinated when it contains at least one hallucinated token.
 
     ends are the sentences' end token indices, as split_sentences returns
     them: the sentences tile the token range [0, n) in order, so token i
@@ -85,35 +57,21 @@ def sentence_metrics(gold: set[int], pred: set[int], ends: Sequence[int]) -> Tok
         )
     gold_hit = {bisect_right(ends, i) for i in gold}
     pred_hit = {bisect_right(ends, i) for i in pred}
-    return TokenCounts(len(gold_hit & pred_hit), len(pred_hit), len(gold_hit))
-
-
-@dataclass(frozen=True)
-class RecallCounts:
-    hit: int
-    total: int
-
-    def __post_init__(self) -> None:
-        _check_counts("RecallCounts", self.hit, self.total)
-        if self.hit > self.total:
-            raise ValueError("RecallCounts: hit exceeds total")
-
-    def to_dict(self) -> dict:
-        return {"hit": self.hit, "total": self.total}
+    return {"intersection": len(gold_hit & pred_hit), "predicted": len(pred_hit), "gold": len(gold_hit)}
 
 
 def dimension_counts(
     gold_spans: list[HallucinationSpan], pred: set[int]
-) -> dict[str, RecallCounts]:
-    """Per-dimension hit/total token counts; only dimensions with gold tokens
-    appear."""
+) -> dict[str, dict[str, int]]:
+    """Per-dimension {"hit", "total"} token counts in dimension order; only
+    dimensions with gold tokens appear."""
     sums: dict[str, list[int]] = {}
     for span in gold_spans:
         tokens = range(span.start, span.end)
         hit_total = sums.setdefault(span.dimension, [0, 0])
         hit_total[0] += len(pred.intersection(tokens))
         hit_total[1] += len(tokens)
-    return {d: RecallCounts(hit, total) for d, (hit, total) in sums.items()}
+    return {d: {"hit": hit, "total": total} for d, (hit, total) in sorted(sums.items())}
 
 
 @dataclass
@@ -157,10 +115,10 @@ def _card(rows: list[tuple]) -> ScoreCard:
     ti, tp, tg, si, sp, sg, unfaithful, token_prfs, sentence_prfs, dims = zip(*rows)
     dim_sums: dict[str, list[int]] = {}
     for row_dims in dims:
-        for dim, rc in row_dims.items():
+        for dim, hit, total in row_dims:
             hit_total = dim_sums.setdefault(dim, [0, 0])
-            hit_total[0] += rc["hit"]
-            hit_total[1] += rc["total"]
+            hit_total[0] += hit
+            hit_total[1] += total
     return ScoreCard(
         token=PRF(*_prf(sum(ti), sum(tp), sum(tg))),
         sentence=PRF(*_prf(sum(si), sum(sp), sum(sg))),
@@ -172,25 +130,59 @@ def _card(rows: list[tuple]) -> ScoreCard:
     )
 
 
+_SIDES = ("intersection", "predicted", "gold")
+_RECALL = ("hit", "total")
+
+
+def _counts(name: str, counts: object, keys: tuple[str, ...]) -> list[int]:
+    """The counts of row field `name` in keys order. Raise ValueError naming
+    the field unless it holds exactly those keys, each an int of 0 or more
+    (no bool), and the first (intersection or hit) exceeds none of the rest."""
+    if type(counts) is not dict or counts.keys() != set(keys):
+        raise ValueError(f"{name}: not an object of exactly {', '.join(keys)}")
+    values = [counts[key] for key in keys]
+    for count in values:
+        if type(count) is not int:
+            raise ValueError(f"{name}: count {count!r} is not an integer")
+        if count < 0:
+            raise ValueError(f"{name}: negative count")
+    if values[0] > min(values[1:]):
+        raise ValueError(f"{name}: {keys[0]} exceeds {' or '.join(keys[1:])}")
+    return values
+
+
 def aggregate(rows: list[dict]) -> ScoreCard:
-    """The card of report rows that evalrun.card_from_rows has checked, with
-    per-domain sub-cards. One pass files each row's counts and its token and
-    sentence PRFs under the overall card and its domain's; each card sums its
-    counts into its PRFs and averages the per-row PRFs in row order."""
-    if not rows:
-        raise ValueError("aggregate: no samples")
+    """The card of report rows as evalrun.score_sample writes them, with
+    per-domain sub-cards: the one way a card is made, live or read back.
+
+    One pass checks each row by _counts, for a string id and domain and a
+    bool faithful, raising ValueError naming the row, and files its counts
+    and its token and sentence PRFs under the overall card and its domain's.
+    Each card sums its counts into its PRFs and averages the per-row PRFs in
+    row order. A missing key raises KeyError, a row of the wrong shape
+    TypeError or AttributeError, and no rows ValueError."""
     everything: list[tuple] = []
     by_domain: dict[str, list[tuple]] = {}
-    for row in rows:
-        t, s = row["token"], row["sentence"]
-        ti, tp, tg = t["intersection"], t["predicted"], t["gold"]
-        si, sp, sg = s["intersection"], s["predicted"], s["gold"]
-        terms = (
-            ti, tp, tg, si, sp, sg, not row["faithful"],
-            _prf(ti, tp, tg), _prf(si, sp, sg), row["dimensions"],
-        )
+    for i, row in enumerate(rows):
+        try:
+            ti, tp, tg = _counts("token", row["token"], _SIDES)
+            si, sp, sg = _counts("sentence", row["sentence"], _SIDES)
+            dims = [
+                (dim, *_counts(f"dimensions/{dim}", counts, _RECALL))
+                for dim, counts in row["dimensions"].items()
+            ]
+            domain, faithful = row["domain"], row["faithful"]
+            if not (isinstance(row["id"], str) and isinstance(domain, str)):
+                raise ValueError("id or domain is not a string")
+            if type(faithful) is not bool:
+                raise ValueError(f"faithful is {faithful!r}, not a boolean")
+        except ValueError as exc:
+            raise ValueError(f"sample row {i}: {exc}") from None
+        terms = (ti, tp, tg, si, sp, sg, not faithful, _prf(ti, tp, tg), _prf(si, sp, sg), dims)
         everything.append(terms)
-        by_domain.setdefault(row["domain"], []).append(terms)
+        by_domain.setdefault(domain, []).append(terms)
+    if not everything:
+        raise ValueError("aggregate: no samples")
     card = _card(everything)
     card.per_domain = {d: _card(group) for d, group in sorted(by_domain.items())}
     return card

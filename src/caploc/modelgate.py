@@ -119,14 +119,15 @@ class ResponseCache:
     directory, appended to its log file responses.jsonl.
 
     Each log line is one JSON object {"key": ..., "text": ...}. Construction
-    reads the log, and any <key>.json entry file an older cache left, into
-    the dict; a later line for a key wins. get() is a dict lookup. put()
+    reads the log into the dict; a later line for a key wins. The
+    <key>.json entry files of the older one-file-per-entry layout are not
+    read: such a cache is cold, never wrong. get() is a dict lookup. put()
     appends its line with one write to a descriptor opened with O_APPEND,
     so processes sharing a directory never interleave parts of lines; a
     process does not see lines another process appends after it started.
-    A line or entry file that cannot be read is skipped with a warning
-    naming it: a line left torn by a crash or a full disk is a miss, never
-    a wrong reply. Without a directory the cache lives in memory only.
+    A line that cannot be read is skipped with a warning naming it: a line
+    left torn by a crash or a full disk is a miss, never a wrong reply.
+    Without a directory the cache lives in memory only.
     """
 
     def __init__(self, directory: str | Path | None):
@@ -138,8 +139,6 @@ class ResponseCache:
             return
         self.directory.mkdir(parents=True, exist_ok=True)
         self._log = self.directory / "responses.jsonl"
-        for path in sorted(self.directory.glob("*.json")):
-            self._load(path.stem, path.read_bytes(), str(path))
         try:
             data = self._log.read_bytes()
         except FileNotFoundError:
@@ -148,22 +147,18 @@ class ResponseCache:
         # only b"\n" ends a line: a reply may hold U+2028 or U+0085 raw
         for lineno, line in enumerate(data.split(b"\n"), 1):
             if line:
-                self._load(None, line, f"{self._log}:{lineno}")
+                self._load(line, f"{self._log}:{lineno}")
 
-    def _load(self, key: str | None, data: bytes, where: str) -> None:
-        """Take one entry: a log line (key None) or a legacy entry file's
-        bytes. Anything but UTF-8 JSON holding an object with a string
-        "text" (and, on a log line, a string "key") is skipped with a
-        warning, as is a surrogate escape such as \\ud800, which the gate
-        never caches."""
+    def _load(self, line: bytes, where: str) -> None:
+        """Take one log line. Anything but UTF-8 JSON holding an object with
+        a string "key" and a string "text" is skipped with a warning, as is
+        a surrogate escape such as \\ud800, which the gate never caches."""
         try:
-            entry = json.loads(data.decode("utf-8"))
-            text = entry["text"]
-            if key is None:
-                key = entry["key"]
+            entry = json.loads(line.decode("utf-8"))
+            key, text = entry["key"], entry["text"]
         # ValueError covers bad JSON and UTF-8, RecursionError too deep a nesting
         except (ValueError, KeyError, TypeError, RecursionError):
-            text = None
+            key = text = None
         if isinstance(key, str) and isinstance(text, str) and _is_utf8(key) and _is_utf8(text):
             self._entries[key] = text
         else:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from itertools import accumulate
 
 from .corpus import CLOSE_TAG, OPEN_TAG, HallucinationSpan
@@ -24,20 +23,14 @@ from .text import TokenizedCaption, tokenize
 _TAG_RE = re.compile(f"({re.escape(OPEN_TAG)}|{re.escape(CLOSE_TAG)})")
 
 
-class ParseStatus(str, Enum):
-    OK = "ok"
-    MALFORMED_TAGS = "malformed_tags"
-    EMPTY = "empty"
-
-
 @dataclass(frozen=True)
 class ParsedOutput:
     """Tag-stripped text, the code-point ranges of it that were inside
-    tags, and the parse status."""
+    tags, and the parse status: "ok", "malformed_tags" or "empty"."""
 
     stripped: str
     marked_ranges: tuple[tuple[int, int], ...]
-    status: ParseStatus
+    status: str
 
 
 @dataclass(frozen=True)
@@ -111,11 +104,11 @@ def parse_tags(text: str) -> ParsedOutput:
             ranges.append((region_start, len(stripped)))
 
     if malformed:
-        status = ParseStatus.MALFORMED_TAGS
+        status = "malformed_tags"
     elif not stripped.strip():
-        status = ParseStatus.EMPTY
+        status = "empty"
     else:
-        status = ParseStatus.OK
+        status = "ok"
     return ParsedOutput(stripped=stripped, marked_ranges=tuple(ranges), status=status)
 
 

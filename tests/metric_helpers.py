@@ -3,8 +3,14 @@ and reports built from given counts."""
 
 from __future__ import annotations
 
-from caploc.evalrun import EvalReport, card_from_rows
-from caploc.metrics import PRF, token_counts
+from caploc.evalrun import EvalReport
+from caploc.metrics import PRF, _prf, aggregate, token_counts
+
+
+def prf(counts: dict) -> PRF:
+    """The P/R/F1 of a report row's {"intersection", "predicted", "gold"}
+    counts."""
+    return PRF(*_prf(**counts))
 
 
 def token_metrics(gold: set[int], pred: set[int], n: int | None = None) -> PRF:
@@ -14,7 +20,7 @@ def token_metrics(gold: set[int], pred: set[int], n: int | None = None) -> PRF:
         bad = [i for i in gold | pred if not 0 <= i < n]
         if bad:
             raise ValueError(f"token_metrics: indices {sorted(bad)} outside [0, {n})")
-    return token_counts(gold, pred).prf()
+    return prf(token_counts(gold, pred))
 
 
 def sentence_labels(indices: set[int], ends: tuple[int, ...]) -> tuple[bool, ...]:
@@ -43,7 +49,7 @@ def report_dict(model: str, intersection: int, predicted: int, gold: int) -> dic
         model=model,
         dataset_sha256="0" * 64,
         coverage=1.0,
-        card=card_from_rows([row]),
+        card=aggregate([row]),
         samples=[row],
         skipped=[],
         tool_versions={},

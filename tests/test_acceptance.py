@@ -34,7 +34,7 @@ from caploc.inject import (
     inject_round,
     run_adversarial,
 )
-from caploc.metrics import TokenCounts, sentence_metrics, spearman
+from caploc.metrics import sentence_metrics, spearman
 from caploc.modelgate import ModelGate, ResponseCache, ScriptRule, ScriptedBackend
 from caploc.tagproto import align_to_reference, parse_tags, serialize_tags
 from caploc.text import split_sentences, tokenize
@@ -115,7 +115,8 @@ def test_criterion_02():
         )
         assert got == (tuple(want_g), tuple(want_p)), caption
         both = sum(g and p for g, p in zip(want_g, want_p))
-        assert counts == TokenCounts(both, sum(want_p), sum(want_g)), caption
+        want = {"intersection": both, "predicted": sum(want_p), "gold": sum(want_g)}
+        assert counts == want, caption
 
 
 @criterion(3, "diff annotation recovers 100% of substitution corruptions on 500 captions")

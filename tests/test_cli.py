@@ -850,6 +850,8 @@ class TestDeadBackend:
         assert backend.sends == 8 * 3 and len(waits) == 8 * 2
         assert not (tmp_path / "out" / "transcripts.jsonl").exists()
         assert not (tmp_path / "syn.jsonl").exists()
+        # evaluate made --out before its first request, and removes it again
+        assert not (tmp_path / "out").exists()
 
     def test_wider_run_sends_for_at_most_the_samples_in_flight_more(
         self, tmp_path, capsys, monkeypatch
@@ -1564,27 +1566,47 @@ def scored_report(tmp_path) -> dict:
         (
             ("samples", 0, "dimensions", "color"),
             {"hit": 5, "total": 2},
-            "sample row 0: RecallCounts: hit exceeds total",
+            "sample row 0: dimensions/color: hit exceeds total",
         ),
         (
             ("samples", 0, "dimensions", "color"),
             {"hit": -1, "total": 1},
-            "sample row 0: RecallCounts: negative count",
+            "sample row 0: dimensions/color: negative count",
         ),
         (
             ("samples", 0, "dimensions", "color"),
             {"hit": 1.0, "total": 1},
-            "sample row 0: RecallCounts: count 1.0 is not an integer",
+            "sample row 0: dimensions/color: count 1.0 is not an integer",
         ),
         (
             ("samples", 0, "token", "intersection"),
             True,
-            "sample row 0: TokenCounts: count True is not an integer",
+            "sample row 0: token: count True is not an integer",
         ),
         (
             ("samples", 1, "sentence", "predicted"),
             2.5,
-            "sample row 1: TokenCounts: count 2.5 is not an integer",
+            "sample row 1: sentence: count 2.5 is not an integer",
+        ),
+        (
+            ("samples", 0, "token"),
+            {"intersection": 0, "predicted": 0},
+            "sample row 0: token: not an object of exactly intersection, predicted, gold",
+        ),
+        (
+            ("samples", 1, "sentence"),
+            {"intersection": 0, "predicted": 0, "gold": 0, "extra": 0},
+            "sample row 1: sentence: not an object of exactly intersection, predicted, gold",
+        ),
+        (
+            ("samples", 0, "dimensions", "color"),
+            [1, 1],
+            "sample row 0: dimensions/color: not an object of exactly hit, total",
+        ),
+        (
+            ("samples", 0, "token", "intersection"),
+            2,
+            "sample row 0: token: intersection exceeds predicted or gold",
         ),
         (("samples", 1, "domain"), None, "sample row 1: id or domain is not a string"),
         (("coverage",), float("nan"), "coverage has the wrong type"),
@@ -1599,6 +1621,10 @@ def scored_report(tmp_path) -> dict:
         "fractional_hit",
         "boolean_intersection",
         "fractional_predicted",
+        "missing_count_key",
+        "extra_count_key",
+        "count_list",
+        "intersection_above_a_side",
         "null_domain",
         "nan_coverage",
         "infinite_coverage",

@@ -19,6 +19,7 @@ import requests
 from caploc import diffannot, text
 from caploc.corpus import BenchmarkSample, DatasetError, HallucinationSpan, save_dataset
 from caploc.inject import InjectionConfig, InjectionError
+from caploc.metrics import aggregate
 from caploc.modelgate import (
     BackendError,
     HttpBackend,
@@ -34,7 +35,6 @@ from caploc.evalrun import (
     MissingImageError,
     build_prompt,
     build_synthetic,
-    card_from_rows,
     correlate_settings,
     emit_report,
     evaluate_dataset,
@@ -235,7 +235,7 @@ class TestScoreSample:
         assert row["faithful"] is True
         assert row["token"] == {"intersection": 1, "predicted": 1, "gold": 1}
         assert row["dimensions"] == {"color": {"hit": 1, "total": 1}}
-        card = card_from_rows([row])
+        card = aggregate([row])
         assert (card.sample_count, card.faithfulness_violation_rate) == (1, 0.0)
         assert card.token.f1 == 1.0 and card.per_domain["nature"].token.f1 == 1.0
 
@@ -565,6 +565,17 @@ class TestRunSamples:
             evaluate_dataset(cfg, ModelGate(backend))
         assert 3 <= len(backend.requests) <= most
         assert not (tmp_path / "out" / "transcripts.jsonl").exists()
+        assert not (tmp_path / "out").exists()
+
+    def test_fatal_error_leaves_an_out_directory_that_was_there(self, tmp_path):
+        """evaluate removes only an output directory it made itself."""
+        dataset = write_dataset(tmp_path, many_samples())
+        (tmp_path / "out").mkdir()
+        cfg = EvalConfig(dataset=dataset, model="locator", out_dir=tmp_path / "out")
+        backend = FatalBackend(many_responder, fail_at=3, error=FATAL_ERRORS[0])
+        with pytest.raises(OSError):
+            evaluate_dataset(cfg, ModelGate(backend))
+        assert (tmp_path / "out").is_dir() and not any((tmp_path / "out").iterdir())
 
     def test_removed_cache_directory_stops_evaluate(self, tmp_path):
         """A put into a cache directory removed mid-run raises

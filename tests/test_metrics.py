@@ -6,8 +6,7 @@ import pytest
 from caploc.corpus import HallucinationSpan
 from caploc.metrics import (
     PRF,
-    RecallCounts,
-    TokenCounts,
+    _prf,
     aggregate,
     dimension_counts,
     sentence_metrics,
@@ -15,14 +14,15 @@ from caploc.metrics import (
     token_counts,
 )
 from caploc.text import split_sentences, tokenize
-from metric_helpers import sentence_labels, token_metrics
+from metric_helpers import prf as counts_prf, sentence_labels, token_metrics
 
 
 def test_token_counts_invariants():
-    with pytest.raises(ValueError):
-        TokenCounts(3, 2, 5)
-    with pytest.raises(ValueError):
-        TokenCounts(-1, 2, 5)
+    """aggregate refuses token counts no scoring writes."""
+    with pytest.raises(ValueError, match="intersection exceeds predicted or gold"):
+        aggregate([make_row("a", "gui", (3, 2, 5))])
+    with pytest.raises(ValueError, match="negative count"):
+        aggregate([make_row("a", "gui", (-1, 2, 5))])
 
 
 def test_token_half_overlap():
@@ -81,27 +81,27 @@ TWO_SENT = split_sentences(tokenize("The car is red. A bird flies."))
 
 def test_sentence_disjoint_hits():
     counts = sentence_metrics({1}, {6}, TWO_SENT)
-    prf = counts.prf()
+    prf = counts_prf(counts)
     assert (prf.p, prf.r, prf.f1) == (0.0, 0.0, 0.0)
-    assert counts == TokenCounts(0, 1, 1)
+    assert counts == {"intersection": 0, "predicted": 1, "gold": 1}
     assert sentence_labels({1}, TWO_SENT) == (True, False)
     assert sentence_labels({6}, TWO_SENT) == (False, True)
 
 
 def test_sentence_equal_sets():
-    prf = sentence_metrics({1, 6}, {1, 6}, TWO_SENT).prf()
+    prf = counts_prf(sentence_metrics({1, 6}, {1, 6}, TWO_SENT))
     assert (prf.p, prf.r, prf.f1) == (1.0, 1.0, 1.0)
 
 
 def test_sentence_overprediction():
-    prf = sentence_metrics({1}, {1, 6}, TWO_SENT).prf()
+    prf = counts_prf(sentence_metrics({1}, {1, 6}, TWO_SENT))
     assert prf.p == 0.5
     assert prf.r == 1.0
     assert abs(prf.f1 - 2 / 3) < 1e-12
 
 
 def test_sentence_any_token_marks_sentence():
-    prf = sentence_metrics({0}, {4}, TWO_SENT).prf()
+    prf = counts_prf(sentence_metrics({0}, {4}, TWO_SENT))
     # different tokens, same sentence
     assert prf.p == 1.0 and prf.r == 1.0
 
@@ -124,19 +124,19 @@ def test_sentence_token_consistency_property():
         for start, end, label in zip((0, *ends), ends, labels):
             assert label == bool(set(range(start, end)) & gold)
         hit = sum(labels)
-        assert counts == TokenCounts(hit, hit, hit)
-        prf = counts.prf()
+        assert counts == {"intersection": hit, "predicted": hit, "gold": hit}
+        prf = counts_prf(counts)
         assert (prf.p, prf.r, prf.f1) == (1.0, 1.0, 1.0)
 
 
 def test_dimension_full_recall():
     spans = [HallucinationSpan(1, 2, "color")]
-    assert dimension_counts(spans, {1}) == {"color": RecallCounts(1, 1)}
+    assert dimension_counts(spans, {1}) == {"color": {"hit": 1, "total": 1}}
 
 
 def test_dimension_partial():
     spans = [HallucinationSpan(1, 3, "color")]
-    assert dimension_counts(spans, {1}) == {"color": RecallCounts(1, 2)}
+    assert dimension_counts(spans, {1}) == {"color": {"hit": 1, "total": 2}}
 
 
 def test_dimension_empty():
@@ -146,7 +146,7 @@ def test_dimension_empty():
 def test_dimension_no_support_absent():
     spans = [HallucinationSpan(1, 2, "color")]
     counts = dimension_counts(spans, set())
-    assert counts == {"color": RecallCounts(0, 1)}
+    assert counts == {"color": {"hit": 0, "total": 1}}
     assert "number" not in counts
 
 
@@ -165,7 +165,7 @@ def test_dimension_decomposition_property():
         for s in spans:
             gold.update(range(s.start, s.end))
         counts = dimension_counts(spans, set())
-        assert sum(rc.total for rc in counts.values()) == len(gold)
+        assert sum(rc["total"] for rc in counts.values()) == len(gold)
 
 
 def make_row(sid, domain, tok, faithful=True, dims=None):
@@ -191,7 +191,7 @@ def test_aggregate_micro():
 
 def test_aggregate_single_identity():
     card = aggregate([make_row("a", "gui", (2, 3, 4))])
-    single = TokenCounts(2, 3, 4).prf()
+    single = PRF(*_prf(2, 3, 4))
     assert card.token == single
     assert card.macro_token == single
 

@@ -411,23 +411,22 @@ def test_torn_last_line_is_a_miss_and_the_next_put_reads_back(tmp_path, caplog):
     assert [reread.get(k) for k in "abc"] == ["kept", "whole", "next"]
 
 
-def test_legacy_entry_files_still_hit(tmp_path, caplog):
-    """<key>.json files of the one-file-per-entry layout are read at
-    construction; new entries go only to the log, and a later log line
-    for a key wins over its file."""
+def test_legacy_entry_files_are_ignored(tmp_path, caplog):
+    """<key>.json files of the older one-file-per-entry layout are neither
+    read nor warned about: such a cache is cold, and the request goes to the
+    backend, whose reply goes only to the log."""
     (tmp_path / f"{KEY}.json").write_bytes(b'{"text": "from an old run"}')
     (tmp_path / "bad.json").write_bytes(b'{"text": 5}')
     with caplog.at_level("WARNING", logger="caploc.modelgate"):
         cache = ResponseCache(tmp_path)
-    assert f"dropping unreadable cache entry {tmp_path / 'bad.json'}" in caplog.text
-    gate = ModelGate(ScriptedBackend([]), cache=cache)
-    assert gate.complete(make_req()) == ModelResponse("from an old run", True, 0)
-    cache.put("other", "new")
-    cache.put(KEY, "newer")
+    assert caplog.text == ""
+    assert cache.get(KEY) is None
+    gate = ModelGate(ScriptedBackend([ScriptRule(purpose="detect", responses=["fresh"])]), cache=cache)
+    assert gate.complete(make_req()) == ModelResponse("fresh", False, 1)
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
         ["bad.json", f"{KEY}.json", "responses.jsonl"]
     )
-    assert (ResponseCache(tmp_path).get(KEY), ResponseCache(tmp_path).get("other")) == ("newer", "new")
+    assert ResponseCache(tmp_path).get(KEY) == "fresh"
 
 
 def test_line_separators_and_control_characters_round_trip(tmp_path):

@@ -6,7 +6,7 @@ straightforward implementations they replaced, kept here as oracles.
 The oracles are the reference semantics: any speed-up or simplification of
 _TOKEN_RE, tokenize, split_sentences, sentence_metrics, diff_tokens,
 parse_tags, marked_token_indices, align_to_reference, inject_round,
-run_adversarial or card_from_rows must agree with them on every split part,
+run_adversarial or aggregate must agree with them on every split part,
 every token field, every sentence, every sentence score, every keep chain,
 every parse, every Prediction, every injection state and error, and every
 byte of a score card.
@@ -38,13 +38,12 @@ from caploc.inject import (
     inject_round,
     run_adversarial,
 )
-from caploc.evalrun import card_from_rows
-from caploc.metrics import PRF, ScoreCard, TokenCounts, aggregate, sentence_metrics
+from caploc.evalrun import EvalReport
+from caploc.metrics import PRF, ScoreCard, aggregate, sentence_metrics
 from caploc.modelgate import ModelGate, ModelRequest, Purpose, ScriptedBackend, ScriptRule
 from caploc.tagproto import (
     CLOSE_TAG,
     OPEN_TAG,
-    ParseStatus,
     Prediction,
     align_to_reference,
     marked_token_indices,
@@ -137,7 +136,7 @@ def oracle_tokenize(text: str) -> OracleCaption:
     return OracleCaption(source=text, tokens=tokens)
 
 
-def oracle_byte_parse_tags(raw: str) -> tuple[str, tuple[tuple[int, int], ...], ParseStatus]:
+def oracle_byte_parse_tags(raw: str) -> tuple[str, tuple[tuple[int, int], ...], str]:
     """parse_tags in UTF-8 byte space: (stripped, byte ranges into the
     encoded stripped text, status). raw must hold no lone surrogate."""
     open_tag, close_tag = OPEN_TAG.encode(), CLOSE_TAG.encode()
@@ -183,11 +182,11 @@ def oracle_byte_parse_tags(raw: str) -> tuple[str, tuple[tuple[int, int], ...], 
 
     stripped = out.decode("utf-8")
     if malformed:
-        status = ParseStatus.MALFORMED_TAGS
+        status = "malformed_tags"
     elif not stripped.strip():
-        status = ParseStatus.EMPTY
+        status = "empty"
     else:
-        status = ParseStatus.OK
+        status = "ok"
     return stripped, tuple(ranges), status
 
 
@@ -405,7 +404,7 @@ def oracle_split_sentences(tc: TokenizedCaption) -> tuple[int, ...]:
 
 def oracle_sentence_metrics(
     gold: set[int], pred: set[int], ends: tuple[int, ...]
-) -> tuple[TokenCounts, tuple[bool, ...], tuple[bool, ...]]:
+) -> tuple[dict[str, int], tuple[bool, ...], tuple[bool, ...]]:
     """The counts and the gold and predicted sentence labels, from one token
     set per sentence."""
     n = ends[-1] if ends else 0
@@ -421,7 +420,7 @@ def oracle_sentence_metrics(
         gold_labels.append(bool(idx & gold))
         pred_labels.append(bool(idx & pred))
     tp = sum(1 for g, p in zip(gold_labels, pred_labels) if g and p)
-    counts = TokenCounts(tp, sum(pred_labels), sum(gold_labels))
+    counts = {"intersection": tp, "predicted": sum(pred_labels), "gold": sum(gold_labels)}
     return counts, tuple(gold_labels), tuple(pred_labels)
 
 
@@ -1190,15 +1189,19 @@ def report_rows(draw) -> list[dict]:
 @settings(max_examples=500, deadline=None)
 @given(report_rows())
 def test_card_from_rows_matches_oracle(rows):
-    """Every count, rate and micro and macro float of the card and of each
+    """The card a report file's rows rebuild through EvalReport.from_dict:
+    every count, rate and micro and macro float of the card and of each
     domain's card, byte for byte in the card's JSON."""
-    assert json.dumps(card_from_rows(rows).to_dict()) == json.dumps(oracle_card(rows).to_dict())
+    report = EvalReport.from_dict(
+        {"model": "m", "dataset_sha256": "0" * 64, "coverage": 1.0, "samples": rows}
+    )
+    assert json.dumps(report.card.to_dict()) == json.dumps(oracle_card(rows).to_dict())
 
 
 @settings(max_examples=100, deadline=None)
 @given(report_rows())
 def test_aggregate_takes_checked_report_rows(rows):
-    """aggregate takes the row dicts card_from_rows has checked, with no
+    """aggregate checks and sums the row dicts themselves, with no
     per-sample score object in between."""
     assert json.dumps(aggregate(rows).to_dict()) == json.dumps(oracle_card(rows).to_dict())
 

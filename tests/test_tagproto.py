@@ -6,7 +6,6 @@ from caploc.corpus import HallucinationSpan
 from caploc.tagproto import (
     CLOSE_TAG,
     OPEN_TAG,
-    ParseStatus,
     align_to_reference,
     parse_tags,
     serialize_tags,
@@ -52,28 +51,28 @@ def test_parse_simple():
     parsed = parse_tags("a <HALLUCINATION>red</HALLUCINATION> car")
     assert parsed.stripped == "a red car"
     assert parsed.marked_ranges == ((2, 5),)
-    assert parsed.status == ParseStatus.OK
+    assert parsed.status == "ok"
 
 
 def test_parse_no_tags():
     parsed = parse_tags("a red car")
     assert parsed.stripped == "a red car"
     assert parsed.marked_ranges == ()
-    assert parsed.status == ParseStatus.OK
+    assert parsed.status == "ok"
 
 
 def test_parse_unclosed_open_extends_to_end():
     parsed = parse_tags("a <HALLUCINATION>red car")
     assert parsed.stripped == "a red car"
     assert parsed.marked_ranges == ((2, 9),)
-    assert parsed.status == ParseStatus.MALFORMED_TAGS
+    assert parsed.status == "malformed_tags"
 
 
 def test_parse_stray_close_dropped():
     parsed = parse_tags("a red</HALLUCINATION> car")
     assert parsed.stripped == "a red car"
     assert parsed.marked_ranges == ()
-    assert parsed.status == ParseStatus.MALFORMED_TAGS
+    assert parsed.status == "malformed_tags"
 
 
 def test_parse_nested_open():
@@ -81,7 +80,7 @@ def test_parse_nested_open():
         "a <HALLUCINATION>red <HALLUCINATION>car</HALLUCINATION></HALLUCINATION>!"
     )
     assert parsed.stripped == "a red car!"
-    assert parsed.status == ParseStatus.MALFORMED_TAGS
+    assert parsed.status == "malformed_tags"
     # outer region stays open until its close
     assert parsed.marked_ranges == ((2, 9),)
 
@@ -89,12 +88,12 @@ def test_parse_nested_open():
 def test_parse_zero_width_region_dropped():
     parsed = parse_tags("a <HALLUCINATION></HALLUCINATION>red car")
     assert parsed.marked_ranges == ()
-    assert parsed.status == ParseStatus.OK
+    assert parsed.status == "ok"
 
 
 def test_parse_empty_output():
-    assert parse_tags("").status == ParseStatus.EMPTY
-    assert parse_tags("   ").status == ParseStatus.EMPTY
+    assert parse_tags("").status == "empty"
+    assert parse_tags("   ").status == "empty"
 
 
 def test_parse_multibyte_offsets():
@@ -189,7 +188,7 @@ def test_roundtrip_property():
         tc, spans = _random_case(rng)
         tagged = serialize_tags(tc, spans)
         parsed = parse_tags(tagged)
-        assert parsed.status in (ParseStatus.OK, ParseStatus.EMPTY)
+        assert parsed.status in ("ok", "empty")
         assert parsed.stripped == tc.source
         pred = align_to_reference(parsed.stripped, parsed.marked_ranges, tc)
         assert pred.faithful
