@@ -15,7 +15,7 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .text import TOKENIZER_VERSION, count_tokens
+from .text import _ASCII_PUNCT, TOKENIZER_VERSION, count_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -175,6 +175,21 @@ class ValidationIssue:
         return f"sample {self.sample_id!r}: {self.field}: {self.message}"
 
 
+def _token_count_bounds(caption: str) -> Iterator[tuple[int, bool]]:
+    """Lower bounds on count_tokens(caption), each tighter and dearer than
+    the one before, as (bound, whether it is the count itself) pairs.
+
+    Every whitespace chunk holds a token, and a chunk of two or more
+    characters ending in ASCII punctuation holds two: the token core
+    excludes that character (text._CORE), so it is a token of its own. Only
+    the last bound splits the caption into tokens.
+    """
+    chunks = caption.split()
+    yield len(chunks), False
+    yield len(chunks) + len([c for c in chunks if c[-1] in _ASCII_PUNCT and len(c) > 1]), False
+    yield count_tokens(caption), True
+
+
 def validate_sample(sample: BenchmarkSample) -> list[ValidationIssue]:
     """Check one sample against the data-model invariants.
 
@@ -196,25 +211,21 @@ def validate_sample(sample: BenchmarkSample) -> list[ValidationIssue]:
         if tags:
             add(fld, f"holds the tag literal {' and '.join(tags)}, which marks spans in model output")
 
-    # every whitespace chunk holds at least one token, so the chunk count
-    # bounds the token count from below; the exact count is taken only for
-    # a span that does not fit within the bound, and the bound only for spans
-    chunks = len(sample.caption.split()) if sample.gold_spans else 0
-    n = None
+    limit, exact = 0, False  # a lower bound on the token count, tightened as spans need
+    bounds = _token_count_bounds(sample.caption)
     prev_end = None
     prev_idx = None
     for i, span in enumerate(sample.gold_spans):
         if span.dimension not in DIMENSION_VALUES:
             add(f"gold_spans[{i}].dimension", f"unknown dimension {span.dimension!r}")
-        if not (0 <= span.start < span.end <= chunks):
-            if n is None:
-                n = count_tokens(sample.caption)
-            if not (0 <= span.start < span.end <= n):
-                add(
-                    f"gold_spans[{i}]",
-                    f"token range [{span.start}, {span.end}) invalid for caption of {n} tokens",
-                )
-                continue
+        while not exact and not (0 <= span.start < span.end <= limit):
+            limit, exact = next(bounds)
+        if not (0 <= span.start < span.end <= limit):
+            add(
+                f"gold_spans[{i}]",
+                f"token range [{span.start}, {span.end}) invalid for caption of {limit} tokens",
+            )
+            continue
         if prev_end is not None:
             if span.start < prev_end:
                 add(

@@ -9,7 +9,6 @@ transcript file, so offline re-scoring reproduces a live run exactly.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import hashlib
 import json
 import logging
@@ -20,6 +19,8 @@ import time
 from collections import Counter
 from collections.abc import Callable, Iterable
 from dataclasses import asdict, dataclass, replace as dc_replace
+from itertools import takewhile
+from json.encoder import encode_basestring
 from pathlib import Path
 from urllib.parse import quote
 
@@ -60,7 +61,7 @@ from .modelgate import (
     Purpose,
 )
 from .tagproto import align_to_reference, parse_tags
-from .text import TOKENIZER_VERSION, split_sentences, tokenize
+from .text import TOKENIZER_VERSION, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -197,7 +198,6 @@ def score_sample(sample: BenchmarkSample, raw: str, strict: bool) -> dict:
     # the caption's one tokenize call comes first: perfbench's per-sample
     # clock (workloads.sample_clock) starts each sample there
     tc = tokenize(sample.caption)
-    ends = split_sentences(tc)
     parsed = parse_tags(raw)
     pred = align_to_reference(parsed.stripped, parsed.marked_ranges, tc)
     indices = set(pred.indices)
@@ -210,7 +210,7 @@ def score_sample(sample: BenchmarkSample, raw: str, strict: bool) -> dict:
         "id": sample.id,
         "domain": sample.domain,
         "token": token_counts(gold, indices),
-        "sentence": sentence_metrics(gold, indices, ends),
+        "sentence": sentence_metrics(gold, indices, tc),
         "dimensions": dimension_counts(sample.gold_spans, indices),
         "faithful": pred.faithful,
         "alignment_coverage": pred.alignment_coverage,
@@ -353,21 +353,24 @@ def evaluate_dataset(cfg: EvalConfig, gate: ModelGate) -> EvalReport:
     Failed requests become skipped rows rather than aborting the run; with a
     warm cache no request leaves the process and the report is reproducible.
     The output directory is made before the first request, so an unusable one
-    fails first; a run that raises removes it again if this call made it and
-    it is still empty.
+    fails first; a run that raises removes again each directory this call
+    made, the output directory and its parents, deepest first while each is
+    still empty.
     """
     samples = load_dataset(cfg.dataset)
     out_dir = Path(cfg.out_dir)
-    made = not out_dir.is_dir()
+    made = list(takewhile(lambda d: not d.is_dir(), (out_dir, *out_dir.parents)))
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         fetched = run_samples(
             samples, lambda sample: gate.complete(build_prompt(sample, cfg)).text, cfg.width
         )
     except BaseException:
-        if made:
-            with contextlib.suppress(OSError):  # no longer empty
-                os.rmdir(out_dir)
+        for directory in made:
+            try:
+                os.rmdir(directory)
+            except OSError:  # no longer empty, and so no parent is
+                break
         raise
     outputs = {sample.id: text for sample, text in fetched if text is not None}
     write_transcripts(out_dir / "transcripts.jsonl", outputs.items())
@@ -592,14 +595,51 @@ def render_report_table(report: EvalReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_text(value: object, newline: str = "\n") -> str:
+    """value as json.dumps(value, ensure_ascii=False, indent=2,
+    sort_keys=True) writes it, for the types a report holds: dicts with str
+    keys, lists, tuples, str, int, float, bool and None. json indents in
+    pure Python; this writer uses json's C string encoder, float.__repr__
+    for a finite float and json's names for the rest. newline is the line
+    break and indent that value's own lines start with."""
+    if isinstance(value, str):
+        return encode_basestring(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return float.__repr__(value)
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    inner = newline + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # lists, not generators, for join: it would build the list anyway
+        body = [
+            encode_basestring(key) + ": " + _json_text(item, inner)
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(body) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        body = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(body) + newline + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def emit_report(report: EvalReport, out_dir: str | Path) -> list[Path]:
     """Write report.json and report.txt under out_dir; return both paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     json_path = out_dir / "report.json"
-    # one write: json.dump would write the document chunk by chunk
-    text = json.dumps(report.to_dict(), ensure_ascii=False, indent=2, sort_keys=True)
-    json_path.write_text(text + "\n", encoding="utf-8")
+    json_path.write_text(_json_text(report.to_dict()) + "\n", encoding="utf-8")
     table_path = out_dir / "report.txt"
     table_path.write_text(render_report_table(report), encoding="utf-8")
     return [json_path, table_path]

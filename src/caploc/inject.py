@@ -220,7 +220,8 @@ def _parse_injector_response(
         if not replacement:
             problems.append(f"clean tokens [{c_start}, {c_end}) missing from the output")
         elif untagged:
-            problems.append(f"untagged output tokens {untagged} differ from the clean caption")
+            named = ", ".join(f"[{a}, {b})" for a, b in runs(untagged))
+            problems.append(f"untagged output tokens {named} differ from the clean caption")
         elif any(OPEN_TAG in t or CLOSE_TAG in t for t in replacement):
             problems.append(f"span [{g_start}, {g_end}) holds a tag literal")
         else:

@@ -9,11 +9,11 @@ reverse) scores 0, and F1 is 0 whenever P+R is 0.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from .corpus import HallucinationSpan
+from .text import TokenizedCaption, ends_sentence
 
 
 @dataclass(frozen=True)
@@ -41,22 +41,32 @@ def token_counts(gold: set[int], pred: set[int]) -> dict[str, int]:
     return {"intersection": len(gold & pred), "predicted": len(pred), "gold": len(gold)}
 
 
-def sentence_metrics(gold: set[int], pred: set[int], ends: Sequence[int]) -> dict[str, int]:
-    """Sentence-level counts, in token_counts' form: a sentence counts as
-    hallucinated when it contains at least one hallucinated token.
+def sentence_metrics(gold: set[int], pred: set[int], tc: TokenizedCaption) -> dict[str, int]:
+    """Sentence-level counts of caption tc, in token_counts' form: a sentence
+    counts as hallucinated when it contains at least one hallucinated token.
 
-    ends are the sentences' end token indices, as split_sentences returns
-    them: the sentences tile the token range [0, n) in order, so token i
-    belongs to the first sentence ending after it, found by bisection.
+    Each gold or predicted token is labelled by its sentence's first token,
+    found by scanning back to the nearest boundary (text.ends_sentence), in
+    index order: a scan stops at the index labelled before it and takes that
+    index's label when it meets no boundary on the way. So the scans read
+    each token at most once, and most tokens of a long caption not at all.
     """
-    n = ends[-1] if ends else 0
-    bad = [i for i in gold | pred if not 0 <= i < n]
+    n = len(tc)
+    scored = sorted(gold | pred)
+    bad = [i for i in scored if not 0 <= i < n]
     if bad:
-        raise ValueError(
-            f"sentence_metrics: indices {sorted(bad)} not covered by the sentence index"
-        )
-    gold_hit = {bisect_right(ends, i) for i in gold}
-    pred_hit = {bisect_right(ends, i) for i in pred}
+        raise ValueError(f"sentence_metrics: indices {bad} not covered by the sentence index")
+    first: dict[int, int] = {}
+    start = prev = 0
+    for i in scored:
+        for j in range(i - 1, prev - 1, -1):
+            if ends_sentence(tc, j):
+                start = j + 1
+                break
+        first[i] = start
+        prev = i
+    gold_hit = {first[i] for i in gold}
+    pred_hit = {first[i] for i in pred}
     return {"intersection": len(gold_hit & pred_hit), "predicted": len(pred_hit), "gold": len(gold_hit)}
 
 

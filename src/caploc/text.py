@@ -27,9 +27,12 @@ text holds other punctuation, the split runs on a probe of the same length
 in which each such character is swapped for an ASCII one. count_tokens()
 only counts the parts; tokenize() keeps the token parts and their offsets.
 
-split_sentences() reads only the columns: a terminator at the end of a
-whitespace chunk is ASCII punctuation, so it is a token of its own, and the
-first character after the whitespace is the next token's first.
+The sentence boundary rule is one function, ends_sentence(), which reads
+only the columns: a terminator at the end of a whitespace chunk is ASCII
+punctuation, so it is a token of its own, and the first character after the
+whitespace is the next token's first. Scoring asks it only about the tokens
+just before a scored token (metrics.sentence_metrics); no scoring path calls
+split_sentences(), which applies it to every token.
 
 A TokenizedCaption stores its tokens as three equal-length columns (texts,
 starts, ends), taken straight from the split with no object per token: a
@@ -45,7 +48,7 @@ import functools
 import re
 import unicodedata
 from dataclasses import dataclass
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
 from typing import NamedTuple
 
 TOKENIZER_VERSION = "dvb-tok/1"
@@ -132,23 +135,26 @@ def tokenize(text: str) -> TokenizedCaption:
     return TokenizedCaption(text, texts, starts, ends)
 
 
+def ends_sentence(tc: TokenizedCaption, i: int) -> bool:
+    """Whether a sentence boundary follows token i: texts[i] is '.', '!' or
+    '?' and either i is the last token or token i + 1 starts after a gap
+    with a character that isupper(). The one boundary rule."""
+    texts = tc.texts
+    if texts[i] not in _TERMINATORS:
+        return False
+    return i + 1 == len(texts) or (tc.starts[i + 1] > tc.ends[i] and texts[i + 1][0].isupper())
+
+
 def split_sentences(tc: TokenizedCaption) -> tuple[int, ...]:
     """Segment a tokenized caption into sentences, returned as the end token
     index of each, in order: with those ends e, sentence i is the tokens
     [e[i - 1], e[i]), the first starts at 0 and the last ends at len(tc).
 
-    A boundary follows token i when texts[i] is '.', '!' or '?' and either
-    i is the last token or token i + 1 starts after a gap with a character
-    that isupper(). Trailing material without a terminator forms a final
-    sentence.
+    A boundary follows each token ends_sentence() accepts. Trailing material
+    without a terminator forms a final sentence.
     """
-    texts, starts, ends = tc.texts, tc.starts, tc.ends
-    n = len(texts)
-    cuts = [
-        i + 1
-        for i in compress(range(n), map(_TERMINATORS.__contains__, texts))
-        if i + 1 == n or (starts[i + 1] > ends[i] and texts[i + 1][0].isupper())
-    ]
+    n = len(tc)
+    cuts = [i + 1 for i in range(n) if ends_sentence(tc, i)]
     if n and (not cuts or cuts[-1] < n):
         cuts.append(n)
     return tuple(cuts)

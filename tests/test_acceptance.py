@@ -107,7 +107,7 @@ def test_criterion_02():
         n = len(tc.tokens)
         gold = {i for i in range(n) if rng.random() < 0.25}
         pred = {i for i in range(n) if rng.random() < 0.25}
-        counts = sentence_metrics(gold, pred, ends)
+        counts = sentence_metrics(gold, pred, tc)
         got = sentence_labels(gold, ends), sentence_labels(pred, ends)
         want_g, want_p = (
             [any(i in hit for i in range(start, end)) for start, end in zip((0, *ends), ends)]

@@ -25,6 +25,7 @@ from caploc.modelgate import (
     HttpBackend,
     ModelGate,
     ResponseCache,
+    RetryableBackendError,
     ScriptedBackend,
     ScriptRule,
 )
@@ -485,6 +486,13 @@ class FatalBackend:
         return self.respond(req)
 
 
+class RefusingBackend:
+    """A backend that is down: every send fails with a transport error."""
+
+    def send(self, req):
+        raise RetryableBackendError("transport failure: connection refused")
+
+
 def many_samples(n=40):
     return [
         BenchmarkSample(
@@ -576,6 +584,19 @@ class TestRunSamples:
         with pytest.raises(OSError):
             evaluate_dataset(cfg, ModelGate(backend))
         assert (tmp_path / "out").is_dir() and not any((tmp_path / "out").iterdir())
+
+    @pytest.mark.parametrize("existing", ["", "a", "a/b"], ids=["none", "a", "a_b"])
+    def test_dead_backend_removes_the_parents_evaluate_made(self, tmp_path, existing):
+        """A run that raises removes the output directory and each parent it
+        made, and keeps the parents that were there."""
+        dataset = write_dataset(tmp_path, many_samples(10))
+        if existing:
+            (tmp_path / existing).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        cfg = EvalConfig(dataset=dataset, model="locator", out_dir=tmp_path / "a" / "b" / "out")
+        with pytest.raises(ValueError, match="in a row failed with a backend error"):
+            evaluate_dataset(cfg, ModelGate(RefusingBackend(), sleep=lambda s: None))
+        assert sorted(tmp_path.rglob("*")) == before
 
     def test_removed_cache_directory_stops_evaluate(self, tmp_path):
         """A put into a cache directory removed mid-run raises

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 import sys
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from caploc.corpus import BenchmarkSample, HallucinationSpan, validate_sample
 from caploc.inject import (
     _QUOTED_RE,
+    _injector_prompt,
     _parse_injector_response,
     DetectedSpan,
     InjectedSpan,
@@ -215,6 +217,20 @@ class TestInjectRound:
             InjectedSpan(1, 2, ("blue",), "color"),
             InjectedSpan(4, 5, ("two",), "color"),
         ]
+
+    def test_echoed_prompt_names_untagged_runs(self):
+        """A reply that echoes the whole prompt, whose instructions show the
+        tags, fails with its untagged tokens named as merged runs, not one
+        index at a time."""
+        state = fresh("A red car is parked near the gate. Two birds sit on the wall.")
+        prompt = _injector_prompt(state, CFG)
+        assert len(tokenize(prompt)) >= 250
+        gate, _ = make_gate([inject_rule(prompt, prompt)])
+        with pytest.raises(InjectionError) as caught:
+            inject_round(state, CFG, gate)
+        message = str(caught.value)
+        assert len(message) < 300
+        assert re.search(r"untagged output tokens \[0, \d+\)(, \[\d+, \d+\))* differ", message)
 
     @pytest.mark.parametrize(
         "reply, missing, kept, caption",

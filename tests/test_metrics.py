@@ -75,12 +75,13 @@ def test_token_oracle_property():
         assert (prf.p, prf.r, prf.f1) == brute_prf(gold, pred)
 
 
-TWO_SENT = split_sentences(tokenize("The car is red. A bird flies."))
+TWO_SENT_TC = tokenize("The car is red. A bird flies.")
+TWO_SENT = split_sentences(TWO_SENT_TC)
 # sentence 0 = tokens 0..4, sentence 1 = tokens 5..9
 
 
 def test_sentence_disjoint_hits():
-    counts = sentence_metrics({1}, {6}, TWO_SENT)
+    counts = sentence_metrics({1}, {6}, TWO_SENT_TC)
     prf = counts_prf(counts)
     assert (prf.p, prf.r, prf.f1) == (0.0, 0.0, 0.0)
     assert counts == {"intersection": 0, "predicted": 1, "gold": 1}
@@ -89,26 +90,26 @@ def test_sentence_disjoint_hits():
 
 
 def test_sentence_equal_sets():
-    prf = counts_prf(sentence_metrics({1, 6}, {1, 6}, TWO_SENT))
+    prf = counts_prf(sentence_metrics({1, 6}, {1, 6}, TWO_SENT_TC))
     assert (prf.p, prf.r, prf.f1) == (1.0, 1.0, 1.0)
 
 
 def test_sentence_overprediction():
-    prf = counts_prf(sentence_metrics({1}, {1, 6}, TWO_SENT))
+    prf = counts_prf(sentence_metrics({1}, {1, 6}, TWO_SENT_TC))
     assert prf.p == 0.5
     assert prf.r == 1.0
     assert abs(prf.f1 - 2 / 3) < 1e-12
 
 
 def test_sentence_any_token_marks_sentence():
-    prf = counts_prf(sentence_metrics({0}, {4}, TWO_SENT))
+    prf = counts_prf(sentence_metrics({0}, {4}, TWO_SENT_TC))
     # different tokens, same sentence
     assert prf.p == 1.0 and prf.r == 1.0
 
 
 def test_sentence_out_of_range():
     with pytest.raises(ValueError):
-        sentence_metrics({99}, set(), TWO_SENT)
+        sentence_metrics({99}, set(), TWO_SENT_TC)
 
 
 def test_sentence_token_consistency_property():
@@ -116,10 +117,11 @@ def test_sentence_token_consistency_property():
     for _ in range(200):
         n_sent = rng.randrange(1, 6)
         text = " ".join("Word here now." for _ in range(n_sent))
-        ends = split_sentences(tokenize(text))
+        tc = tokenize(text)
+        ends = split_sentences(tc)
         n = ends[-1]
         gold = {i for i in range(n) if rng.random() < 0.2}
-        counts = sentence_metrics(gold, gold, ends)
+        counts = sentence_metrics(gold, gold, tc)
         labels = sentence_labels(gold, ends)
         for start, end, label in zip((0, *ends), ends, labels):
             assert label == bool(set(range(start, end)) & gold)

@@ -1,29 +1,37 @@
 """Differential tests of the token pattern, the tokenizer, the sentence
 splitter, the sentence labels, the token diff, the tag parser, the tag
-aligner, the injector's reply handling and the adversarial loop against the
-straightforward implementations they replaced, kept here as oracles.
+aligner, the injector's reply handling, the adversarial loop, span
+validation and the report writer against the straightforward
+implementations they replaced, kept here as oracles.
 
 The oracles are the reference semantics: any speed-up or simplification of
 _TOKEN_RE, tokenize, split_sentences, sentence_metrics, diff_tokens,
 parse_tags, marked_token_indices, align_to_reference, inject_round,
-run_adversarial or aggregate must agree with them on every split part,
-every token field, every sentence, every sentence score, every keep chain,
-every parse, every Prediction, every injection state and error, and every
-byte of a score card.
+run_adversarial, aggregate, validate_sample or emit_report must agree with
+them on every split part, every token field, every sentence, every sentence
+score, every keep chain, every parse, every Prediction, every injection
+state and error, every byte of a score card, every validation issue and
+every byte of report.json, as json.dumps writes it.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import sys
+import tempfile
 import unicodedata
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace as dc_replace
+from pathlib import Path
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from caploc import corpus
 from caploc.corpus import DIMENSION_VALUES, OTHER, BenchmarkSample, HallucinationSpan
 from caploc.diffannot import _keep_steps, _masks, diff_tokens, extract_gold_spans
 from caploc.inject import (
@@ -38,7 +46,7 @@ from caploc.inject import (
     inject_round,
     run_adversarial,
 )
-from caploc.evalrun import EvalReport
+from caploc.evalrun import EvalReport, _json_text, emit_report
 from caploc.metrics import PRF, ScoreCard, aggregate, sentence_metrics
 from caploc.modelgate import ModelGate, ModelRequest, Purpose, ScriptedBackend, ScriptRule
 from caploc.tagproto import (
@@ -504,6 +512,17 @@ def oracle_card(rows: list[dict]) -> ScoreCard:
     return card
 
 
+def oracle_runs(indices) -> list[tuple[int, int]]:
+    """The maximal runs [a, b) of consecutive integers in indices."""
+    runs: list[tuple[int, int]] = []
+    for idx in sorted(indices):
+        if runs and idx == runs[-1][1]:
+            runs[-1] = (runs[-1][0], idx + 1)
+        else:
+            runs.append((idx, idx + 1))
+    return runs
+
+
 def oracle_parse_injector_response(
     response: str, clean: TokenizedCaption, cfg: InjectionConfig, strict: bool
 ) -> tuple[list[InjectedSpan], list[str]]:
@@ -517,12 +536,7 @@ def oracle_parse_injector_response(
     marked = marked_token_indices(out_tc, parsed.marked_ranges)
     script = oracle_diff_tokens(out_tc, clean)
 
-    runs: list[tuple[int, int]] = []
-    for idx in sorted(marked):
-        if runs and idx == runs[-1][1]:
-            runs[-1] = (runs[-1][0], idx + 1)
-        else:
-            runs.append((idx, idx + 1))
+    runs = oracle_runs(marked)
 
     problems: list[str] = []
     candidates: list[tuple[int, InjectedSpan]] = []
@@ -535,7 +549,8 @@ def oracle_parse_injector_response(
         untagged = [g for g in range(op.g_start, op.g_end) if g not in marked]
         texts = tuple(t.text for t in out_tc.tokens[op.g_start : op.g_end])
         if untagged:
-            problems.append(f"untagged output tokens {untagged} differ from the clean caption")
+            named = ", ".join(f"[{a}, {b})" for a, b in oracle_runs(untagged))
+            problems.append(f"untagged output tokens {named} differ from the clean caption")
         elif any(OPEN_TAG in t or CLOSE_TAG in t for t in texts):
             problems.append(f"span [{op.g_start}, {op.g_end}) holds a tag literal")
         else:
@@ -938,11 +953,49 @@ def test_tokens_view_is_the_columns_as_rows(text):
     assert tc.tokens is tc.tokens  # built once
 
 
-@settings(max_examples=300, deadline=None)
-@given(token_texts)
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(split_texts, sentence_texts, token_texts))
+@example("a. b! (c)? d")
+@example("..  x.")  # a chunk of punctuation alone
 def test_chunk_count_bounds_token_count(text):
-    """validate_sample's premise: every whitespace chunk holds a token."""
-    assert len(text.split()) <= count_tokens(text)
+    """validate_sample's premise: every whitespace chunk holds a token, and
+    one of 2+ characters that ends in ASCII punctuation holds two. Each of
+    its bounds is a lower bound on the token count, no looser than the one
+    before, and the last is the count itself."""
+    bounds = list(corpus._token_count_bounds(text))
+    n = count_tokens(text)
+    assert bounds[0][0] == len(text.split())
+    assert [exact for _, exact in bounds] == [False, False, True]
+    assert [bound for bound, _ in bounds] == sorted(bound for bound, _ in bounds)
+    assert bounds[-1][0] == n
+
+
+@st.composite
+def span_samples(draw) -> BenchmarkSample:
+    """A sample whose spans may fall anywhere around the caption's tokens,
+    out of order, overlapping or empty, with a dimension or a bad one."""
+    caption = draw(st.one_of(split_texts, sentence_texts, token_texts))
+    index = st.integers(-2, count_tokens(caption) + 2)
+    dimension = st.sampled_from([*DIMENSION_VALUES, "colour"])
+    spans = draw(st.lists(st.builds(HallucinationSpan, index, index, dimension), max_size=5))
+    return BenchmarkSample(id="s", image="", domain="nature", caption=caption, gold_spans=spans)
+
+
+@settings(max_examples=500, deadline=None)
+@given(span_samples())
+@example(BenchmarkSample("s", "", "nature", "A b.", [HallucinationSpan(2, 3)]))
+@example(BenchmarkSample("s", "", "nature", "A b.", [HallucinationSpan(-1, 3), HallucinationSpan(2, 3)]))
+def test_validate_sample_matches_an_oracle_that_always_counts(sample):
+    """The same issues, in order, as validation that takes each caption's
+    exact token count at once."""
+    got = corpus.validate_sample(sample)
+
+    def exact_only(caption):
+        yield count_tokens(caption), True
+
+    with mock.patch.object(corpus, "_token_count_bounds", exact_only):
+        want = corpus.validate_sample(sample)
+    assert got == want
 
 
 @settings(max_examples=1000, deadline=None)
@@ -1115,24 +1168,30 @@ def test_split_sentences_matches_oracle(text):
 
 @st.composite
 def sentence_cases(draw) -> tuple[str, set[int], set[int]]:
-    """(caption, gold, pred): index sets that mostly fall inside the
-    caption's tokens and sometimes one past either end."""
+    """(caption, gold, pred): index sets anywhere in the caption's tokens,
+    several to a sentence, and sometimes past either end."""
     text = draw(st.one_of(sentence_texts, token_texts))
-    index = st.integers(-1, count_tokens(text))
-    return text, draw(st.sets(index, max_size=6)), draw(st.sets(index, max_size=6))
+    index = st.integers(-2, count_tokens(text) + 1)
+    return text, draw(st.sets(index, max_size=10)), draw(st.sets(index, max_size=10))
 
 
-def labeled_sentence_metrics(gold, pred, ends):
+def labeled_sentence_metrics(gold, pred, tc):
     """sentence_metrics' counts with the test-side sentence labels."""
-    counts = sentence_metrics(gold, pred, ends)
+    counts = sentence_metrics(gold, pred, tc)
+    ends = split_sentences(tc)
     return counts, sentence_labels(gold, ends), sentence_labels(pred, ends)
+
+
+def split_oracle_sentence_metrics(gold, pred, tc):
+    """oracle_sentence_metrics over the sentences split_sentences finds."""
+    return oracle_sentence_metrics(gold, pred, split_sentences(tc))
 
 
 def sentence_outcome(score, case):
     """The counts and labels of a case, or the message of its ValueError."""
     text, gold, pred = case
     try:
-        return score(gold, pred, split_sentences(tokenize(text)))
+        return score(gold, pred, tokenize(text))
     except ValueError as exc:
         return str(exc)
 
@@ -1144,11 +1203,13 @@ def sentence_outcome(score, case):
 @example(("A b. C d.", {1}, {6}))
 @example(("A b. C d.", {2, 3}, {1, 4}))
 @example(("A b. C d.", {2}, {-1, 6}))
+@example(("a b. c d", {0, 3}, {1, 2}))  # no boundary: "c" is lower case
+@example(("Hi! Éa? Жb. x", {0, 2, 3, 4, 6}, {1, 5}))  # each terminator, non-ASCII capitals
 def test_sentence_metrics_matches_oracle(case):
     """Labels, counts and P/R/F1 agree, and so does the error for an index
     outside the caption, on an empty caption too."""
     assert sentence_outcome(labeled_sentence_metrics, case) == sentence_outcome(
-        oracle_sentence_metrics, case
+        split_oracle_sentence_metrics, case
     )
 
 
@@ -1204,6 +1265,104 @@ def test_aggregate_takes_checked_report_rows(rows):
     """aggregate checks and sums the row dicts themselves, with no
     per-sample score object in between."""
     assert json.dumps(aggregate(rows).to_dict()) == json.dumps(oracle_card(rows).to_dict())
+
+
+def json_dumps_report(value) -> str:
+    """report.json's text as json itself writes it."""
+    return json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True)
+
+
+# ids and domains with non-ASCII, escaped and control characters
+REPORT_TEXT = st.text(
+    st.sampled_from(["a", "Z", "é", "漢", "😀", '"', "\\", "/", " ", "\n", "\x00", "\x1f", "\x7f", "\u2028"]),
+    max_size=6,
+)
+REPORT_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.1, 1e-07, 1e16, 1 / 3, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+REPORT_INTS = st.integers(0, 10**6)
+
+
+@st.composite
+def report_dicts(draw) -> dict:
+    """Dicts of EvalReport.to_dict's shape: zero or more rows, empty and
+    full dimension dicts, empty and non-empty skipped lists."""
+    prf = st.fixed_dictionaries({"p": REPORT_FLOATS, "r": REPORT_FLOATS, "f1": REPORT_FLOATS})
+    counts = st.fixed_dictionaries(
+        {"intersection": REPORT_INTS, "predicted": REPORT_INTS, "gold": REPORT_INTS}
+    )
+    recall = st.fixed_dictionaries({"hit": REPORT_INTS, "total": REPORT_INTS})
+    row = st.fixed_dictionaries({
+        "id": REPORT_TEXT,
+        "domain": REPORT_TEXT,
+        "token": counts,
+        "sentence": counts,
+        "dimensions": st.dictionaries(REPORT_TEXT, recall, max_size=3),
+        "faithful": st.booleans(),
+        "alignment_coverage": REPORT_FLOATS,
+        "parse_status": st.sampled_from(["ok", "malformed", "empty"]),
+    })
+    card = st.fixed_dictionaries({
+        "token": prf,
+        "sentence": prf,
+        "dimension_recall": st.dictionaries(REPORT_TEXT, REPORT_FLOATS, max_size=3),
+        "faithfulness_violation_rate": REPORT_FLOATS,
+        "sample_count": REPORT_INTS,
+        "macro": st.fixed_dictionaries({"token": prf, "sentence": prf}),
+    })
+    overall = draw(card)
+    return {
+        "model": draw(REPORT_TEXT),
+        "dataset_sha256": "0" * 64,
+        "coverage": draw(REPORT_FLOATS),
+        "overall": {"token": overall["token"], "sentence": overall["sentence"]},
+        "dimensions": overall["dimension_recall"],
+        "domains": draw(st.dictionaries(REPORT_TEXT, card, max_size=2)),
+        "faithfulness_violation_rate": overall["faithfulness_violation_rate"],
+        "macro": overall["macro"],
+        "sample_count": overall["sample_count"],
+        "samples": draw(st.lists(row, max_size=4)),
+        "skipped": draw(st.lists(REPORT_TEXT, max_size=3)),
+        "tool_versions": {"caploc": "0.1.0", "tokenizer": "dvb-tok/1", "prompts": "v1"},
+        "generated_at": "",
+    }
+
+
+@settings(max_examples=200, deadline=None)
+@given(report_dicts())
+def test_report_writer_matches_json_dumps(report):
+    assert _json_text(report) == json_dumps_report(report)
+
+
+def test_report_writer_names_what_json_names():
+    """The values no report holds, written as json writes them: NaN and the
+    infinities by name, a tuple as a list, and a set refused."""
+    value = {"x": [math.nan, math.inf, -math.inf, (1, "b")], "": {}, "e": []}
+    assert _json_text(value) == json_dumps_report(value)
+    with pytest.raises(TypeError, match="^Object of type set is not JSON serializable$"):
+        _json_text({"x": {1}})
+
+
+@settings(max_examples=100, deadline=None)
+@given(report_rows(), REPORT_TEXT, st.lists(REPORT_TEXT, max_size=3))
+def test_emit_report_writes_json_dumps_bytes(rows, sample_id, skipped):
+    """report.json on disk is json.dumps' text of the report and a newline."""
+    rows[0]["id"] = sample_id
+    report = EvalReport(
+        model="m",
+        dataset_sha256="0" * 64,
+        coverage=0.5,
+        card=aggregate(rows),
+        samples=rows,
+        skipped=skipped,
+        tool_versions={"caploc": "0.1.0"},
+        generated_at="2026-01-01T00:00:00Z",
+    )
+    with tempfile.TemporaryDirectory() as out:
+        json_path = emit_report(report, out)[0]
+        written = Path(json_path).read_bytes()
+    assert written == (json_dumps_report(report.to_dict()) + "\n").encode()
 
 
 def run_injection(inject, start, cfg, replies):
